@@ -1,56 +1,56 @@
-"""Federated (shard-parallel) search — the multi-shard serving shape.
+"""Federated search: one query over independently built shard indexes.
 
-The reference serves one MySQL-backed index
-(`/root/reference/src/main/java/searchengine/services/search/SearchServiceImpl.java:40-66`
-scores a site-filtered slice of a single `index` table). At 10^12 turns
-an index is never one artifact: the corpus is range-partitioned into
-SHARDS, each built independently (possibly on different nodes, possibly
-at different times), and a query fans out to every shard and merges.
-This module provides exactly that — and the correctness property that
-makes sharding safe:
+At 10^12 turns the corpus is split by conversation into SHARDS, each
+built (and re-indexed, compacted, ...) on its own, and a query fans out
+to every shard and merges. The property that makes this safe:
 
     **federated(shards) is BIT-IDENTICAL to one index built over the
-    union of the shards' corpora** — same counts, same top-k docs, same
+    union of the shards' corpora** — same counts, same rows, same
     float64 BM25 scores, same tie-breaks.
 
-That holds because every score input is globalized before any shard
-scores a posting:
+It holds because every score input is global before any shard scores a
+posting:
 
 - ``N = Σ n_docs_i`` and ``avgdl = (Σ total_len_i) / N`` — the shard
   manifests store ``total_len`` as an exact integer, so the merged
-  division is the very same float64 op the monolithic build performs;
-- per-term ``df = Σ df_i`` (each shard's overlay-exact merged posting
-  count — delta generations fold per shard before summation);
+  division is the very float64 op the monolithic build performs. Each
+  shard engine takes both once, at construction.
+- per-term ``df = Σ df_i`` over each shard's overlay-exact df (delta
+  generations fold per shard before the sum), and ``plan`` orders the
+  terms (df ASC, lemma ASC) on the merged dfs, so each shard sums a
+  doc's contributions in the monolithic order.
 - the reference's missing-lemma rule applies to the FEDERATION: a lemma
-  absent from every shard empties the result, a lemma absent from SOME
-  shards simply contributes nothing there (its docs lack it);
-- plan order (df ASC, lemma ASC) is computed on the merged dfs, so each
-  shard sums per-doc contributions in the monolithic term order (the
-  ``_aggregate`` reduceat order), keeping float64 summation bit-exact;
-- the global page merge re-applies the total order (score DESC, conv_id
-  ASC, turn_idx ASC) over the per-shard top-(offset+limit) prefixes —
-  per-shard prefixes suffice because shards partition the doc space.
+  absent from every shard empties the result; a lemma absent from some
+  shards contributes nothing there (their docs lack it).
 
-Scale shape: each shard scores only its own postings (the exhaustive
-scorer here — the per-shard work is the same as a single-index query at
-1/S the corpus), the driver merges S × (offset+limit) enriched rows,
-and nothing corpus-sized crosses shard boundaries. Shards with live
-delta generations fold their overlays exactly as single-index serving
-does (scores stay bit-identical to the rebuilt union — pinned by test).
+Everything else is the single-index code, fanned out and merged:
+
+- ``search`` scores each shard with its exhaustive scorer, filters and
+  rewrites the scores with the shard's own ``_filter_docs`` (a doc's
+  lemmas and ts live in the one shard that owns it), and merges the
+  per-shard top-(offset+limit) prefixes in the total order (score DESC,
+  conv_id ASC, turn_idx ASC). Prefixes suffice because shards partition
+  the docs. Arguments are validated by the single-index code.
+- the aggregations are ``search.Aggregations``, written once over
+  matching-set parts; ``_parts`` yields one part per shard and the
+  merge laws are documented there.
+- ``mget``, ``complete`` and ``suggest`` merge the shards' answers.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 
 from .config import DEFAULT_PAGE_SIZE
-from .search import RESULT_SCHEMA, SearchEngine
+from .search import COMPLETE_SCHEMA, MGET_SCHEMA, Aggregations, SearchEngine, _rows_resp
 
 
-class FederatedEngine:
-    """Search over multiple independent shard indexes with merged
-    global statistics. Shards must share the analyzer module and BM25
+class FederatedEngine(Aggregations):
+    """Search over multiple independent shard indexes with merged global
+    statistics. Shards must share the analyzer module and BM25
     parameters (validated at construction — scoring parity is undefined
     otherwise)."""
 
@@ -67,6 +67,7 @@ class FederatedEngine:
                     "shards disagree on analyzer/BM25 config — "
                     "federated scoring would be undefined"
                 )
+        self._analyzer = s0._analyzer
         self.n_docs = sum(s.n_docs for s in self.shards)
         total_len = 0
         for s in self.shards:
@@ -80,44 +81,55 @@ class FederatedEngine:
         # the monolithic build's own division (build.py stage B):
         # avgdl = float(total_len) / n_docs
         self.avgdl = (float(total_len) / self.n_docs) if self.n_docs else 1.0
+        # every shard scores with the federation's N and avgdl (idf and
+        # length normalization are global). Set once, never per query,
+        # so concurrent queries share no mutable scoring state. Shards
+        # score only through the exhaustive scorer: their stored
+        # block-max bounds assume their own avgdl.
+        for s in self.shards:
+            s.n_docs, s.avgdl = self.n_docs, self.avgdl
 
     def valid_scope(self, scope: str | None) -> bool:
         return scope is None or any(s.valid_scope(scope) for s in self.shards)
 
-    def _merged_terms(self, query_text: str):
-        """(terms df-ascending-then-lexical with MERGED dfs, error) —
-        the federation-level plan(). Per shard the df is the
-        overlay-exact merged posting count (the single-index plan()
-        rule); a lemma absent everywhere -> the reference's
-        missing-lemma empty result."""
-        lemmas = self.shards[0]._analyzer.analyze_query(query_text)
+    def plan(self, query_text: str) -> tuple[list[tuple[str, int]], str | None]:
+        """The federation's query plan: (terms df-ascending then lemma,
+        error), each df the sum of the shards' overlay-exact dfs.
+        ``SearchEngine.plan`` over the union's dictionary."""
+        lemmas = self._analyzer.analyze_query(query_text)
         if not lemmas:
             return [], "empty_query"
-        uniq = list(dict.fromkeys(lemmas))
-        per_shard: list[dict[str, int]] = []
+        dfs: Counter = Counter()
         for s in self.shards:
-            dfs: dict[str, int] = {}
-            present = [
-                lem for lem in uniq
-                if s._df_of(lem) is not None
-                or (s._has_deltas and lem in s._delta_lemma)
-            ]
-            if present and s._has_deltas:
-                blocks = s._term_blocks(present)
-                for lem in present:
-                    dfs[lem] = int(blocks[lem]["cum_n"][-1])
-            else:
-                for lem in present:
-                    dfs[lem] = int(s._df_of(lem))
-            per_shard.append(dfs)
-        terms = []
-        for lem in uniq:
-            df = sum(d.get(lem, 0) for d in per_shard)
-            if df == 0:
-                return [], "no_results"
-            terms.append((lem, df))
-        terms.sort(key=lambda t: (t[1], t[0]))
-        return terms, None
+            dfs.update(dict(s._live_terms(s._held_terms(lemmas))))
+        if len(dfs) < len(set(lemmas)):
+            return [], "no_results"
+        return sorted(dfs.items(), key=lambda t: (t[1], t[0])), None
+
+    def _fan_out(self, terms, scope, conjunctive):
+        """(shard, the merged-df ``terms`` it holds) per shard, in shard
+        order. A lemma a shard lacks is lacked by all its docs, so it adds
+        nothing there (no shard-local missing-lemma rule). The terms are
+        empty where the shard cannot match: it lacks the scope value, or
+        (conjunctive) any term."""
+        for s in self.shards:
+            held = {lem for lem, _ in s._held_terms([lem for lem, _ in terms])}
+            sterms = [t for t in terms if t[0] in held]
+            if not s.valid_scope(scope) or (conjunctive and len(sterms) < len(terms)):
+                sterms = []
+            yield s, sterms
+
+    def _parts(self, terms, scope, conjunctive=False, exclude=None,
+               ts_min=None, ts_max=None) -> list[tuple]:
+        """One matching-set part per shard, in shard order (empty where
+        the shard cannot match)."""
+        none = np.empty(0, np.int64)
+        return [
+            (s, *s._matching_set(sterms, scope, conjunctive, exclude,
+                                 ts_min, ts_max))
+            if sterms else (s, none, none)
+            for s, sterms in self._fan_out(terms, scope, conjunctive)
+        ]
 
     def search(
         self,
@@ -134,592 +146,42 @@ class FederatedEngine:
         negative: str | None = None,
         negative_boost: float = 0.5,
     ) -> dict:
-        """Fan-out BM25 search, rank- and score-identical to a
-        monolithic index over the shards' combined corpus. -> the
-        single-index ``search()`` response shape. ``decay`` is the
-        single-index function-score recency decay: the factor is a pure
-        per-doc function of GLOBAL constants, so applying it to each
-        shard's scores before the merge is exactly the monolithic
-        multiply (pinned by test). ``exclude`` / ``ts_min``/``ts_max``
-        / ``negative``+``negative_boost`` are the single-index per-DOC
-        filter/demotion surfaces — a doc's lemmas and metadata live
-        entirely in its owning shard, so shard-local application IS the
-        monolithic semantics (exclusion docids, inclusive ts bounds,
-        boosting-query demotion all pinned equal by test); validation
-        (bad_negative) and the exclude/negative analyzer no-op rules
-        are federation-level, shared via the shards' common analyzer."""
-        from .search import decay_factor, decay_params
-
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0,
-                    "data": RESULT_SCHEMA.empty_table(), "error": "bad_scope"}
-        decay_t = None
-        if decay is not None:
-            decay_t = decay_params(decay, self.shards[0]._ts_us)
-            if decay_t is None:
-                return {"result": False, "count": 0,
-                        "data": RESULT_SCHEMA.empty_table(),
-                        "error": "bad_decay"}
-        if negative is not None:
-            try:
-                negative_boost = float(negative_boost)
-            except (TypeError, ValueError):
-                return {"result": False, "count": 0,
-                        "data": RESULT_SCHEMA.empty_table(),
-                        "error": "bad_negative"}
-            if (not isinstance(negative, str)
-                    or not (0.0 <= negative_boost <= 1.0)
-                    or not self.shards[0]._analyzer.analyze_query(negative)):
-                return {"result": False, "count": 0,
-                        "data": RESULT_SCHEMA.empty_table(),
-                        "error": "bad_negative"}
-        terms, err = self._merged_terms(query_text)
+        """Fan-out BM25 search, rank- and score-identical to one index
+        over the shards' combined corpus searched with
+        ``method='exhaustive'``. -> the single-index ``search()``
+        response; the arguments mean what they mean there and are
+        validated by the same code."""
+        err, params = self._search_params(
+            scope, offset, limit, exclude=exclude, ts_min=ts_min,
+            ts_max=ts_max, decay=decay, negative=negative,
+            negative_boost=negative_boost)
         if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0,
-                    "data": RESULT_SCHEMA.empty_table(),
-                    "error": None if ok else err}
-        need = offset + limit
-        total = 0
-        tables = []
-        for s in self.shards:
-            if scope is not None and not s.valid_scope(scope):
-                continue  # the scope value does not occur in this shard
-            sterms = [
-                (lem, df) for lem, df in terms
-                if s._df_of(lem) is not None
-                or (s._has_deltas and lem in s._delta_lemma)
-            ]
-            if conjunctive and len(sterms) < len(terms):
-                continue  # a shard missing a lemma cannot satisfy AND
+            return self._resp(error=err)
+        offset, limit, ts_min, ts_max, _, decay_t, negative_boost = params
+        terms, err = self.plan(query_text)
+        if err:
+            return self._resp(error=None if err == "no_results" else err)
+        count, pages = 0, []
+        for s, sterms in self._fan_out(terms, scope, conjunctive):
             if not sterms:
                 continue
-            # pass only the shard-present terms (absent terms have no
-            # postings here and would contribute nothing — dropping them
-            # preserves the monolithic reduceat order for shard docs);
-            # dfs stay MERGED, so idf is global
-            save = (s.n_docs, s.avgdl)
-            s.n_docs, s.avgdl = self.n_docs, self.avgdl
-            try:
-                ids, scores = s.score_exhaustive(
-                    sterms, scope=scope, conjunctive=conjunctive
-                )
-            finally:
-                s.n_docs, s.avgdl = save
-            if exclude is not None and len(ids):
-                excl = s._exclusion_docids(exclude)
-                if excl is not None and len(excl):
-                    keep = ~np.isin(ids, excl, assume_unique=False)
-                    ids, scores = ids[keep], scores[keep]
-            if (ts_min is not None or ts_max is not None) and len(ids):
-                tss = s._ts_of_ids(ids)
-                m = np.ones(len(ids), bool)
-                if ts_min is not None:
-                    m &= tss >= s._ts_us(ts_min)
-                if ts_max is not None:
-                    m &= tss <= s._ts_us(ts_max)
-                ids, scores = ids[m], scores[m]
-            total += int(len(ids))
-            if not len(ids):
-                continue
-            if decay_t is not None:
-                scores = scores * decay_factor(s._ts_of_ids(ids), decay_t)
-            if negative is not None:
-                neg = s._exclusion_docids(negative)
-                if neg is not None and len(neg):
-                    demoted = np.isin(ids, neg, assume_unique=False)
-                    scores = np.where(
-                        demoted, scores * negative_boost, scores)
-            sel = np.lexsort((ids, -scores))[:need]
-            tables.append(s._enrich(ids[sel], scores[sel], terms, with_snippets))
-        if not tables:
-            return {"result": True, "count": total,
-                    "data": RESULT_SCHEMA.empty_table(), "error": None}
-        merged = pa.concat_tables(tables)
+            ids, scores = s.score_exhaustive(sterms, scope, conjunctive)
+            keep, scores = s._filter_docs(ids, scores, exclude, ts_min, ts_max,
+                                          decay_t, negative, negative_boost)
+            ids = ids[keep]
+            count += len(ids)
+            if len(ids):
+                top_ids, top_scores = s._topk(ids, scores, offset + limit)
+                pages.append(s._enrich(top_ids, top_scores, terms, with_snippets))
+        if not pages:
+            return self._resp(count=count)
+        merged = pa.concat_tables(pages)
         conv = np.asarray(merged.column("conv_id").to_pylist(), dtype=np.str_)
         turn = merged.column("turn_idx").to_numpy(zero_copy_only=False)
         score = merged.column("score").to_numpy(zero_copy_only=False)
         order = np.lexsort((turn, conv, -score))[offset: offset + limit]
-        page = merged.take(pa.array(order))
-        return {"result": True, "count": total, "data": page, "error": None}
-
-
-    def facets(
-        self,
-        query_text: str,
-        scope: str | None = None,
-        conjunctive: bool = False,
-        by=("role", "tool"),
-    ) -> dict:
-        """Federated faceted counts: per-shard matching-set facet rows
-        sum per (facet, value) — exact because shards partition the doc
-        space — and re-sort into the monolithic (facet, value) order,
-        so the merged table is identical to one index over the union.
-        Missing-lemma rule applies at the federation level (a shard
-        missing a lemma contributes 0 to every bucket, mirroring the
-        monolithic union-of-postings matching set)."""
-        from .search import FACETS_SCHEMA
-
-        empty = FACETS_SCHEMA.empty_table()
-        if isinstance(by, str):
-            by = tuple(v.strip() for v in by.split(",") if v.strip())
-        by = tuple(by)
-        if not by or not set(by) <= {"role", "tool", "day"}:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_facet"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        terms, err = self._merged_terms(query_text)
-        if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0, "data": empty,
-                    "error": None if ok else err}
-        total = 0
-        agg: dict[tuple[str, str], int] = {}
-        for s in self.shards:
-            if scope is not None and not s.valid_scope(scope):
-                continue
-            # shard-present subset of the merged terms (the shard-local
-            # missing-lemma rule must NOT apply — a lemma absent here is
-            # simply lacked by every shard doc, union semantics)
-            sterms = [
-                (lem, df) for lem, df in terms
-                if s._df_of(lem) is not None
-                or (s._has_deltas and lem in s._delta_lemma)
-            ]
-            if not sterms or (conjunctive and len(sterms) < len(terms)):
-                continue
-            uniq, codes = s._matching_set(sterms, scope, conjunctive)
-            if not len(uniq):
-                continue
-            total += int(len(uniq))
-            if "role" in by or "tool" in by:
-                pairs = s._code_pairs()
-                per_code = np.bincount(codes, minlength=len(pairs))
-                for code in np.flatnonzero(per_code):
-                    r_, t_ = pairs[code]
-                    n = int(per_code[code])
-                    if "role" in by:
-                        agg[("role", r_)] = agg.get(("role", r_), 0) + n
-                    if "tool" in by:
-                        agg[("tool", t_)] = agg.get(("tool", t_), 0) + n
-            if "day" in by:
-                tss = s._ts_of_ids(uniq)
-                days = (tss // 86_400_000_000).astype(np.int64)
-                du, dc = np.unique(days, return_counts=True)
-                for v, n in zip(du.astype("datetime64[D]").astype(str), dc):
-                    agg[("day", str(v))] = agg.get(("day", str(v)), 0) + int(n)
-        rows = sorted((f, v, n) for (f, v), n in agg.items())
-        tbl = pa.table(
-            {
-                "facet": pa.array([r[0] for r in rows], pa.string()),
-                "value": pa.array([r[1] for r in rows], pa.string()),
-                "n_docs": pa.array([r[2] for r in rows], pa.int64()),
-            }
-        )
-        return {"result": True, "count": total, "data": tbl, "error": None}
-
-
-    def _shard_field_values(self, s, terms, scope, conjunctive, field):
-        """One shard's matching-set field values (doc_len or epoch-µs
-        ts) as int64 — the per-shard frame every additive aggregation
-        merges; empty array when the shard matches nothing."""
-        uniq = self._shard_matching(s, terms, scope, conjunctive)
-        if not len(uniq):
-            return np.empty(0, np.int64)
-        v = s._dl_of_ids(uniq) if field == "doc_len" else s._ts_of_ids(uniq)
-        return v.astype(np.int64)
-
-    def histogram(
-        self,
-        query_text: str,
-        field: str = "doc_len",
-        interval: int = 10,
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated histogram: the bucket function ``(v // interval) *
-        interval`` is per-DOC, so per-shard bucket counts SUM exactly —
-        the merge ships n_buckets integers per shard, never values.
-        Pinned identical to the monolithic table."""
-        from .search import HISTOGRAM_SCHEMA
-
-        empty = HISTOGRAM_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_field"}
-        if not isinstance(interval, int) or interval <= 0:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_interval"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        terms, err = self._merged_terms(query_text)
-        if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0, "data": empty,
-                    "error": None if ok else err}
-        agg: dict[int, int] = {}
-        total = 0
-        for s in self.shards:
-            v = self._shard_field_values(s, terms, scope, conjunctive, field)
-            if not len(v):
-                continue
-            total += int(len(v))
-            bu, bc = np.unique((v // interval) * interval, return_counts=True)
-            for b, c in zip(bu.tolist(), bc.tolist()):
-                agg[b] = agg.get(b, 0) + c
-        rows = sorted(agg.items())
-        tbl = pa.table({
-            "bucket": pa.array([r[0] for r in rows], pa.int64()),
-            "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": total, "data": tbl, "error": None}
-
-    def range_agg(
-        self,
-        query_text: str,
-        ranges,
-        field: str = "doc_len",
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated range aggregation: half-open bucket membership is
-        per-DOC, so per-shard searchsorted counts SUM exactly (the merge
-        ships n_ranges integers per shard). Validation and the
-        all-buckets/request-order rules mirror the single index."""
-        from .search import RANGE_AGG_SCHEMA, SearchEngine, parse_agg_ranges
-
-        empty = RANGE_AGG_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_field"}
-        if not isinstance(ranges, (list, tuple)) or not ranges \
-                or len(ranges) > SearchEngine.MAX_AGG_RANGES:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_ranges"}
-        bounds = parse_agg_ranges(ranges, field, self.shards[0]._ts_us)
-        if bounds is None:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_ranges"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        terms, err = self._merged_terms(query_text)
-        if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0, "data": empty,
-                    "error": None if ok else err}
-        counts = np.zeros(len(bounds), np.int64)
-        total = 0
-        for s in self.shards:
-            v = self._shard_field_values(s, terms, scope, conjunctive, field)
-            if not len(v):
-                continue
-            total += int(len(v))
-            v.sort()
-            for i, (lo, hi) in enumerate(bounds):
-                a = 0 if lo is None else int(np.searchsorted(v, lo, "left"))
-                b = len(v) if hi is None else int(np.searchsorted(v, hi, "left"))
-                counts[i] += max(0, b - a)
-        if total == 0:
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        rows = [
-            (i, f"{'*' if lo is None else lo}-{'*' if hi is None else hi}",
-             lo, hi, int(counts[i]))
-            for i, (lo, hi) in enumerate(bounds)
-        ]
-        tbl = pa.table({
-            "ridx": pa.array([r[0] for r in rows], pa.int64()),
-            "key": pa.array([r[1] for r in rows], pa.string()),
-            "range_from": pa.array([r[2] for r in rows], pa.int64()),
-            "range_to": pa.array([r[3] for r in rows], pa.int64()),
-            "n_docs": pa.array([r[4] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": total, "data": tbl, "error": None}
-
-    def percentile_ranks(
-        self,
-        query_text: str,
-        values,
-        field: str = "doc_len",
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated inverse percentiles: ``n_le`` per probe value is a
-        per-DOC predicate count, so per-shard searchsorted tallies SUM
-        exactly; the derived pct divides the summed tallies once (the
-        monolithic op order). Merge ships n_values integers per shard."""
-        from .search import PRANKS_SCHEMA, SearchEngine
-
-        empty = PRANKS_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_field"}
-        if not isinstance(values, (list, tuple)) or not values \
-                or len(values) > SearchEngine.MAX_RANK_VALUES:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_values"}
-        try:
-            vals = [
-                int(self.shards[0]._ts_us(v)) if field == "ts" else int(v)
-                for v in values
-            ]
-        except (TypeError, ValueError):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_values"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        terms, err = self._merged_terms(query_text)
-        if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0, "data": empty,
-                    "error": None if ok else err}
-        probes = np.array(sorted(set(vals)), np.int64)
-        n_le = np.zeros(len(probes), np.int64)
-        total = 0
-        for s in self.shards:
-            v = self._shard_field_values(s, terms, scope, conjunctive, field)
-            if not len(v):
-                continue
-            total += int(len(v))
-            v.sort()
-            n_le += np.searchsorted(v, probes, side="right").astype(np.int64)
-        if total == 0:
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        tbl = pa.table({
-            "value": pa.array(probes, pa.int64()),
-            "n_le": pa.array(n_le, pa.int64()),
-            "n_docs": pa.array(np.full(len(probes), total), pa.int64()),
-            "pct": pa.array(np.round(100.0 * n_le / total, 6), pa.float64()),
-        })
-        return {"result": True, "count": total, "data": tbl, "error": None}
-
-    def _shard_matching(self, s, terms, scope, conjunctive):
-        """One shard's matching docids for federation-level ``terms``:
-        the shard-present subset (union semantics — the shard-local
-        missing-lemma rule must NOT apply), with the conjunctive rule
-        requiring every term present on the shard."""
-        return self._shard_matching_codes(s, terms, scope, conjunctive)[0]
-
-    def _shard_matching_codes(self, s, terms, scope, conjunctive):
-        """``_shard_matching`` plus each doc's dense scope code (the
-        shard-LOCAL code space — cross-shard merges must decode codes to
-        VALUES before comparing)."""
-        sterms = [
-            (lem, df) for lem, df in terms
-            if s._df_of(lem) is not None
-            or (s._has_deltas and lem in s._delta_lemma)
-        ]
-        if not sterms or (conjunctive and len(sterms) < len(terms)):
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return s._matching_set(sterms, scope, conjunctive)
-
-    def cardinality(
-        self,
-        query_text: str,
-        fields=("conv",),
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated exact cardinality with two merge laws, both exact:
-        ``conv`` is OWNERSHIP-additive — the conv-hash split makes
-        conversations shard-disjoint, so per-shard distinct-conv counts
-        SUM; every other field merges by DISTINCT-SET union — the merge
-        ships each shard's distinct VALUES (decoded, never shard-local
-        codes), bounded by field cardinality for role/tool/day/doc_len.
-        For ``ts`` (distinct values ~ matching-set-sized) the scale
-        path is the HLL register merge (text_analysis.distinct_hll);
-        the exact union here is the small-federation sibling. Pinned
-        identical to the monolithic engine."""
-        from .search import CARDINALITY_SCHEMA, SearchEngine, split_docids
-
-        if isinstance(fields, str):
-            fields = tuple(v.strip() for v in fields.split(",") if v.strip())
-        fields = tuple(fields)
-        empty = CARDINALITY_SCHEMA.empty_table()
-        if not fields or not set(fields) <= set(SearchEngine.CARDINALITY_FIELDS):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_field"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        terms, err = self._merged_terms(query_text)
-        if err:
-            ok = err == "no_results"
-            return {"result": ok, "count": 0, "data": empty,
-                    "error": None if ok else err}
-        want = set(fields)
-        total, conv_n = 0, 0
-        sets: dict[str, set] = {f: set() for f in want - {"conv"}}
-        for s in self.shards:
-            uniq, codes = self._shard_matching_codes(
-                s, terms, scope, conjunctive)
-            if not len(uniq):
-                continue
-            total += int(len(uniq))
-            if "conv" in want:
-                conv_n += int(len(np.unique(split_docids(uniq)[0])))
-            if "role" in want or "tool" in want:
-                pairs = s._code_pairs()
-                for c in np.unique(codes):
-                    if "role" in want:
-                        sets["role"].add(pairs[c][0])
-                    if "tool" in want:
-                        sets["tool"].add(pairs[c][1])
-            for f in ("day", "doc_len", "ts"):
-                if f in want:
-                    v = (s._dl_of_ids(uniq) if f == "doc_len"
-                         else s._ts_of_ids(uniq)).astype(np.int64)
-                    if f == "day":
-                        v = v // 86_400_000_000
-                    sets[f].update(np.unique(v).tolist())
-        if total == 0:
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        rows = sorted(
-            (f, conv_n if f == "conv" else len(sets[f])) for f in want
-        )
-        tbl = pa.table({
-            "field": pa.array([r[0] for r in rows], pa.string()),
-            "n_distinct": pa.array([r[1] for r in rows], pa.int64()),
-            "n_docs": pa.array([total] * len(rows), pa.int64()),
-        })
-        return {"result": True, "count": total, "data": tbl, "error": None}
-
-    def filters_agg(
-        self,
-        filters: dict[str, str],
-        query_text: str | None = None,
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated filters aggregation: per-shard bucket counts SUM
-        per key — exact because shards partition the doc space, and the
-        base-query intersection is shard-local (a doc lives in exactly
-        one shard, so |filter ∩ base| = Σ per-shard intersections).
-        Missing-lemma and empty-filter rules apply at the FEDERATION
-        level (a filter whose lemmas exist on any shard is live
-        everywhere; one analyzing to nothing is ``bad_filter``), so the
-        result is pinned identical to one index over the union."""
-        from .search import FILTERS_AGG_SCHEMA, SearchEngine
-
-        empty = FILTERS_AGG_SCHEMA.empty_table()
-        if not isinstance(filters, dict) or not filters:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_filter"}
-        if len(filters) > SearchEngine.MAX_AGG_FILTERS:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "too_many_filters"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        fterms: dict[str, list | None] = {}
-        for key in sorted(filters):
-            terms, err = self._merged_terms(str(filters[key]))
-            if err == "empty_query":
-                return {"result": False, "count": 0, "data": empty,
-                        "error": "bad_filter"}
-            fterms[key] = None if err else terms
-        bterms = None
-        has_base = query_text is not None
-        if has_base:
-            bterms, berr = self._merged_terms(query_text)
-            if berr == "empty_query":
-                return {"result": False, "count": 0, "data": empty,
-                        "error": "empty_query"}
-            if berr:
-                bterms = None  # no_results: empty base set
-        counts = {k: 0 for k in fterms}
-        n_base = 0
-        for s in self.shards:
-            if scope is not None and not s.valid_scope(scope):
-                continue
-            base_ids = None
-            if has_base:
-                base_ids = (
-                    self._shard_matching(s, bterms, scope, conjunctive)
-                    if bterms is not None else np.empty(0, np.int64)
-                )
-                n_base += int(len(base_ids))
-            for key, terms in fterms.items():
-                if terms is None:
-                    continue
-                ids = self._shard_matching(s, terms, scope, conjunctive)
-                if base_ids is not None and len(ids):
-                    ids = ids[np.isin(ids, base_ids, assume_unique=True)]
-                counts[key] += int(len(ids))
-        rows = sorted(counts.items())
-        tbl = pa.table({
-            "key": pa.array([r[0] for r in rows], pa.string()),
-            "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": n_base, "data": tbl, "error": None}
-
-    def adjacency_matrix(
-        self,
-        filters: dict[str, str],
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Federated adjacency matrix: singles AND pairwise
-        intersections are shard-local (one shard owns each doc), so
-        every cell sums across shards exactly; zero cells are omitted
-        after the merge (a cell empty on every shard is empty
-        globally — the monolithic omission rule)."""
-        from .search import FILTERS_AGG_SCHEMA, SearchEngine
-
-        empty = FILTERS_AGG_SCHEMA.empty_table()
-        if not isinstance(filters, dict) or not filters:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_filter"}
-        if len(filters) > SearchEngine.MAX_AGG_FILTERS:
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "too_many_filters"}
-        if any("&" in k for k in filters):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_filter"}
-        if not self.valid_scope(scope):
-            return {"result": False, "count": 0, "data": empty,
-                    "error": "bad_scope"}
-        fterms: dict[str, list | None] = {}
-        for key in sorted(filters):
-            terms, err = self._merged_terms(str(filters[key]))
-            if err == "empty_query":
-                return {"result": False, "count": 0, "data": empty,
-                        "error": "bad_filter"}
-            fterms[key] = None if err else terms
-        keys = sorted(fterms)
-        agg: dict[str, int] = {}
-        union_total = 0
-        for s in self.shards:
-            if scope is not None and not s.valid_scope(scope):
-                continue
-            sets = {
-                k: (self._shard_matching(s, t, scope, conjunctive)
-                    if t is not None else np.empty(0, np.int64))
-                for k, t in fterms.items()
-            }
-            live = [x for x in sets.values() if len(x)]
-            if live:
-                union_total += int(len(np.unique(np.concatenate(live))))
-            for i, a in enumerate(keys):
-                if len(sets[a]):
-                    agg[a] = agg.get(a, 0) + int(len(sets[a]))
-                for b in keys[i + 1:]:
-                    if len(sets[a]) and len(sets[b]):
-                        n = int(np.isin(sets[a], sets[b],
-                                        assume_unique=True).sum())
-                        if n:
-                            agg[f"{a}&{b}"] = agg.get(f"{a}&{b}", 0) + n
-        rows = sorted(agg.items())
-        tbl = pa.table({
-            "key": pa.array([r[0] for r in rows], pa.string()),
-            "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": union_total, "data": tbl,
-                "error": None}
+        return {"result": True, "count": count,
+                "data": merged.take(pa.array(order)), "error": None}
 
     def mget(self, docs) -> dict:
         """Federated batch point fetch: each (conv_id, turn_idx) lives
@@ -729,8 +191,6 @@ class FederatedEngine:
         produced one (at most one can). Request order, miss echoing and
         the bad_docs guards are the single-index rules, applied once at
         the federation level by the first shard's validator."""
-        from .search import MGET_SCHEMA
-
         per_shard = [s.mget(docs) for s in self.shards]
         first = per_shard[0]
         if not first["result"]:
@@ -741,10 +201,7 @@ class FederatedEngine:
             hit = next((r for r in slot if r["found"]), slot[0])
             merged.append(hit)
             n_found += bool(hit["found"])
-        tbl = pa.table({
-            name: pa.array([r[name] for r in merged], MGET_SCHEMA.field(name).type)
-            for name in MGET_SCHEMA.names
-        })
+        tbl = pa.Table.from_pylist(merged, schema=MGET_SCHEMA)
         return {"result": True, "count": n_found, "data": tbl, "error": None}
 
     def complete(self, prefix: str, k: int = 10) -> dict:
@@ -753,10 +210,7 @@ class FederatedEngine:
         the sum of its per-shard dfs over a disjoint corpus partition —
         then the monolithic (df DESC, lemma ASC) cut. Pinned identical
         to one index over the union."""
-        from .search import COMPLETE_SCHEMA
-
-        agg: dict[str, int] = {}
-        total = 0
+        agg: Counter = Counter()
         err = None
         for s in self.shards:
             r = s.complete(prefix, k=1 << 30)
@@ -764,20 +218,11 @@ class FederatedEngine:
                 err = r["error"]
                 continue
             for row in r["data"].to_pylist():
-                agg[row["lemma"]] = agg.get(row["lemma"], 0) + row["df"]
+                agg[row["lemma"]] += row["df"]
         if not agg and err:
-            return {"result": False, "count": 0,
-                    "data": COMPLETE_SCHEMA.empty_table(), "error": err}
+            return self._resp(error=err, schema=COMPLETE_SCHEMA)
         hits = sorted(agg.items(), key=lambda r: (-r[1], r[0]))
-        total = len(hits)
-        page = hits[:k]
-        tbl = pa.table(
-            {
-                "lemma": pa.array([h[0] for h in page], pa.string()),
-                "df": pa.array([h[1] for h in page], pa.int64()),
-            }
-        )
-        return {"result": True, "count": total, "data": tbl, "error": None}
+        return _rows_resp(COMPLETE_SCHEMA, hits[:k], len(hits))
 
     def suggest(self, term: str, max_dist: int = 2, k: int = 5):
         """Federated did-you-mean: per-shard candidate sweeps merge by
@@ -802,9 +247,3 @@ class FederatedEngine:
                 "dist": pa.array([r[2] for r in rows], pa.int32()),
             }
         )
-
-
-def federated_search(out_dirs: list[str], query_text: str, **kwargs) -> dict:
-    """One-shot convenience wrapper (builds the merged stats each call —
-    hold a ``FederatedEngine`` for serving)."""
-    return FederatedEngine(out_dirs).search(query_text, **kwargs)

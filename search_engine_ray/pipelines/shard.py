@@ -131,7 +131,7 @@ def delete_by_query_sharded(out_root: str, n_shards: int, query_text: str,
     if not outs:
         return {"result": False, "deleted": 0, "per_shard": {},
                 "error": "no shard indexes"}
-    _terms, err = FederatedEngine(outs)._merged_terms(query_text)
+    _terms, err = FederatedEngine(outs).plan(query_text)
     if err == "empty_query":
         return {"result": False, "deleted": 0, "per_shard": {},
                 "error": "empty_query"}
@@ -174,7 +174,7 @@ def update_by_query_sharded(out_root: str, n_shards: int, query_text: str,
     if not outs:
         return {"result": False, "updated": 0, "per_shard": {},
                 "error": "no shard indexes"}
-    _terms, err = FederatedEngine(outs)._merged_terms(query_text)
+    _terms, err = FederatedEngine(outs).plan(query_text)
     if err == "empty_query":
         return {"result": False, "updated": 0, "per_shard": {},
                 "error": "empty_query"}

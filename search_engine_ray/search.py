@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -342,7 +343,581 @@ def register_scorer(name: str):
     return deco
 
 
-class SearchEngine:
+def _n_matching(parts) -> int:
+    """Matching docs over all parts (each doc lives in exactly one)."""
+    return sum(len(ids) for _, ids, _ in parts)
+
+
+def _n_common(a, b) -> int:
+    """Docs in both of two part lists over the same engines."""
+    return sum(
+        int(np.isin(x, y, assume_unique=True).sum())
+        for (_, x, _), (_, y, _) in zip(a, b)
+    )
+
+
+def _rows_resp(schema: pa.Schema, rows, count: int) -> dict:
+    """A success response whose data is ``rows``, tuples in ``schema``
+    column order."""
+    cols = list(zip(*rows)) if rows else [() for _ in schema]
+    data = pa.table(
+        [pa.array(list(c), f.type) for c, f in zip(cols, schema)], schema=schema
+    )
+    return {"result": True, "count": int(count), "data": data, "error": None}
+
+
+class Aggregations:
+    """The query surfaces one index and a shard federation share, written
+    once: ``search`` argument validation, the scope → plan → matching-set
+    preamble and the matching-set aggregations.
+
+    A subclass provides ``plan(query_text)`` -> (df-ascending terms,
+    error), ``valid_scope(scope)``, ``_analyzer`` and ``_parts(terms,
+    scope, conjunctive, exclude, ts_min, ts_max)``: the matching set as a
+    list of parts ``(engine, ascending unique docids, dense scope
+    codes)``, docids and codes in that engine's own spaces. A
+    ``SearchEngine`` yields one part; a ``FederatedEngine`` one per shard,
+    in shard order. Shards partition the docs and the conversations, so
+    the aggregations merge parts by three laws: per-part counts sum,
+    distinct-value sets union, and distinct-conversation counts sum."""
+
+    MAX_RANK_VALUES = 100
+    MAX_AGG_RANGES = 100
+    MAX_AGG_FILTERS = 100        # the ES adjacency_matrix default cap
+    CARDINALITY_FIELDS = ("conv", "role", "tool", "day", "doc_len", "ts")
+
+    @staticmethod
+    def _ts_us(v) -> int | None:
+        """Normalize a ts bound to int64 epoch microseconds: int passes
+        through, ISO-8601 strings and datetimes are interpreted as UTC
+        when naive (the corpus ts column is tz-naive UTC)."""
+        if v is None:
+            return None
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        from datetime import datetime, timedelta, timezone
+
+        if isinstance(v, str):
+            v = datetime.fromisoformat(v)  # ValueError -> caller's bad_ts
+        if not isinstance(v, datetime):
+            raise ValueError(f"unsupported ts bound {v!r}")
+        if v.tzinfo is None:
+            v = v.replace(tzinfo=timezone.utc)
+        # INTEGER epoch-µs: float64 timestamp() rounds ~1% of
+        # microsecond values 1 µs low, breaking the inclusive-bound /
+        # oracle-exact contract at the boundary (measured 2489/200000
+        # round-trip mismatches) — timedelta floor-division is exact
+        return (v - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(
+            microseconds=1
+        )
+
+    def _resp(self, count: int = 0, error: str | None = None,
+              schema: pa.Schema | None = None, **extra) -> dict:
+        """A response without rows: ``error``, or a success that carries
+        only ``count``. ``data`` is an empty table of ``schema`` (the
+        search result's by default); ``extra`` holds the surface's other
+        keys."""
+        return {
+            "result": error is None,
+            "count": count,
+            "data": (schema or RESULT_SCHEMA).empty_table(),
+            "error": error,
+            **extra,
+        }
+
+    def _planned(self, query_text: str, scope: str | None, **shape):
+        """The scope → plan preamble. -> (terms, None), or (None, the
+        response: bad_scope, empty_query, or the empty success of a
+        missing lemma). ``shape`` is the surface's ``_resp`` schema and
+        extra keys."""
+        if not self.valid_scope(scope):
+            return None, self._resp(error="bad_scope", **shape)
+        terms, err = self.plan(query_text)
+        if err:
+            return None, self._resp(
+                error=None if err == "no_results" else err, **shape)
+        return terms, None
+
+    def _matched(self, query_text: str, scope: str | None,
+                 conjunctive: bool = False, exclude: str | None = None,
+                 ts_min=None, ts_max=None, **shape):
+        """``_planned`` plus the ts bounds and the matching set. -> (terms,
+        parts, None) when some doc matches, else (None, None, the
+        response: a preamble error, bad_ts, or the empty success)."""
+        terms, resp = self._planned(query_text, scope, **shape)
+        if resp is None:
+            try:
+                ts_min, ts_max = self._ts_us(ts_min), self._ts_us(ts_max)
+            except (ValueError, TypeError, OverflowError):
+                return None, None, self._resp(error="bad_ts", **shape)
+            parts = self._parts(terms, scope, conjunctive, exclude, ts_min, ts_max)
+            if _n_matching(parts):
+                return terms, parts, None
+            resp = self._resp(**shape)
+        return None, None, resp
+
+    def _search_params(
+        self, scope, offset, limit, mode="bm25", exclude=None, ts_min=None,
+        ts_max=None, collapse=None, min_match=None, order_by="score",
+        search_after=None, synonyms=None, boosts=None, decay=None,
+        negative=None, negative_boost=0.5,
+    ):
+        """Validate and normalize the ``search`` arguments both engines
+        take. -> (error, None), or (None, (offset, limit, ts_min, ts_max,
+        boosts, decay_t, negative_boost)): the page as ints, the ts bounds
+        as epoch-µs ints, the boost keys as lemmas, the decay spec folded
+        to its constants."""
+        if not self.valid_scope(scope):
+            return "bad_scope", None
+        if search_after is not None and (
+            offset != 0 or order_by != "score"
+            or not isinstance(search_after, (tuple, list))
+            or len(search_after) != 3
+        ):
+            return "bad_cursor", None
+        if collapse is not None and collapse < 1:
+            return "bad_collapse", None
+        if order_by not in ("score", "ts_desc", "ts_asc", "rrf"):
+            return "bad_order", None
+        # page sanity: Python slicing makes ids[-1:] the LAST row, so a
+        # negative offset would silently return a wrong page as success
+        try:
+            offset, limit = int(offset), int(limit)
+        except (TypeError, ValueError):
+            return "bad_page", None
+        if offset < 0 or limit < 0:
+            return "bad_page", None
+        # ts bounds validate ONCE up front — garbage must be a bad_ts
+        # response, not an exception escaping to the HTTP layer — and
+        # pass down as exact int epoch-µs
+        try:
+            ts_min = self._ts_us(ts_min)
+            ts_max = self._ts_us(ts_max)
+        except (ValueError, TypeError, OverflowError):
+            return "bad_ts", None
+        # the filtering surfaces route through the exhaustive bm25
+        # scorer ONLY; every other mode returns before that gate, so
+        # accepting the combination would report success on silently
+        # UNFILTERED results (the synonyms/boosts/decay convention:
+        # reject, don't ignore)
+        if mode != "bm25" and (
+            exclude is not None or ts_min is not None or ts_max is not None
+            or collapse is not None or min_match is not None
+            or order_by != "score" or search_after is not None
+        ):
+            return "bad_filter_mode", None
+        if synonyms is not None and mode != "bm25":
+            return "bad_synonyms", None
+        if negative is not None:
+            # boosting query (the ES `boosting` compound): docs matching
+            # the negative query stay IN the result set but their score
+            # is multiplied by negative_boost in [0, 1] — demotion, the
+            # middle ground exclude= can't express. bm25 mode only; the
+            # negative side must analyze to >= 1 token (ES rejects an
+            # empty negative body); absent-lemma negatives demote
+            # nothing (exclude's no-op rule, NOT the missing-lemma
+            # rule — the negative side is a filter, not the query).
+            try:
+                negative_boost = float(negative_boost)
+            except (TypeError, ValueError):
+                return "bad_negative", None
+            if (mode != "bm25" or not isinstance(negative, str)
+                    or not (0.0 <= negative_boost <= 1.0)
+                    or not self._analyzer.analyze_query(negative)):
+                return "bad_negative", None
+        if boosts is not None:
+            # query-time term boosting (the Lucene term^w weight):
+            # analyzer-normalize the keys, require positive finite
+            # factors; bm25 mode only (a boost rewrites idf, which the
+            # reference scorer and positional modes do not carry)
+            if mode != "bm25":
+                return "bad_boosts", None
+            norm_boosts: dict[str, float] = {}
+            for key, w in boosts.items():
+                try:
+                    w = float(w)
+                except (TypeError, ValueError):
+                    return "bad_boosts", None
+                if not (w > 0.0 and math.isfinite(w)):
+                    return "bad_boosts", None
+                klems = self._analyzer.analyze_query(str(key))
+                if len(klems) != 1:
+                    return "bad_boosts", None
+                norm_boosts[klems[0]] = w
+            boosts = norm_boosts
+        decay_t: tuple | None = None
+        if decay is not None:
+            # function-score recency decay: validate + fold the shape
+            # constant to ONE float64 driver-side (the SQL twin inlines
+            # the same repr-round-tripped constant)
+            if mode != "bm25":
+                return "bad_decay", None
+            decay_t = decay_params(decay, self._ts_us)
+            if decay_t is None:
+                return "bad_decay", None
+        return None, (offset, limit, ts_min, ts_max, boosts, decay_t,
+                      negative_boost)
+
+    # ---------------- matching-set aggregations ------------------------
+
+    def facets(
+        self,
+        query_text: str,
+        scope: str | None = None,
+        conjunctive: bool = False,
+        exclude: str | None = None,
+        ts_min=None,
+        ts_max=None,
+        by=("role", "tool"),
+    ) -> dict:
+        """Faceted navigation over the reference's site-filter analog:
+        per-role and per-tool document counts over the FULL matching set
+        (not just the returned page) — the grouped generalization of the
+        exact result count (G6). Uses the same gaps+scps decode as the
+        scoped counting path: a doc's scope code is a doc property, so
+        the first posting seen for each unique doc carries its (role,
+        tool); counts are a bincount over the dense code space and the
+        code->value decode is O(#roles x #tools), never corpus-sized.
+        Composes with the other filtering surfaces: ``exclude`` NOT
+        terms and inclusive ``ts_min``/``ts_max`` bounds apply to the
+        matching set before grouping (pinned equal to the search-path
+        filters by test). Per-part counts sum per (facet, value).
+
+        ``by`` selects the groupings: any subset of 'role', 'tool' and
+        'day' (a comma-joined string is accepted). 'day' is the date
+        histogram — matching-doc counts per UTC calendar day
+        (``floor(epoch_us / 86_400e6)``, rendered YYYY-MM-DD), the
+        Elasticsearch ``date_histogram`` shape; its per-doc ts lookup
+        rides the same two-regime path as the ts-range filter
+        (forward-index searchsorted below the enrichment threshold, a
+        row-group-pruned (docid, ts) read above it — at 10^12 docs a
+        standing date facet should instead ride a build-time date
+        partition key, same note as the ts filter).
+
+        -> {'result': bool, 'count': int (matching docs), 'data':
+        pa.Table(facet, value, n_docs), 'error': str|None}. ``value`` ==
+        '' groups docs with no tool (every doc has a role in practice).
+        """
+        if isinstance(by, str):
+            by = tuple(v.strip() for v in by.split(",") if v.strip())
+        by = tuple(by)
+        if not by or not set(by) <= {"role", "tool", "day"}:
+            return self._resp(error="bad_facet", schema=FACETS_SCHEMA)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=FACETS_SCHEMA)
+        if resp:
+            return resp
+        counts: Counter = Counter()
+        for eng, ids, codes in parts:
+            if "role" in by or "tool" in by:
+                pairs = eng._code_pairs()
+                per_code = np.bincount(codes, minlength=len(pairs)).tolist()
+                for (role, tool), n in zip(pairs, per_code):
+                    if n:
+                        counts["role", role] += n
+                        counts["tool", tool] += n
+            if "day" in by:
+                days, n = np.unique(eng._field_values(ids, "day"),
+                                    return_counts=True)
+                for d, c in zip(days.astype("datetime64[D]").astype(str),
+                                n.tolist()):
+                    counts["day", str(d)] += c
+        rows = sorted((f, v, n) for (f, v), n in counts.items() if f in by)
+        return _rows_resp(FACETS_SCHEMA, rows, _n_matching(parts))
+
+    def histogram(
+        self,
+        query_text: str,
+        field: str = "doc_len",
+        interval: int = 10,
+        scope: str | None = None,
+        conjunctive: bool = False,
+        exclude: str | None = None,
+        ts_min=None,
+        ts_max=None,
+    ) -> dict:
+        """Fixed-interval numeric bucket counts over the FULL matching
+        set (the Elasticsearch ``histogram`` aggregation; on ``ts`` it
+        is the fixed-interval ``date_histogram`` — the calendar-day
+        variant lives in ``facets(by=('day',))``). ``bucket = (v //
+        interval) * interval`` — pure integer math, so every count is
+        hash-exact; empty buckets are omitted (ES ``min_doc_count=1``
+        semantics). The bucket is a per-doc function, so per-part bucket
+        counts sum. Composes with every filtering surface. -> {'result',
+        'count', 'data': pa.Table(bucket, n_docs), 'error'}"""
+        if field not in ("doc_len", "ts"):
+            return self._resp(error="bad_field", schema=HISTOGRAM_SCHEMA)
+        if not isinstance(interval, int) or interval <= 0:
+            return self._resp(error="bad_interval", schema=HISTOGRAM_SCHEMA)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=HISTOGRAM_SCHEMA)
+        if resp:
+            return resp
+        counts: Counter = Counter()
+        for eng, ids, _ in parts:
+            buckets, n = np.unique(
+                (eng._field_values(ids, field) // interval) * interval,
+                return_counts=True)
+            counts.update(dict(zip(buckets.tolist(), n.tolist())))
+        return _rows_resp(HISTOGRAM_SCHEMA, sorted(counts.items()),
+                          _n_matching(parts))
+
+    def range_agg(
+        self,
+        query_text: str,
+        ranges,
+        field: str = "doc_len",
+        scope: str | None = None,
+        conjunctive: bool = False,
+        exclude: str | None = None,
+        ts_min=None,
+        ts_max=None,
+    ) -> dict:
+        """Arbitrary-boundary bucket counts over the FULL matching set
+        (the Elasticsearch ``range`` aggregation; on ``ts`` it is
+        ``date_range`` with ISO/epoch-µs bounds). Each range is
+        ``(from_, to)`` — from INCLUSIVE, to EXCLUSIVE, either side
+        open with ``None`` (ES half-open semantics: a value on a shared
+        boundary lands in exactly one of two adjacent buckets).
+        Overlapping ranges are legal and count independently (ES
+        allows them). ALL requested buckets are emitted IN REQUEST
+        ORDER, zero or not (ES emits every range); ``ridx`` pins the
+        order through the driver's column-sorted hash. Cost per part:
+        one sort of its values + two ``searchsorted`` probes per range;
+        per-part range counts sum. Composes with every filtering
+        surface. -> {'result', 'count', 'data': pa.Table(ridx, key,
+        range_from, range_to, n_docs), 'error'}"""
+        if field not in ("doc_len", "ts"):
+            return self._resp(error="bad_field", schema=RANGE_AGG_SCHEMA)
+        if not isinstance(ranges, (list, tuple)) or not ranges \
+                or len(ranges) > self.MAX_AGG_RANGES:
+            return self._resp(error="bad_ranges", schema=RANGE_AGG_SCHEMA)
+        bounds = parse_agg_ranges(ranges, field, self._ts_us)
+        if bounds is None:
+            return self._resp(error="bad_ranges", schema=RANGE_AGG_SCHEMA)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=RANGE_AGG_SCHEMA)
+        if resp:
+            return resp
+        counts = [0] * len(bounds)
+        for eng, ids, _ in parts:
+            v = np.sort(eng._field_values(ids, field))
+            for i, (lo, hi) in enumerate(bounds):
+                a = 0 if lo is None else int(np.searchsorted(v, lo, "left"))
+                b = len(v) if hi is None else int(np.searchsorted(v, hi, "left"))
+                counts[i] += max(0, b - a)
+        rows = [
+            (i, f"{'*' if lo is None else lo}-{'*' if hi is None else hi}",
+             lo, hi, counts[i])
+            for i, (lo, hi) in enumerate(bounds)
+        ]
+        return _rows_resp(RANGE_AGG_SCHEMA, rows, _n_matching(parts))
+
+    def percentile_ranks(
+        self,
+        query_text: str,
+        values,
+        field: str = "doc_len",
+        scope: str | None = None,
+        conjunctive: bool = False,
+        exclude: str | None = None,
+        ts_min=None,
+        ts_max=None,
+    ) -> dict:
+        """Inverse percentiles over the FULL matching set (the
+        Elasticsearch ``percentile_ranks`` aggregation): for each probe
+        value, how many matching docs' ``field`` values are <= it —
+        one vectorized ``searchsorted`` per part, and per-part tallies
+        sum. The driver-hashed frame is INTEGER-ONLY (value, n_le,
+        n_docs): the percent itself (``pct`` in the response rows) is
+        100*n_le/n, whose 6-dp rounding CAN land an exact half-tie (e.g.
+        100/512 = 0.1953125), where numpy (half-even) and DuckDB
+        (half-away) legitimately disagree — so the float is a derived
+        convenience, never a compared column. ``field`` is doc_len or ts
+        (probe values in epoch-µs / ISO / datetime for ts). Composes
+        with all the filtering surfaces.
+        -> {'result', 'count', 'data': pa.Table(value, n_le, n_docs,
+        pct), 'error'}"""
+        if field not in ("doc_len", "ts"):
+            return self._resp(error="bad_field", schema=PRANKS_SCHEMA)
+        if not isinstance(values, (list, tuple)) or not values \
+                or len(values) > self.MAX_RANK_VALUES:
+            return self._resp(error="bad_values", schema=PRANKS_SCHEMA)
+        try:
+            vals = [
+                int(self._ts_us(v)) if field == "ts" else int(v)
+                for v in values
+            ]
+        except (TypeError, ValueError):
+            return self._resp(error="bad_values", schema=PRANKS_SCHEMA)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=PRANKS_SCHEMA)
+        if resp:
+            return resp
+        probes = np.array(sorted(set(vals)), np.int64)
+        n_le = sum(
+            np.searchsorted(np.sort(eng._field_values(ids, field)), probes,
+                            side="right").astype(np.int64)
+            for eng, ids, _ in parts
+        )
+        n = _n_matching(parts)
+        pct = np.round(100.0 * n_le / n, 6)
+        rows = [(v, c, n, p) for v, c, p in
+                zip(probes.tolist(), n_le.tolist(), pct.tolist())]
+        return _rows_resp(PRANKS_SCHEMA, rows, n)
+
+    def cardinality(
+        self,
+        query_text: str,
+        fields=("conv",),
+        scope: str | None = None,
+        conjunctive: bool = False,
+        exclude: str | None = None,
+        ts_min=None,
+        ts_max=None,
+    ) -> dict:
+        """Distinct-value counts over the FULL matching set (the
+        Elasticsearch ``cardinality`` aggregation, exact): per field,
+        ``n_distinct`` = COUNT(DISTINCT value) among matching docs.
+        Fields: ``conv`` (conversations), ``role``/``tool`` (dense
+        scope-code decode — ``''`` is a value, matching SQL's
+        COUNT(DISTINCT) over the stored empty string), ``day`` (UTC
+        epoch-day of ts), ``doc_len``, ``ts``. Conversations are
+        part-disjoint, so their per-part counts sum; every other field
+        unions the parts' distinct values (decoded, never part-local
+        codes). Exactness is cheap here because the values ride the
+        same matching-set-sized frames ``metrics``/``facets`` use; ES
+        defaults to HLL approximation — at corpus-sized standing
+        aggregations the repo's HLL sibling is
+        ``text_analysis.distinct_hll`` (same sketch, register-merge).
+        Composes with every filtering surface. -> {'result', 'count',
+        'data': pa.Table(field, n_distinct, n_docs), 'error'}"""
+        if isinstance(fields, str):
+            fields = tuple(v.strip() for v in fields.split(",") if v.strip())
+        fields = tuple(fields)
+        if not fields or not set(fields) <= set(self.CARDINALITY_FIELDS):
+            return self._resp(error="bad_field", schema=CARDINALITY_SCHEMA)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=CARDINALITY_SCHEMA)
+        if resp:
+            return resp
+        n = _n_matching(parts)
+        rows = sorted((f, self._n_distinct(parts, f), n) for f in set(fields))
+        return _rows_resp(CARDINALITY_SCHEMA, rows, n)
+
+    @staticmethod
+    def _n_distinct(parts, field: str) -> int:
+        """Distinct ``field`` values over the parts, by the merge laws
+        ``cardinality`` names."""
+        if field == "conv":
+            return sum(len(np.unique(split_docids(ids)[0])) for _, ids, _ in parts)
+        if field in ("role", "tool"):
+            axis = int(field == "tool")
+            values: set[str] = set()
+            for eng, _, codes in parts:
+                pairs = eng._code_pairs()
+                values.update(pairs[c][axis] for c in np.unique(codes).tolist())
+            return len(values)
+        return len(np.unique(np.concatenate(
+            [np.unique(eng._field_values(ids, field)) for eng, ids, _ in parts]
+        )))
+
+    def filters_agg(
+        self,
+        filters: dict[str, str],
+        query_text: str | None = None,
+        scope: str | None = None,
+        conjunctive: bool = False,
+    ) -> dict:
+        """Named-filter bucket counts (the Elasticsearch ``filters``
+        aggregation): each entry of ``filters`` is an independent query
+        over this view; its bucket counts the docs matching it — ALL
+        named buckets are emitted, zero or not (ES semantics), in key
+        order. With ``query_text`` the buckets count within the BASE
+        query's matching set (|filter ∩ base| — the agg-under-a-query
+        shape ES runs it in); a doc lives in one part, so the
+        intersection is per part and sums. ``scope``/``conjunctive``
+        apply to every matching set. A filter whose text analyzes to
+        nothing is ``bad_filter`` (ES rejects an empty filter body); a
+        filter whose lemmas are absent from the corpus counts 0.
+        Matching sets ride the memoized gaps-only decode — lemmas shared
+        between filters (or with the base) decode once per view.
+        -> {'result', 'count' (base matching docs; 0 with no base),
+        'data': pa.Table(key, n_docs), 'error'}"""
+        if not isinstance(filters, dict) or not filters:
+            return self._resp(error="bad_filter", schema=FILTERS_AGG_SCHEMA)
+        if len(filters) > self.MAX_AGG_FILTERS:
+            return self._resp(error="too_many_filters", schema=FILTERS_AGG_SCHEMA)
+        if not self.valid_scope(scope):
+            return self._resp(error="bad_scope", schema=FILTERS_AGG_SCHEMA)
+        base = None
+        if query_text is not None:
+            terms, err = self.plan(query_text)
+            if err == "empty_query":
+                return self._resp(error="empty_query", schema=FILTERS_AGG_SCHEMA)
+            base = self._parts([] if err else terms, scope, conjunctive)
+        rows = []
+        for key in sorted(filters):
+            terms, err = self.plan(str(filters[key]))
+            if err == "empty_query":
+                return self._resp(error="bad_filter", schema=FILTERS_AGG_SCHEMA)
+            parts = self._parts([] if err else terms, scope, conjunctive)
+            rows.append((key, _n_matching(parts) if base is None
+                         else _n_common(parts, base)))
+        return _rows_resp(FILTERS_AGG_SCHEMA, rows,
+                          0 if base is None else _n_matching(base))
+
+    def adjacency_matrix(
+        self,
+        filters: dict[str, str],
+        scope: str | None = None,
+        conjunctive: bool = False,
+    ) -> dict:
+        """Filter co-occurrence counts (the Elasticsearch
+        ``adjacency_matrix`` aggregation): one bucket per named filter
+        and one per pair ``a&b`` (a < b, the ES key separator) counting
+        docs matching BOTH — the upper-triangular intersection matrix.
+        Buckets with zero docs are omitted entirely (ES semantics —
+        the response carries only occurring cells). Matching sets are
+        ascending-unique docid arrays, so each intersection is one
+        vectorized ``np.isin`` per part over already-decoded frames; a
+        doc lives in one part, so cells sum over parts.
+        -> {'result', 'count' (docs in the union), 'data':
+        pa.Table(key, n_docs), 'error'}"""
+        if not isinstance(filters, dict) or not filters:
+            return self._resp(error="bad_filter", schema=FILTERS_AGG_SCHEMA)
+        if len(filters) > self.MAX_AGG_FILTERS:
+            return self._resp(error="too_many_filters", schema=FILTERS_AGG_SCHEMA)
+        if any("&" in k for k in filters):
+            return self._resp(error="bad_filter", schema=FILTERS_AGG_SCHEMA)
+        if not self.valid_scope(scope):
+            return self._resp(error="bad_scope", schema=FILTERS_AGG_SCHEMA)
+        sets = {}
+        for key in sorted(filters):
+            terms, err = self.plan(str(filters[key]))
+            if err == "empty_query":
+                return self._resp(error="bad_filter", schema=FILTERS_AGG_SCHEMA)
+            sets[key] = self._parts([] if err else terms, scope, conjunctive)
+        keys = sorted(sets)
+        rows = [(k, n) for k in keys if (n := _n_matching(sets[k]))]
+        rows += [
+            (f"{a}&{b}", n)
+            for i, a in enumerate(keys) for b in keys[i + 1:]
+            if (n := _n_common(sets[a], sets[b]))
+        ]
+        union = sum(
+            len(np.unique(np.concatenate([ids for _, ids, _ in same])))
+            for same in zip(*sets.values())  # one engine's part per filter
+        )
+        return _rows_resp(FILTERS_AGG_SCHEMA, sorted(rows), union)
+
+
+class SearchEngine(Aggregations):
     """Loaded-once query-side state (the analog of the reference's
     singleton services + cached global scalar, ``SearchServiceImpl.java:25,147-153``
     — but computed at build time and persisted in the manifest)."""
@@ -696,11 +1271,13 @@ class SearchEngine:
         idxc = np.clip(idx, 0, len(self._tomb_starts) - 1)
         return ~((idx >= 0) & (docid < self._tomb_ends[idxc]))
 
-    def _overlay_delta(self, lem: str) -> None:
-        """Merge-on-read for one lemma: mask tombstoned base postings,
-        splice in delta postings, rebuild synthetic block metadata with
-        the effective avgdl. Untouched lemmas only get the bmw scale."""
-        bl = self._block_cache[lem]
+    def _overlay_delta(self, lem: str, bl: dict) -> dict:
+        """Merge-on-read for one lemma's freshly read block entry ``bl``:
+        mask tombstoned base postings, splice in delta postings, rebuild
+        synthetic block metadata with the effective avgdl. Untouched
+        lemmas only get the bmw scale. -> the entry to cache (built
+        before it is published, so a concurrent query never sees the
+        base-only postings)."""
         delta = self._delta_lemma.get(lem)
         affected = delta is not None
         if not affected and len(bl["first"]):
@@ -710,7 +1287,7 @@ class SearchEngine:
         if not affected:
             if self._bmw_scale > 1.0:
                 bl["bmw"] = bl["bmw"] * self._bmw_scale
-            return
+            return bl
         docid, tf, dl, sc = self._decode_term(
             bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
         )
@@ -742,7 +1319,7 @@ class SearchEngine:
                 pos_flat = None
             docid, dl, sc = docid[order], dl[order], sc[order]
             tf = cat_tf[order]
-        self._block_cache[lem] = self._synth_blocks(docid, tf, dl, sc, pos_flat)
+        return self._synth_blocks(docid, tf, dl, sc, pos_flat)
 
     def _synth_blocks(
         self,
@@ -810,28 +1387,42 @@ class SearchEngine:
     def idf(self, df: int) -> float:
         return math.log1p((self.n_docs - df + 0.5) / (df + 0.5))
 
+    def _held_terms(self, lemmas) -> list[tuple[str, int]]:
+        """(lemma, dictionary df) for each of ``lemmas`` this index holds,
+        in input order. A lemma only a delta generation holds gets df 0
+        until ``_live_terms`` counts its postings."""
+        held = []
+        for lem in lemmas:
+            df = self._df_of(lem)
+            if df is None and self._has_deltas and lem in self._delta_lemma:
+                df = 0
+            if df is not None:
+                held.append((lem, df))
+        return held
+
+    def _live_terms(self, terms) -> list[tuple[str, int]]:
+        """Overlay-exact (lemma, df) terms in plan order (df ASC, lemma
+        ASC). With live delta generations the dictionary df is stale for
+        the lemmas a generation touched, so each df becomes the lemma's
+        merged posting count and lemmas left with no posting drop out."""
+        if self._has_deltas and terms:
+            blocks = self._term_blocks([lem for lem, _ in terms])
+            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
+            terms = [t for t in terms if t[1]]
+        return sorted(terms, key=lambda t: (t[1], t[0]))
+
     def plan(self, query_text: str) -> tuple[list[tuple[str, int]], str | None]:
         """-> (terms df-ascending then lemma lexical, error_flag)."""
         lemmas = self._analyzer.analyze_query(query_text)
         if not lemmas:
             return [], "empty_query"
-        terms = []
-        for lem in lemmas:
-            df = self._df_of(lem)
-            if df is None and self._has_deltas and lem in self._delta_lemma:
-                df = 0  # delta-only lemma; exact df resolved below
-            if df is None:
-                # reference: any missing lemma -> no results
-                return [], "no_results"
-            terms.append((lem, df))
-        if self._has_deltas:
-            # exact effective df = merged posting count (base dict df is
-            # stale for lemmas touched by tombstones/deltas)
-            blocks = self._term_blocks([t[0] for t in terms])
-            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-            if any(df == 0 for _, df in terms):
-                return [], "no_results"
-        terms.sort(key=lambda t: (t[1], t[0]))
+        # reference: any missing lemma -> no results
+        held = self._held_terms(lemmas)
+        if len(held) < len(lemmas):
+            return [], "no_results"
+        terms = self._live_terms(held)
+        if len(terms) < len(held):
+            return [], "no_results"
         return terms, None
 
     # ---------------- posting access (J3, partition-pruned) -----------
@@ -913,7 +1504,7 @@ class SearchEngine:
                 sub = sub.take(order).combine_chunks()
                 n = sub.column("n").to_numpy()
                 cf = sub.column("block_cf").to_numpy()
-                self._block_cache[lem] = {
+                entry = {
                     "first": sub.column("first_docid").to_numpy(),
                     "last": sub.column("last_docid").to_numpy(),
                     "n": n,
@@ -932,8 +1523,9 @@ class SearchEngine:
                         else None
                     ),
                 }
-                if self._has_deltas:
-                    self._overlay_delta(lem)
+                self._block_cache[lem] = (
+                    self._overlay_delta(lem, entry) if self._has_deltas else entry
+                )
         if need_positions:
             self._attach_poss(lemmas)
         return {l: self._block_cache[l] for l in lemmas}
@@ -1211,8 +1803,8 @@ class SearchEngine:
         queries the result set is ~n_docs and a full lexsort dominated
         the warm query (~0.5 s at sf1); this is ~10x cheaper."""
         n = len(ids)
-        if n <= k:
-            sel = np.lexsort((ids, -scores))
+        if n <= k or k == 0:
+            sel = np.lexsort((ids, -scores))[:k]
             return ids[sel], scores[sel]
         kth = np.partition(scores, n - k)[n - k]
         cand = np.flatnonzero(scores >= kth)
@@ -1550,31 +2142,6 @@ class SearchEngine:
 
     # ---------------- timestamp-range filter ----------------------------
 
-    @staticmethod
-    def _ts_us(v) -> int | None:
-        """Normalize a ts bound to int64 epoch microseconds: int passes
-        through, ISO-8601 strings and datetimes are interpreted as UTC
-        when naive (the corpus ts column is tz-naive UTC)."""
-        if v is None:
-            return None
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        from datetime import datetime, timedelta, timezone
-
-        if isinstance(v, str):
-            v = datetime.fromisoformat(v)  # ValueError -> caller's bad_ts
-        if not isinstance(v, datetime):
-            raise ValueError(f"unsupported ts bound {v!r}")
-        if v.tzinfo is None:
-            v = v.replace(tzinfo=timezone.utc)
-        # INTEGER epoch-µs: float64 timestamp() rounds ~1% of
-        # microsecond values 1 µs low, breaking the inclusive-bound /
-        # oracle-exact contract at the boundary (measured 2489/200000
-        # round-trip mismatches) — timedelta floor-division is exact
-        return (v - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(
-            microseconds=1
-        )
-
     def _ts_of_ids(self, ids: np.ndarray) -> np.ndarray:
         """Epoch-µs ts per (live) docid, vectorized. Below the enrichment
         point-read threshold this is a searchsorted against the preloaded
@@ -1629,6 +2196,13 @@ class SearchEngine:
         pos = np.searchsorted(docids, ids)
         return dl[pos]
 
+    def _field_values(self, ids: np.ndarray, field: str) -> np.ndarray:
+        """int64 values of ``field`` per (live) docid: ``doc_len``,
+        epoch-µs ``ts``, or ``day`` (the UTC epoch-day of ts)."""
+        v = (self._dl_of_ids(ids) if field == "doc_len"
+             else self._ts_of_ids(ids)).astype(np.int64)
+        return v // 86_400_000_000 if field == "day" else v
+
     def metrics(
         self,
         query_text: str,
@@ -1670,25 +2244,20 @@ class SearchEngine:
             percentiles = tuple(int(q) for q in percentiles)
         except (TypeError, ValueError):
             return {**self._resp(error="bad_percentiles"), "data": empty}
-        if any(not 1 <= q <= 100 for q in percentiles):
-            # q=0 would index v[-1] (the MAX labelled as p0), q>100
-            # would IndexError — validate like the sibling surfaces
+        if len(percentiles) != 3 or any(not 1 <= q <= 100 for q in percentiles):
+            # the schema holds exactly p50/p90/p99; q=0 would index v[-1]
+            # (the MAX labelled as p0), q>100 would IndexError — validate
+            # like the sibling surfaces
             return {**self._resp(error="bad_percentiles"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, codes = self._matching_set(terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=METRICS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
         rows = []
         for field in fields:
-            v = np.sort(
-                self._dl_of_ids(uniq) if field == "doc_len" else self._ts_of_ids(uniq)
-            )
+            v = np.sort(self._field_values(uniq, field))
             n = len(v)
             # exact big-int sum: chunked int64 partials of (v - base)
             # with the chunk size derived from the VALUE SPAN so a
@@ -1825,20 +2394,14 @@ class SearchEngine:
         percentile_ranks precedent.
         -> {'result', 'count', 'data': pa.Table(n_docs, sum_x, sum_y,
         sum_xx, sum_yy, sum_xy, cov, corr), 'error'}"""
-        empty = MATRIX_STATS_SCHEMA.empty_table()
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        x = self._dl_of_ids(uniq).astype(np.int64)
-        y = self._ts_of_ids(uniq).astype(np.int64)
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=MATRIX_STATS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
+        x = self._field_values(uniq, "doc_len")
+        y = self._field_values(uniq, "ts")
         x = x - x.min()
         y = y - y.min()
         n = len(x)
@@ -1895,24 +2458,16 @@ class SearchEngine:
         with every filtering surface via the shared ``_matching_set``
         frame; the delta overlay folds through ``_dl_of_ids`` /
         ``_ts_of_ids`` like ``metrics``."""
-        empty = EXT_STATS_SCHEMA.empty_table()
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=EXT_STATS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
         n = len(uniq)
         rows: dict[str, list] = {k: [] for k in EXT_STATS_SCHEMA.names}
-        for field, vals in (
-            ("doc_len", self._dl_of_ids(uniq).astype(np.int64)),
-            ("ts", self._ts_of_ids(uniq).astype(np.int64)),
-        ):
+        for field in ("doc_len", "ts"):
+            vals = self._field_values(uniq, field)
             vmin, vmax = int(vals.min()), int(vals.max())
             sh = vals - vmin
             s = int(sh.sum(dtype=object)) if n else 0
@@ -1934,73 +2489,6 @@ class SearchEngine:
             rows["std_upper"].append(round(avg + 2.0 * std, 6))
             rows["std_lower"].append(round(avg - 2.0 * std, 6))
         tbl = pa.table(rows, schema=EXT_STATS_SCHEMA)
-        return {"result": True, "count": n, "data": tbl, "error": None}
-
-    MAX_RANK_VALUES = 100
-
-    def percentile_ranks(
-        self,
-        query_text: str,
-        values,
-        field: str = "doc_len",
-        scope: str | None = None,
-        conjunctive: bool = False,
-        exclude: str | None = None,
-        ts_min=None,
-        ts_max=None,
-    ) -> dict:
-        """Inverse percentiles over the FULL matching set (the
-        Elasticsearch ``percentile_ranks`` aggregation): for each probe
-        value, how many matching docs' ``field`` values are <= it —
-        one vectorized ``searchsorted`` against the same sorted
-        matching-set frame ``metrics`` uses. The driver-hashed frame
-        is INTEGER-ONLY (value, n_le, n_docs): the percent itself
-        (``pct`` in the response rows) is 100*n_le/n, whose 6-dp
-        rounding CAN land an exact half-tie (e.g. 100/512 =
-        0.1953125), where numpy (half-even) and DuckDB (half-away)
-        legitimately disagree — so the float is a derived convenience,
-        never a compared column. ``field`` is doc_len or ts (probe
-        values in epoch-µs / ISO / datetime for ts). Composes with
-        all the filtering surfaces.
-        -> {'result', 'count', 'data': pa.Table(value, n_le, n_docs,
-        pct), 'error'}"""
-        empty = PRANKS_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {**self._resp(error="bad_field"), "data": empty}
-        if not isinstance(values, (list, tuple)) or not values \
-                or len(values) > self.MAX_RANK_VALUES:
-            return {**self._resp(error="bad_values"), "data": empty}
-        try:
-            vals = [
-                int(self._ts_us(v)) if field == "ts" else int(v)
-                for v in values
-            ]
-        except (TypeError, ValueError):
-            return {**self._resp(error="bad_values"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        v = np.sort(
-            self._dl_of_ids(uniq) if field == "doc_len"
-            else self._ts_of_ids(uniq)
-        ).astype(np.int64)
-        n = len(v)
-        probes = np.array(sorted(set(vals)), np.int64)
-        n_le = np.searchsorted(v, probes, side="right").astype(np.int64)
-        tbl = pa.table({
-            "value": pa.array(probes, pa.int64()),
-            "n_le": pa.array(n_le, pa.int64()),
-            "n_docs": pa.array(np.full(len(probes), n), pa.int64()),
-            "pct": pa.array(np.round(100.0 * n_le / n, 6), pa.float64()),
-        })
         return {"result": True, "count": n, "data": tbl, "error": None}
 
     DIS_MAX_MAX_QUERIES = 8
@@ -2048,25 +2536,11 @@ class SearchEngine:
         sub_frames: list[tuple[np.ndarray, np.ndarray]] = []
         all_terms: dict[str, int] = {}
         for qt in queries:
-            lemmas = self._analyzer.analyze_query(qt or "")
-            if not lemmas:
+            terms, err = self.plan(qt or "")
+            if err == "empty_query":
                 return self._resp(error="bad_dis_max")
-            terms, ok = [], True
-            for lem in lemmas:
-                df = self._df_of(lem)
-                if df is None and self._has_deltas and lem in self._delta_lemma:
-                    df = 0
-                if df is None:
-                    ok = False
-                    break
-                terms.append((lem, df))
-            if ok and self._has_deltas:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                ok = all(df > 0 for _, df in terms)
-            if not ok:
+            if err:
                 continue  # this sub matches nothing; others still count
-            terms = sorted(terms, key=lambda t: (t[1], t[0]))
             ids_i, scores_i = self.score_exhaustive(terms, scope)
             if len(ids_i):
                 sub_frames.append((ids_i, scores_i))
@@ -2125,16 +2599,12 @@ class SearchEngine:
             return {**self._resp(error="bad_per_group"), "data": empty}
         if per_group < 1:
             return {**self._resp(error="bad_per_group"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, codes = self._matching_set(terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
+        terms, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=TOP_HITS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, codes)] = parts
         ids2, scores2 = self.score_exhaustive(terms, scope, conjunctive)
         scores_u = scores2[np.searchsorted(ids2, uniq)]
         pairs = self._code_pairs()
@@ -2179,12 +2649,10 @@ class SearchEngine:
         'data': pa.Table(lemma, df, tf, dl, idf, weight), 'total',
         'error'}"""
         empty = EXPLAIN_SCHEMA.empty_table()
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty, "total": 0.0}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty,
-                    "total": 0.0, "error": None}
+        terms, resp = self._planned(query_text, None, schema=EXPLAIN_SCHEMA,
+                                    total=0.0)
+        if resp:
+            return resp
         did = self._cursor_docid(conv_id, turn_idx)
         if did is None:
             return {**self._resp(error="not_found"), "data": empty, "total": 0.0}
@@ -2271,22 +2739,14 @@ class SearchEngine:
         driver beyond the documented matching-set regime.
         -> {'result', 'count' (pool size), 'data': 1-row pa.Table,
         'precision', 'recall', 'mrr', 'error'}"""
-        empty = RANK_EVAL_SCHEMA.empty_table()
-        zero = {"precision": 0.0, "recall": 0.0, "mrr": 0.0}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty, **zero}
+        shape = {"schema": RANK_EVAL_SCHEMA,
+                 "precision": 0.0, "recall": 0.0, "mrr": 0.0}
         if k <= 0:
-            return {**self._resp(error="bad_k"), "data": empty, **zero}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty, **zero}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty,
-                    "error": None, **zero}
-        uniq, _codes = self._matching_set(terms, scope)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty,
-                    "error": None, **zero}
+            return self._resp(error="bad_k", **shape)
+        _, parts, resp = self._matched(query_text, scope, **shape)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
         convs = (
             self._fwd[3] if self._fwd is not None
             else build_mod._load_sorted_convs(self.out_dir)
@@ -2305,7 +2765,7 @@ class SearchEngine:
         gain_ideal = int(top.sum())
         served = self.search(query_text, scope=scope, limit=k)
         if not served["result"]:
-            return {**self._resp(error=served["error"]), "data": empty, **zero}
+            return self._resp(error=served["error"], **shape)
         hits = served["data"]
         n_hits = hits.num_rows
         if rating_of is None:
@@ -2486,8 +2946,6 @@ class SearchEngine:
             not os.path.isdir(dest) or os.listdir(dest)
         ):
             return {**self._resp(error="dest_exists"), "path": dest}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "path": dest}
         if (slice_id is None) != (slice_max is None):
             return {**self._resp(error="bad_slice"), "path": dest}
         if slice_max is not None and not (
@@ -2495,18 +2953,15 @@ class SearchEngine:
             and slice_max >= 2 and 0 <= slice_id < slice_max
         ):
             return {**self._resp(error="bad_slice"), "path": dest}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "path": dest}
-        if err == "no_results":
-            return {"result": True, "count": 0, "path": dest, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if slice_max is not None and len(uniq):
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max, path=dest)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
+        if slice_max is not None:
             uniq = uniq[(uniq % slice_max) == slice_id]
         if not len(uniq):
-            return {"result": True, "count": 0, "path": dest, "error": None}
+            return self._resp(path=dest)
         convs = (
             self._fwd[3] if self._fwd is not None
             else build_mod._load_sorted_convs(self.out_dir)
@@ -2563,12 +3018,7 @@ class SearchEngine:
         lemmas = self._analyzer.analyze_query(exclude_text)
         if not lemmas:
             return None
-        present = [
-            lem
-            for lem in dict.fromkeys(lemmas)
-            if self._df_of(lem) is not None
-            or (self._has_deltas and lem in self._delta_lemma)
-        ]
+        present = [lem for lem, _ in self._held_terms(dict.fromkeys(lemmas))]
         if not present:
             return np.empty(0, np.int64)
         blocks = self._term_blocks(present)
@@ -2613,7 +3063,8 @@ class SearchEngine:
         conjunctive floor, NOT-term exclusion, inclusive ts bounds) —
         the shared matching frame behind ``facets`` and
         ``significant_terms``. Gaps+scps decode only (no tf/dl varint
-        pass); a doc's scope code rides the first posting seen for it."""
+        pass); a doc's scope code rides the first posting seen for it.
+        ``ts_min``/``ts_max`` are epoch-µs ints."""
         blocks = self._term_blocks([t[0] for t in terms])
         lut = self._scope_lut(scope) if scope else None
         d_parts, s_parts = [], []
@@ -2641,424 +3092,54 @@ class SearchEngine:
             cnt = np.diff(np.append(starts, len(sids)))
             keep = cnt >= len(terms)
             codes, uniq = codes[keep], uniq[keep]
-        if exclude is not None and len(uniq):
+        keep, _ = self._filter_docs(uniq, None, exclude, ts_min, ts_max)
+        return uniq[keep], codes[keep]
+
+    def _filter_docs(self, ids: np.ndarray, scores: np.ndarray | None = None,
+                     exclude: str | None = None, ts_min=None, ts_max=None,
+                     decay_t: tuple | None = None, negative: str | None = None,
+                     negative_boost: float = 0.5):
+        """The docid filter mask and the per-doc score rewrites every
+        route shares. Over docid-sorted ``ids``, drop the docs holding
+        any ``exclude`` lemma and the docs whose ts falls outside the
+        INCLUSIVE epoch-µs ``ts_min``/``ts_max`` bounds; then multiply each kept doc's score by its recency
+        ``decay_t`` factor (``decay_params``) and, when it holds any
+        ``negative`` lemma, by ``negative_boost`` (both are per-doc
+        multiplies, so they commute; the SQL twins run the same ops). A
+        doc's lemmas and ts live in the one index that owns it, so a
+        shard applies all of this exactly as one index over the union.
+        -> (bool keep mask over ``ids``, the kept docs' rewritten scores;
+        None without ``scores``)."""
+        keep = np.ones(len(ids), bool)
+        if exclude is not None and len(ids):
             excl = self._exclusion_docids(exclude)
             if excl is not None and len(excl):
-                keep = ~np.isin(uniq, excl, assume_unique=False)
-                codes, uniq = codes[keep], uniq[keep]
-        if (ts_min is not None or ts_max is not None) and len(uniq):
-            tss = self._ts_of_ids(uniq)
-            m = np.ones(len(uniq), bool)
+                keep &= ~np.isin(ids, excl)
+        if ts_min is not None or ts_max is not None:
+            live = np.flatnonzero(keep)
+            tss = self._ts_of_ids(ids[live])
             if ts_min is not None:
-                m &= tss >= self._ts_us(ts_min)
+                keep[live[tss < ts_min]] = False
             if ts_max is not None:
-                m &= tss <= self._ts_us(ts_max)
-            codes, uniq = codes[m], uniq[m]
-        return uniq, codes
+                keep[live[tss > ts_max]] = False
+        if scores is None:
+            return keep, None
+        ids, scores = ids[keep], scores[keep]
+        if decay_t is not None and len(ids):
+            scores = scores * decay_factor(self._ts_of_ids(ids), decay_t)
+        if negative is not None and len(ids):
+            neg = self._exclusion_docids(negative)
+            if neg is not None and len(neg):
+                scores = np.where(np.isin(ids, neg), scores * negative_boost, scores)
+        return keep, scores
 
-    def facets(
-        self,
-        query_text: str,
-        scope: str | None = None,
-        conjunctive: bool = False,
-        exclude: str | None = None,
-        ts_min=None,
-        ts_max=None,
-        by=("role", "tool"),
-    ) -> dict:
-        """Faceted navigation over the reference's site-filter analog:
-        per-role and per-tool document counts over the FULL matching set
-        (not just the returned page) — the grouped generalization of the
-        exact result count (G6). Uses the same gaps+scps decode as the
-        scoped counting path: a doc's scope code is a doc property, so
-        the first posting seen for each unique doc carries its (role,
-        tool); counts are a bincount over the dense code space and the
-        code->value decode is O(#roles x #tools), never corpus-sized.
-        Composes with the other filtering surfaces: ``exclude`` NOT
-        terms and inclusive ``ts_min``/``ts_max`` bounds apply to the
-        matching set before grouping (pinned equal to the search-path
-        filters by test).
+    def _parts(self, terms, scope, conjunctive=False, exclude=None,
+               ts_min=None, ts_max=None) -> list[tuple]:
+        """The matching set as this index's one aggregation part."""
+        return [(self, *self._matching_set(
+            terms, scope, conjunctive, exclude, ts_min, ts_max))]
 
-        ``by`` selects the groupings: any subset of 'role', 'tool' and
-        'day' (a comma-joined string is accepted). 'day' is the date
-        histogram — matching-doc counts per UTC calendar day
-        (``floor(epoch_us / 86_400e6)``, rendered YYYY-MM-DD), the
-        Elasticsearch ``date_histogram`` shape; its per-doc ts lookup
-        rides the same two-regime path as the ts-range filter
-        (forward-index searchsorted below the enrichment threshold, a
-        row-group-pruned (docid, ts) read above it — at 10^12 docs a
-        standing date facet should instead ride a build-time date
-        partition key, same note as the ts filter).
-
-        -> {'result': bool, 'count': int (matching docs), 'data':
-        pa.Table(facet, value, n_docs), 'error': str|None}. ``value`` ==
-        '' groups docs with no tool (every doc has a role in practice).
-        """
-        if isinstance(by, str):
-            by = tuple(v.strip() for v in by.split(",") if v.strip())
-        by = tuple(by)
-        if not by or not set(by) <= {"role", "tool", "day"}:
-            return {**self._resp(error="bad_facet"), "data": FACETS_SCHEMA.empty_table()}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": FACETS_SCHEMA.empty_table()}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": FACETS_SCHEMA.empty_table()}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": FACETS_SCHEMA.empty_table(), "error": None}
-        uniq, codes = self._matching_set(terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": FACETS_SCHEMA.empty_table(), "error": None}
-        rows: list[tuple[str, str, int]] = []
-        if "role" in by or "tool" in by:
-            pairs = self._code_pairs()
-            per_code = np.bincount(codes, minlength=len(pairs))
-            role_counts: dict[str, int] = {}
-            tool_counts: dict[str, int] = {}
-            for code in np.flatnonzero(per_code):
-                r, t = pairs[code]
-                n = int(per_code[code])
-                role_counts[r] = role_counts.get(r, 0) + n
-                tool_counts[t] = tool_counts.get(t, 0) + n
-            if "role" in by:
-                rows += [("role", v, n) for v, n in role_counts.items()]
-            if "tool" in by:
-                rows += [("tool", v, n) for v, n in tool_counts.items()]
-        if "day" in by and len(uniq):
-            # date histogram: one bucket per UTC calendar day of the
-            # matching docs' ts (epoch-µs floor-division — exact for the
-            # naive-UTC timestamps the corpus carries)
-            tss = self._ts_of_ids(uniq)
-            days = (tss // 86_400_000_000).astype(np.int64)
-            du, dc = np.unique(days, return_counts=True)
-            rows += [
-                ("day", str(v), int(n))
-                for v, n in zip(du.astype("datetime64[D]").astype(str), dc)
-            ]
-        rows.sort()
-        tbl = pa.table(
-            {
-                "facet": pa.array([r[0] for r in rows], pa.string()),
-                "value": pa.array([r[1] for r in rows], pa.string()),
-                "n_docs": pa.array([r[2] for r in rows], pa.int64()),
-            }
-        )
-        return {"result": True, "count": int(len(codes)), "data": tbl, "error": None}
-
-    def histogram(
-        self,
-        query_text: str,
-        field: str = "doc_len",
-        interval: int = 10,
-        scope: str | None = None,
-        conjunctive: bool = False,
-        exclude: str | None = None,
-        ts_min=None,
-        ts_max=None,
-    ) -> dict:
-        """Fixed-interval numeric bucket counts over the FULL matching
-        set (the Elasticsearch ``histogram`` aggregation; on ``ts`` it
-        is the fixed-interval ``date_histogram`` — the calendar-day
-        variant lives in ``facets(by=('day',))``). ``bucket = (v //
-        interval) * interval`` — pure integer math, so every count is
-        hash-exact; empty buckets are omitted (ES ``min_doc_count=1``
-        semantics). Values ride the same matching-set frames ``metrics``
-        uses (``_dl_of_ids`` / ``_ts_of_ids``, overlay-aware); composes
-        with every filtering surface. -> {'result', 'count', 'data':
-        pa.Table(bucket, n_docs), 'error'}"""
-        empty = HISTOGRAM_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {**self._resp(error="bad_field"), "data": empty}
-        if not isinstance(interval, int) or interval <= 0:
-            return {**self._resp(error="bad_interval"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        v = (
-            self._dl_of_ids(uniq) if field == "doc_len"
-            else self._ts_of_ids(uniq)
-        ).astype(np.int64)
-        buckets = (v // interval) * interval
-        bu, bc = np.unique(buckets, return_counts=True)
-        tbl = pa.table(
-            {
-                "bucket": pa.array(bu, pa.int64()),
-                "n_docs": pa.array(bc.astype(np.int64), pa.int64()),
-            }
-        )
-        return {"result": True, "count": int(len(uniq)), "data": tbl,
-                "error": None}
-
-    CARDINALITY_FIELDS = ("conv", "role", "tool", "day", "doc_len", "ts")
-
-    def _cardinality_values(self, uniq: np.ndarray, codes: np.ndarray,
-                            field: str) -> np.ndarray:
-        """The matching set's per-doc values for one cardinality field,
-        as int64 codes whose distinctness equals the surface value's
-        distinctness (role/tool ride the dense scope-code decode — the
-        code->value map is injective per axis only after decoding, so
-        each axis projects its own index stream)."""
-        if field == "conv":
-            return split_docids(uniq)[0]
-        if field in ("role", "tool"):
-            pairs = self._code_pairs()
-            vals = np.array(
-                [p[0] if field == "role" else p[1] for p in pairs],
-                dtype=object,
-            )[codes]
-            _, inv = np.unique(vals, return_inverse=True)
-            return inv.astype(np.int64)
-        v = (
-            self._dl_of_ids(uniq) if field == "doc_len"
-            else self._ts_of_ids(uniq)
-        ).astype(np.int64)
-        return v // 86_400_000_000 if field == "day" else v
-
-    def cardinality(
-        self,
-        query_text: str,
-        fields=("conv",),
-        scope: str | None = None,
-        conjunctive: bool = False,
-        exclude: str | None = None,
-        ts_min=None,
-        ts_max=None,
-    ) -> dict:
-        """Distinct-value counts over the FULL matching set (the
-        Elasticsearch ``cardinality`` aggregation, exact): per field,
-        ``n_distinct`` = COUNT(DISTINCT value) among matching docs.
-        Fields: ``conv`` (conversations), ``role``/``tool`` (dense
-        scope-code decode — ``''`` is a value, matching SQL's
-        COUNT(DISTINCT) over the stored empty string), ``day`` (UTC
-        epoch-day of ts), ``doc_len``, ``ts``. Exactness is cheap here
-        because the values ride the same matching-set-sized frames
-        ``metrics``/``facets`` use; ES defaults to HLL approximation —
-        at corpus-sized standing aggregations the repo's HLL sibling is
-        ``text_analysis.distinct_hll`` (same sketch, register-merge).
-        Composes with every filtering surface. -> {'result', 'count',
-        'data': pa.Table(field, n_distinct, n_docs), 'error'}"""
-        if isinstance(fields, str):
-            fields = tuple(v.strip() for v in fields.split(",") if v.strip())
-        fields = tuple(fields)
-        empty = CARDINALITY_SCHEMA.empty_table()
-        if not fields or not set(fields) <= set(self.CARDINALITY_FIELDS):
-            return {**self._resp(error="bad_field"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        rows = sorted(
-            (f, int(len(np.unique(self._cardinality_values(uniq, codes, f)))))
-            for f in set(fields)
-        )
-        tbl = pa.table({
-            "field": pa.array([r[0] for r in rows], pa.string()),
-            "n_distinct": pa.array([r[1] for r in rows], pa.int64()),
-            "n_docs": pa.array([len(uniq)] * len(rows), pa.int64()),
-        })
-        return {"result": True, "count": int(len(uniq)), "data": tbl,
-                "error": None}
-
-    MAX_AGG_RANGES = 100
-
-    def range_agg(
-        self,
-        query_text: str,
-        ranges,
-        field: str = "doc_len",
-        scope: str | None = None,
-        conjunctive: bool = False,
-        exclude: str | None = None,
-        ts_min=None,
-        ts_max=None,
-    ) -> dict:
-        """Arbitrary-boundary bucket counts over the FULL matching set
-        (the Elasticsearch ``range`` aggregation; on ``ts`` it is
-        ``date_range`` with ISO/epoch-µs bounds). Each range is
-        ``(from_, to)`` — from INCLUSIVE, to EXCLUSIVE, either side
-        open with ``None`` (ES half-open semantics: a value on a shared
-        boundary lands in exactly one of two adjacent buckets).
-        Overlapping ranges are legal and count independently (ES
-        allows them). ALL requested buckets are emitted IN REQUEST
-        ORDER, zero or not (ES emits every range); ``ridx`` pins the
-        order through the driver's column-sorted hash. Cost: one sort
-        of the matching-set values + two ``searchsorted`` probes per
-        range — the same frame ``metrics``/``histogram`` ride,
-        overlay-aware, composing with every filtering surface.
-        -> {'result', 'count', 'data': pa.Table(ridx, key, range_from,
-        range_to, n_docs), 'error'}"""
-        empty = RANGE_AGG_SCHEMA.empty_table()
-        if field not in ("doc_len", "ts"):
-            return {**self._resp(error="bad_field"), "data": empty}
-        if not isinstance(ranges, (list, tuple)) or not ranges \
-                or len(ranges) > self.MAX_AGG_RANGES:
-            return {**self._resp(error="bad_ranges"), "data": empty}
-        bounds = parse_agg_ranges(ranges, field, self._ts_us)
-        if bounds is None:
-            return {**self._resp(error="bad_ranges"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max)
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        v = np.sort(
-            self._dl_of_ids(uniq) if field == "doc_len"
-            else self._ts_of_ids(uniq)
-        ).astype(np.int64)
-        n = len(v)
-        rows = []
-        for i, (lo, hi) in enumerate(bounds):
-            a = 0 if lo is None else int(np.searchsorted(v, lo, "left"))
-            b = n if hi is None else int(np.searchsorted(v, hi, "left"))
-            key = f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
-            rows.append((i, key, lo, hi, max(0, b - a)))
-        tbl = pa.table({
-            "ridx": pa.array([r[0] for r in rows], pa.int64()),
-            "key": pa.array([r[1] for r in rows], pa.string()),
-            "range_from": pa.array([r[2] for r in rows], pa.int64()),
-            "range_to": pa.array([r[3] for r in rows], pa.int64()),
-            "n_docs": pa.array([r[4] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": n, "data": tbl, "error": None}
-
-    MAX_AGG_FILTERS = 100        # the ES adjacency_matrix default cap
     MAX_PIPELINE_BUCKETS = 65_536  # the ES search.max_buckets default
-
-    def filters_agg(
-        self,
-        filters: dict[str, str],
-        query_text: str | None = None,
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Named-filter bucket counts (the Elasticsearch ``filters``
-        aggregation): each entry of ``filters`` is an independent query
-        over this view; its bucket counts the docs matching it — ALL
-        named buckets are emitted, zero or not (ES semantics), in key
-        order. With ``query_text`` the buckets count within the BASE
-        query's matching set (|filter ∩ base| — the agg-under-a-query
-        shape ES runs it in). ``scope``/``conjunctive`` apply to every
-        matching set. A filter whose text analyzes to nothing is
-        ``bad_filter`` (ES rejects an empty filter body); a filter
-        whose lemmas are absent from the corpus counts 0. Matching
-        sets ride the memoized gaps-only decode — lemmas shared
-        between filters (or with the base) decode once per view.
-        -> {'result', 'count' (base matching docs; 0 with no base),
-        'data': pa.Table(key, n_docs), 'error'}"""
-        empty = FILTERS_AGG_SCHEMA.empty_table()
-        if not isinstance(filters, dict) or not filters:
-            return {**self._resp(error="bad_filter"), "data": empty}
-        if len(filters) > self.MAX_AGG_FILTERS:
-            return {**self._resp(error="too_many_filters"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        base_ids = None
-        n_base = 0
-        if query_text is not None:
-            terms, err = self.plan(query_text)
-            if err == "empty_query":
-                return {**self._resp(error="empty_query"), "data": empty}
-            if err == "no_results":
-                base_ids = np.empty(0, np.int64)
-            else:
-                base_ids, _ = self._matching_set(terms, scope, conjunctive)
-            n_base = int(len(base_ids))
-        rows = []
-        for key in sorted(filters):
-            terms, err = self.plan(str(filters[key]))
-            if err == "empty_query":
-                return {**self._resp(error="bad_filter"), "data": empty}
-            if err == "no_results":
-                rows.append((key, 0))
-                continue
-            ids, _ = self._matching_set(terms, scope, conjunctive)
-            if base_ids is not None and len(ids):
-                ids = ids[np.isin(ids, base_ids, assume_unique=True)]
-            rows.append((key, int(len(ids))))
-        tbl = pa.table({
-            "key": pa.array([r[0] for r in rows], pa.string()),
-            "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": n_base, "data": tbl, "error": None}
-
-    def adjacency_matrix(
-        self,
-        filters: dict[str, str],
-        scope: str | None = None,
-        conjunctive: bool = False,
-    ) -> dict:
-        """Filter co-occurrence counts (the Elasticsearch
-        ``adjacency_matrix`` aggregation): one bucket per named filter
-        and one per pair ``a&b`` (a < b, the ES key separator) counting
-        docs matching BOTH — the upper-triangular intersection matrix.
-        Buckets with zero docs are omitted entirely (ES semantics —
-        the response carries only occurring cells). Matching sets are
-        ascending-unique docid arrays, so each intersection is one
-        vectorized ``np.isin`` over already-decoded frames.
-        -> {'result', 'count' (docs in the union), 'data':
-        pa.Table(key, n_docs), 'error'}"""
-        empty = FILTERS_AGG_SCHEMA.empty_table()
-        if not isinstance(filters, dict) or not filters:
-            return {**self._resp(error="bad_filter"), "data": empty}
-        if len(filters) > self.MAX_AGG_FILTERS:
-            return {**self._resp(error="too_many_filters"), "data": empty}
-        if any("&" in k for k in filters):
-            return {**self._resp(error="bad_filter"), "data": empty}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        sets: dict[str, np.ndarray] = {}
-        for key in sorted(filters):
-            terms, err = self.plan(str(filters[key]))
-            if err == "empty_query":
-                return {**self._resp(error="bad_filter"), "data": empty}
-            if err == "no_results":
-                sets[key] = np.empty(0, np.int64)
-                continue
-            ids, _ = self._matching_set(terms, scope, conjunctive)
-            sets[key] = ids
-        keys = sorted(sets)
-        rows = [(k, int(len(sets[k]))) for k in keys if len(sets[k])]
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                sa, sb = sets[a], sets[b]
-                if len(sa) and len(sb):
-                    n = int(np.isin(sa, sb, assume_unique=True).sum())
-                    if n:
-                        rows.append((f"{a}&{b}", n))
-        rows.sort()
-        union = (
-            np.unique(np.concatenate([s for s in sets.values() if len(s)]))
-            if any(len(s) for s in sets.values()) else ()
-        )
-        tbl = pa.table({
-            "key": pa.array([r[0] for r in rows], pa.string()),
-            "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-        })
-        return {"result": True, "count": int(len(union)), "data": tbl,
-                "error": None}
 
     def histogram_pipeline(
         self,
@@ -3173,22 +3254,12 @@ class SearchEngine:
             # IndexError (the bad_cursor convention)
             return {**self._resp(error="bad_after"), "data": empty,
                     "after_key": None}
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty,
-                    "after_key": None}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty,
-                    "after_key": None}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty,
-                    "after_key": None, "error": None}
-        uniq, codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty,
-                    "after_key": None, "error": None}
+        _, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=COMPOSITE_SCHEMA, after_key=None)
+        if resp:
+            return resp
+        [(_, uniq, codes)] = parts
         pairs = self._code_pairs()
         per_code = np.bincount(codes, minlength=len(pairs))
         buckets = sorted(
@@ -3362,19 +3433,12 @@ class SearchEngine:
         -> {'result', 'count' (matching docs), 'data':
         pa.Table(rank, lemma, fg_docs, bg_docs, score), 'error'}
         """
-        empty = SIG_TERMS_SCHEMA.empty_table()
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
+        terms, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=SIG_TERMS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
         grouped, touched_all = self._fg_bg_grouped(uniq)
         n_fg = float(len(uniq))
         n_docs = float(self.n_docs)
@@ -3499,22 +3563,15 @@ class SearchEngine:
 
         -> {'result', 'count' (matching docs), 'data':
         pa.Table(rank, lemma, fg_docs, bg_docs), 'error'}"""
-        empty = RARE_TERMS_SCHEMA.empty_table()
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": empty}
         if k < 1 or max_doc_count < 1:
-            return {**self._resp(error="bad_k" if k < 1 else "bad_max_doc_count"),
-                    "data": empty}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": empty}
-        if err == "no_results":
-            return {"result": True, "count": 0, "data": empty, "error": None}
-        uniq, _codes = self._matching_set(
-            terms, scope, conjunctive, exclude, ts_min, ts_max
-        )
-        if not len(uniq):
-            return {"result": True, "count": 0, "data": empty, "error": None}
+            return self._resp(error="bad_k" if k < 1 else "bad_max_doc_count",
+                              schema=RARE_TERMS_SCHEMA)
+        terms, parts, resp = self._matched(
+            query_text, scope, conjunctive, exclude, ts_min, ts_max,
+            schema=RARE_TERMS_SCHEMA)
+        if resp:
+            return resp
+        [(_, uniq, _)] = parts
         import pandas as pd
 
         grouped, touched_all = self._fg_bg_grouped(uniq)
@@ -3678,8 +3735,6 @@ class SearchEngine:
         )
         if not seq:
             return self._resp(count=0)
-        from collections import Counter
-
         weighted = []
         for lem, tf in Counter(seq).items():
             df = self._df_of(lem)
@@ -3689,13 +3744,9 @@ class SearchEngine:
         sel = [(lem, df) for _w, lem, df in weighted[:max_terms]]
         if not sel:
             return self._resp(count=0)
-        terms = sorted(sel, key=lambda t: (t[1], t[0]))
-        if self._has_deltas:
-            blocks = self._term_blocks([t[0] for t in terms])
-            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-            terms = [(lem, df) for lem, df in terms if df > 0]
-            if not terms:
-                return self._resp(count=0)
+        terms = self._live_terms(sel)
+        if not terms:
+            return self._resp(count=0)
         src = self._cursor_docid(conv_id, turn_idx)
         ids, scores = self.score_exhaustive(terms, scope, False)
         if src is not None and len(ids):
@@ -3737,17 +3788,12 @@ class SearchEngine:
         pa.Table(conv_id, n_turns, best_turn_idx, score), 'error'}.
         Missing-lemma semantics match every other mode (any absent query
         lemma -> zero results)."""
-        if not self.valid_scope(scope):
-            return {**self._resp(error="bad_scope"), "data": CONV_RESULT_SCHEMA.empty_table()}
-        terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return {**self._resp(error="empty_query"), "data": CONV_RESULT_SCHEMA.empty_table()}
-        empty_ok = {"result": True, "count": 0, "data": CONV_RESULT_SCHEMA.empty_table(), "error": None}
-        if err == "no_results":
-            return empty_ok
+        terms, resp = self._planned(query_text, scope, schema=CONV_RESULT_SCHEMA)
+        if resp:
+            return resp
         ids, scores = self.score_exhaustive(terms, scope, conjunctive)
         if not len(ids):
-            return empty_ok
+            return self._resp(schema=CONV_RESULT_SCHEMA)
         cr = ids >> np.int64(TURN_BITS)
         neq = np.empty(len(cr), bool)
         neq[0] = True
@@ -4243,14 +4289,9 @@ class SearchEngine:
             if not len(matched):
                 return empty
         if loose:
-            lterms = []
-            for lem in dict.fromkeys(loose):
-                df = self._df_of(lem)
-                if df is None and self._has_deltas and lem in self._delta_lemma:
-                    df = 0
-                if df is None:
-                    return None
-                lterms.append((lem, df))
+            lterms = self._held_terms(dict.fromkeys(loose))
+            if len(lterms) < len(set(loose)):
+                return None
             blocks = self._term_blocks([t[0] for t in lterms])
             if self._has_deltas:
                 lterms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in lterms]
@@ -4308,14 +4349,9 @@ class SearchEngine:
         the already-intersected start-position keys (zero extra decode
         work; the low 32 key bits ARE the start positions)."""
         distinct = list(dict.fromkeys(phrase))
-        terms = []
-        for lem in distinct:
-            df = self._df_of(lem)
-            if df is None and self._has_deltas and lem in self._delta_lemma:
-                df = 0
-            if df is None:
-                return None  # reference semantics: missing lemma -> none
-            terms.append((lem, df))
+        terms = self._held_terms(distinct)
+        if len(terms) < len(distinct):
+            return None  # reference semantics: missing lemma -> none
         alts = [a for a in (last_alts or []) if a not in set(distinct)]
         blocks = self._term_blocks(distinct + alts, need_positions=True)
         if self._has_deltas:
@@ -4566,14 +4602,9 @@ class SearchEngine:
 
         Returns ``(ids, scores, count)`` or ``None`` for no-results."""
         distinct = list(dict.fromkeys(lemmas))
-        terms = []
-        for lem in distinct:
-            df = self._df_of(lem)
-            if df is None and self._has_deltas and lem in self._delta_lemma:
-                df = 0
-            if df is None:
-                return None
-            terms.append((lem, df))
+        terms = self._held_terms(distinct)
+        if len(terms) < len(distinct):
+            return None
         blocks = self._term_blocks(distinct, need_positions=True)
         if self._has_deltas:
             terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
@@ -4820,95 +4851,13 @@ class SearchEngine:
         with the other exhaustive-routed filters; ``count`` stays the
         full matching count.
         """
-        if not self.valid_scope(scope):
-            return self._resp(error="bad_scope")
-        if search_after is not None and (
-            offset != 0 or order_by != "score"
-            or not isinstance(search_after, (tuple, list))
-            or len(search_after) != 3
-        ):
-            return self._resp(error="bad_cursor")
-        if collapse is not None and collapse < 1:
-            return self._resp(error="bad_collapse")
-        if order_by not in ("score", "ts_desc", "ts_asc", "rrf"):
-            return self._resp(error="bad_order")
-        # page sanity: Python slicing makes ids[-1:] the LAST row, so a
-        # negative offset would silently return a wrong page as success
-        try:
-            offset, limit = int(offset), int(limit)
-        except (TypeError, ValueError):
-            return self._resp(error="bad_page")
-        if offset < 0 or limit < 0:
-            return self._resp(error="bad_page")
-        # ts bounds validate ONCE up front — garbage must be a bad_ts
-        # response, not an exception escaping to the HTTP layer — and
-        # pass down as exact int epoch-µs
-        try:
-            ts_min = self._ts_us(ts_min)
-            ts_max = self._ts_us(ts_max)
-        except (ValueError, TypeError, OverflowError):
-            return self._resp(error="bad_ts")
-        # the filtering surfaces route through the exhaustive bm25
-        # scorer ONLY; every other mode returns before that gate, so
-        # accepting the combination would report success on silently
-        # UNFILTERED results (the synonyms/boosts/decay convention:
-        # reject, don't ignore)
-        if mode != "bm25" and (
-            exclude is not None or ts_min is not None or ts_max is not None
-            or collapse is not None or min_match is not None
-            or order_by != "score" or search_after is not None
-        ):
-            return self._resp(error="bad_filter_mode")
-        if synonyms is not None and mode != "bm25":
-            return self._resp(error="bad_synonyms")
-        if negative is not None:
-            # boosting query (the ES `boosting` compound): docs matching
-            # the negative query stay IN the result set but their score
-            # is multiplied by negative_boost in [0, 1] — demotion, the
-            # middle ground exclude= can't express. bm25 mode only; the
-            # negative side must analyze to >= 1 token (ES rejects an
-            # empty negative body); absent-lemma negatives demote
-            # nothing (exclude's no-op rule, NOT the missing-lemma
-            # rule — the negative side is a filter, not the query).
-            try:
-                negative_boost = float(negative_boost)
-            except (TypeError, ValueError):
-                return self._resp(error="bad_negative")
-            if (mode != "bm25" or not isinstance(negative, str)
-                    or not (0.0 <= negative_boost <= 1.0)):
-                return self._resp(error="bad_negative")
-            if not self._analyzer.analyze_query(negative):
-                return self._resp(error="bad_negative")
-        if boosts is not None:
-            # query-time term boosting (the Lucene term^w weight):
-            # analyzer-normalize the keys, require positive finite
-            # factors; bm25 mode only (a boost rewrites idf, which the
-            # reference scorer and positional modes do not carry)
-            if mode != "bm25":
-                return self._resp(error="bad_boosts")
-            norm_boosts: dict[str, float] = {}
-            for key, w in boosts.items():
-                try:
-                    w = float(w)
-                except (TypeError, ValueError):
-                    return self._resp(error="bad_boosts")
-                if not (w > 0.0 and math.isfinite(w)):
-                    return self._resp(error="bad_boosts")
-                klems = self._analyzer.analyze_query(str(key))
-                if len(klems) != 1:
-                    return self._resp(error="bad_boosts")
-                norm_boosts[klems[0]] = w
-            boosts = norm_boosts
-        decay_t: tuple | None = None
-        if decay is not None:
-            # function-score recency decay: validate + fold the shape
-            # constant to ONE float64 driver-side (the SQL twin inlines
-            # the same repr-round-tripped constant)
-            if mode != "bm25":
-                return self._resp(error="bad_decay")
-            decay_t = decay_params(decay, self._ts_us)
-            if decay_t is None:
-                return self._resp(error="bad_decay")
+        err, params = self._search_params(
+            scope, offset, limit, mode, exclude, ts_min, ts_max, collapse,
+            min_match, order_by, search_after, synonyms, boosts, decay,
+            negative, negative_boost)
+        if err:
+            return self._resp(error=err)
+        offset, limit, ts_min, ts_max, boosts, decay_t, negative_boost = params
         rescore_t: tuple | None = None
         if rescore is not None:
             # two-phase rescore: validate the window/weights, analyze
@@ -5012,13 +4961,9 @@ class SearchEngine:
                 if not toks or len(toks[0]) < self.PREFIX_MIN_LEN:
                     return self._resp(error="empty_query")
                 return self._resp(count=0)
-            terms = sorted(exp, key=lambda t: (t[1], t[0]))
-            if self._has_deltas:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                terms = [(lem, df) for lem, df in terms if df > 0]
-                if not terms:
-                    return self._resp(count=0)
+            terms = self._live_terms(list(exp))
+            if not terms:
+                return self._resp(count=0)
             ids, scores, count = self.score_blockmax(terms, k, scope, False)
             ids, scores = ids[offset:], scores[offset:]
             tbl = self._enrich(ids, scores, terms, with_snippets)
@@ -5035,13 +4980,9 @@ class SearchEngine:
                 return self._resp(error="bad_pattern")
             if not exp:
                 return self._resp(count=0)
-            terms = sorted(exp, key=lambda t: (t[1], t[0]))
-            if self._has_deltas:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                terms = [(lem, df) for lem, df in terms if df > 0]
-                if not terms:
-                    return self._resp(count=0)
+            terms = self._live_terms(list(exp))
+            if not terms:
+                return self._resp(count=0)
             ids, scores, count = self.score_blockmax(terms, k, scope, False)
             ids, scores = ids[offset:], scores[offset:]
             tbl = self._enrich(ids, scores, terms, with_snippets)
@@ -5058,13 +4999,9 @@ class SearchEngine:
                 return self._resp(error="bad_pattern")
             if not exp:
                 return self._resp(count=0)
-            terms = sorted(exp, key=lambda t: (t[1], t[0]))
-            if self._has_deltas:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                terms = [(lem, df) for lem, df in terms if df > 0]
-                if not terms:
-                    return self._resp(count=0)
+            terms = self._live_terms(list(exp))
+            if not terms:
+                return self._resp(count=0)
             ids, scores, count = self.score_blockmax(terms, k, scope, False)
             ids, scores = ids[offset:], scores[offset:]
             tbl = self._enrich(ids, scores, terms, with_snippets)
@@ -5099,13 +5036,9 @@ class SearchEngine:
                     seen.setdefault(lem, int(df))
             if not seen:
                 return self._resp(count=0)
-            terms = sorted(seen.items(), key=lambda t: (t[1], t[0]))
-            if self._has_deltas:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                terms = [(lem, df) for lem, df in terms if df > 0]
-                if not terms:
-                    return self._resp(count=0)
+            terms = self._live_terms(list(seen.items()))
+            if not terms:
+                return self._resp(count=0)
             ids, scores, count = self.score_blockmax(terms, k, scope, False)
             ids, scores = ids[offset:], scores[offset:]
             tbl = self._enrich(ids, scores, terms, with_snippets)
@@ -5195,20 +5128,9 @@ class SearchEngine:
                 seen.setdefault(lem)
                 for s in norm_map.get(lem, ()):
                     seen.setdefault(s)
-            terms = []
-            for lem in seen:
-                df = self._df_of(lem)
-                if df is None and self._has_deltas and lem in self._delta_lemma:
-                    df = 0
-                if df is not None:
-                    terms.append((lem, df))
-            if self._has_deltas and terms:
-                blocks = self._term_blocks([t[0] for t in terms])
-                terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-                terms = [(lem, df) for lem, df in terms if df > 0]
+            terms = self._live_terms(self._held_terms(seen))
             if not terms:
                 return self._resp(count=0)
-            terms.sort(key=lambda t: (t[1], t[0]))
             err = None
         else:
             terms, err = self.plan(query_text)
@@ -5269,31 +5191,10 @@ class SearchEngine:
             ids, scores = self.score_exhaustive(
                 terms, scope, conjunctive, min_match=min_match, boosts=boosts
             )
-            excl = self._exclusion_docids(exclude) if exclude is not None else None
-            if excl is not None and len(excl) and len(ids):
-                keep = ~np.isin(ids, excl, assume_unique=False)
-                ids, scores = ids[keep], scores[keep]
-            if (ts_min is not None or ts_max is not None) and len(ids):
-                tss = self._ts_of_ids(ids)
-                m = np.ones(len(ids), bool)
-                if ts_min is not None:
-                    m &= tss >= self._ts_us(ts_min)
-                if ts_max is not None:
-                    m &= tss <= self._ts_us(ts_max)
-                ids, scores = ids[m], scores[m]
-            if decay_t is not None and len(ids):
-                # one multiply per matching doc (decay_factor mirrors
-                # the SQL twin's op order exactly)
-                scores = scores * decay_factor(self._ts_of_ids(ids), decay_t)
-            if negative is not None and len(ids):
-                # boosting-query demotion: one conditional multiply per
-                # matching doc (commutes with decay — both are score
-                # multiplies; the SQL twin runs the same CASE)
-                neg = self._exclusion_docids(negative)
-                if neg is not None and len(neg):
-                    demoted = np.isin(ids, neg, assume_unique=False)
-                    scores = np.where(
-                        demoted, scores * negative_boost, scores)
+            keep, scores = self._filter_docs(
+                ids, scores, exclude, ts_min, ts_max, decay_t, negative,
+                negative_boost)
+            ids = ids[keep]
             if collapse is not None:
                 ids, scores = self._collapse_per_conv(ids, scores, collapse)
             count = len(ids)
@@ -5380,14 +5281,6 @@ class SearchEngine:
                 # failure
                 out.append(self._resp(error="bad_request"))
         return out
-
-    def _resp(self, count: int = 0, error: str | None = None) -> dict:
-        return {
-            "result": error is None,
-            "count": count,
-            "data": RESULT_SCHEMA.empty_table(),
-            "error": error,
-        }
 
     def _forward(self):
         """Lazy forward index for J6 result enrichment: docid-sorted

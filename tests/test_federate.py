@@ -142,12 +142,40 @@ def test_federated_error_paths(fed_env):
     assert not fed.search("x", scope="no-such-role")["result"]
     r = fed.search("wqxqzq")
     assert r["result"] and r["count"] == 0 and r["data"].num_rows == 0
+    # paging and ts bounds validate like the single-index search
+    assert fed.search(datagen.stem(0), offset=-1)["error"] == "bad_page"
+    assert fed.search(datagen.stem(0), ts_min="not-a-date")["error"] == "bad_ts"
     # a lemma present in only SOME shards still scores globally
     mono = fed_env["mono"]
     rare = datagen.stem(5200)
     rm = mono.search(rare, method="exhaustive")
     rf = fed.search(rare)
     assert rf["count"] == rm["count"] and rf["data"].equals(rm["data"])
+
+
+def test_federated_concurrent_queries_match_serial(fed_env):
+    """Eight threads share one cold FederatedEngine: every reference
+    query returns the same count, rows and float64 scores as a serial
+    run — queries share no per-query shard state."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(eng, q):
+        r = eng.search(q["query_text"], scope=q["scope"], limit=q["k"])
+        return r["count"], r["data"]
+
+    fed = FederatedEngine(fed_env["shard_outs"])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda q: run(fed, q), QUERIES * 2, timeout=600))
+    finally:
+        sys.setswitchinterval(switch)
+    serial = [run(fed_env["fed"], q) for q in QUERIES]
+    for q, (count, data), (s_count, s_data) in zip(QUERIES * 2, got, serial * 2):
+        assert count == s_count, q["query_id"]
+        assert data.equals(s_data), q["query_id"]
 
 
 def test_federated_with_delta_shard(fed_env, tmp_path):

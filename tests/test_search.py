@@ -2696,6 +2696,8 @@ def test_malformed_parameter_responses(engine):
     # metrics/top_hits/composite parameter shapes
     assert engine.metrics(q, percentiles=(0,))["error"] == "bad_percentiles"
     assert engine.metrics(q, percentiles=(150,))["error"] == "bad_percentiles"
+    assert engine.metrics(q, percentiles=(50,))["error"] == "bad_percentiles"
+    assert engine.metrics(q, percentiles=(50, 90, 99, 99))["error"] == "bad_percentiles"
     assert engine.top_hits(q, per_group=0)["error"] == "bad_per_group"
     assert engine.top_hits(q, per_group="three")["error"] == "bad_per_group"
     assert engine.facets_composite(q, after=("user",))["error"] == "bad_after"
