@@ -1,31 +1,42 @@
 """CLI — the operational surface of the engine (the analog of the
-reference's REST API, ``/root/reference/src/main/java/searchengine/
-controllers/ApiController.java:20-47``):
+reference's REST API, ``ApiController.java:20-47``). Every command prints
+one JSON line; ``python -m search_engine_ray <command> -h`` shows its
+arguments.
 
-    python -m search_engine_ray build   --input f1.parquet f2.parquet --out DIR
-                                        [--partitions N] [--resume]
-    python -m search_engine_ray search  --out DIR "query text" [--scope role]
-                                        [--offset N] [--limit N] [--mode bm25|reference|phrase|near|prefix]
-                                        [--snippets]
-    python -m search_engine_ray stats   --out DIR
-    python -m search_engine_ray reindex --out DIR --conv CONV_ID [CONV_ID ...]
-                                        [--input f1.parquet ...]
+Read commands are generated from ``surface.ENDPOINTS``, the table the
+HTTP server (``server.py``) answers from, so each takes the same
+parameters as its HTTP twin and prints the same JSON:
 
-Mapping: build == GET /api/startIndexing, search == GET /api/search,
-stats == GET /api/statistics, reindex == POST /api/indexPage
-(per-conversation), delete == POST _delete_by_query (ES parity — the
-reference has only truncate-all; matching turns are tombstoned via a
-delta generation and fold at the next compaction), update == POST
-_update_by_query (regex-rewrite matching turns' text in the index; the
-transformed slice is stored inside the generation as the convs' text
-source), snapshot/restore == the ES snapshot API (manifest-pinned
-hardlink backup + verified restore), stop == GET
-/api/stopIndexing (cooperative cancel: writes a flag the running build
-honors between analyzer batches; in-flight partitions mark FAILED and
-``build --resume`` picks the build up from the last checkpoint),
-serve == the HTTP/JSON surface (``server.py``; GET /api/search,
-/api/statistics, /api/stopIndexing, POST /api/indexPage,
-/api/deleteByQuery).
+    search (GET /api/search; --group-by-conv = &group=conv), fsearch
+    (shard indexes, no HTTP twin), msearch (POST /api/msearch), mlt
+    (/api/mlt), facets, metrics, cardinality, tophits, dismax (/api/disMax),
+    explain, complete, analyze, histogram (--pipeline =
+    /api/histogramPipeline), mget, rangeagg (/api/rangeAgg), matrixstats
+    (/api/matrixStats), extstats (/api/extendedStats), pranks
+    (/api/percentileRanks), filtersagg (/api/filtersAgg), adjmatrix
+    (/api/adjacencyMatrix), didyoumean (/api/didYouMean), composite,
+    export, termvectors, rankeval (/api/rankEval), sigterms
+    (/api/significant), rareterms (/api/rareTerms)
+
+A read command exits 0 when its answer's ``result`` is true, else 1.
+
+Build and operations commands:
+
+    build        full index build (startIndexing); --resume, --shards N
+    split/shrink reshard a sharded deployment (ES _split / _shrink)
+    reindex      incremental per-conversation re-index (POST /api/indexPage)
+    delete       delete-by-query (POST /api/deleteByQuery)
+    update       update-by-query regex rewrite (POST /api/updateByQuery)
+    compact      fold delta generations into the base (LSM merge)
+    phrase-aux   build the hot-bigram auxiliary phrase index
+    stats        index statistics (GET /api/statistics)
+    suggest      did-you-mean term suggestions
+    alias        set / rm / list index aliases (ES alias API)
+    snapshot     manifest-pinned hardlink backup; restore verifies + copies
+    follow       one follower-sync pulse from a leader index (ES CCR)
+    reindex-query  ES _reindex with a query into a fresh index
+    stop         cooperative build cancel (GET /api/stopIndexing)
+    serve        the HTTP/JSON surface (``server.py``)
 
 This module (a CLI entry point) OWNS the Ray session; library code never
 calls ray.init.
@@ -36,6 +47,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from . import surface
 
 
 def _init_ray() -> None:
@@ -48,7 +61,67 @@ def _init_ray() -> None:
     DataContext.get_current().enable_progress_bars = False
 
 
-def main(argv: list[str] | None = None) -> int:
+def _add_read(sub, name: str, eps: list) -> None:
+    """One subcommand for a surface route: the union of its endpoints'
+    parameters (and variant switches), plus how to name the index."""
+    twins = ", ".join(dict.fromkeys(f"{ep.verb} {ep.http}" for ep in eps if ep.http))
+    help_ = f"{eps[0].help} [{twins or 'no HTTP twin'}]"
+    sp = sub.add_parser(name, help=help_, description=help_)
+    params = [p for ep in eps for p in (ep.switch, *ep.params) if p is not None]
+    for p in dict.fromkeys(params):
+        if not p.cli.startswith("--"):
+            sp.add_argument(p.cli, nargs=p.nargs, help=p.help)
+        elif p.flag:
+            sp.add_argument(p.cli, action="store_true", default=argparse.SUPPRESS,
+                            help=p.help)
+        else:
+            sp.add_argument(p.cli, nargs=p.nargs, required=bool(p.required),
+                            default=argparse.SUPPRESS, help=p.help)
+    index = eps[0].index
+    if index == "outs":
+        sp.add_argument("--outs", required=True, help="comma-separated shard index dirs")
+        return
+    sp.add_argument("--out", required=index == "out")
+    if index == "alias":
+        sp.add_argument("--alias", help="serve via an alias from --registry")
+        sp.add_argument("--registry", help="alias registry dir (with --alias)")
+
+
+def _engine(a, ep):
+    """Open the engine a read command names (raises surface.Refused)."""
+    if ep.ray:
+        _init_ray()
+    if ep.index == "outs":
+        from .federate import FederatedEngine
+
+        return FederatedEngine([d for d in a.outs.split(",") if d])
+    from .search import SearchEngine
+
+    out = a.out
+    if getattr(a, "alias", None) is not None:
+        from .state.aliases import alias_resolve
+
+        if not a.registry:
+            raise surface.Refused("no_registry")
+        out = alias_resolve(a.registry, a.alias)
+        if out is None:
+            raise surface.Refused("unknown_alias")
+    if out is None:
+        raise surface.Refused("no_out")
+    return SearchEngine(out)
+
+
+def _read(a, eps: list) -> int:
+    def raw(p):
+        v = getattr(a, p.dest, surface.MISSING)
+        return sys.stdin.read() if p.body and v == "-" else v
+
+    payload = surface.answer(eps, lambda ep: _engine(a, ep), raw)
+    print(json.dumps(payload, default=str))
+    return 0 if payload["result"] else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="search_engine_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -62,98 +135,18 @@ def main(argv: list[str] | None = None) -> int:
                         "one index per shard under OUT/idx<i> (serve with "
                         "fsearch --outs); 1 = a single monolithic index")
 
-    sp = sub.add_parser(
-        "split", help="split every shard by a factor (ES _split index "
-        "API): N -> N*factor shards under DEST, routing stays "
-        "md5(conv) %% new_n (a consistent refinement — each old shard "
-        "re-splits only its OWN stored slice); source shards must be "
-        "generation-free (compact first)"
-    )
-    sp.add_argument("--root", required=True, help="existing sharded deployment root")
-    sp.add_argument("--shards", type=int, required=True, help="current shard count")
-    sp.add_argument("--dest", required=True, help="new deployment root")
-    sp.add_argument("--factor", type=int, default=2)
-    sp.add_argument("--partitions", type=int, default=2)
-
-    sh = sub.add_parser(
-        "shrink", help="merge shards by a factor (ES _shrink index API): "
-        "N -> N/factor shards under DEST — child j's corpus is exactly "
-        "the union of parents {j, j+new_n, ...} (md5 %% N refines "
-        "%% new_n), so no re-split pass runs at all (hardlinked slices); "
-        "source shards must be generation-free"
-    )
-    sh.add_argument("--root", required=True)
-    sh.add_argument("--shards", type=int, required=True)
-    sh.add_argument("--dest", required=True)
-    sh.add_argument("--factor", type=int, default=2)
-    sh.add_argument("--partitions", type=int, default=2)
-
-    s = sub.add_parser("search", help="BM25 top-k query (search analog)")
-    s.add_argument("query")
-    s.add_argument("--out", default=None)
-    s.add_argument("--alias", default=None,
-                   help="serve via an alias from --registry instead of --out")
-    s.add_argument("--registry", default=None,
-                   help="alias registry dir (with --alias)")
-    s.add_argument("--scope", default=None)
-    s.add_argument("--offset", type=int, default=0)
-    s.add_argument("--limit", type=int, default=10)
-    s.add_argument("--mode", choices=["bm25", "reference", "phrase", "phrase_prefix", "near", "prefix", "wildcard", "regexp", "fuzzy", "auto"], default="bm25")
-    s.add_argument("--near-window", type=int, default=8,
-                   help="NEAR mode: max token-window width containing all query lemmas")
-    s.add_argument("--in-order", action="store_true",
-                   help="NEAR mode: lemmas must appear in query order "
-                        "(Lucene SpanNearQuery in_order)")
-    s.add_argument("--within-first", type=int, default=None,
-                   help="phrase mode: the matched span must end within "
-                        "the doc's first N tokens (Lucene SpanFirstQuery)")
-    s.add_argument("--fuzzy-dist", type=int, default=1,
-                   help="fuzzy mode: Levenshtein edit budget per query token (0-3)")
-    s.add_argument("--min-match", type=int, default=None,
-                   help="keep docs containing at least m distinct query lemmas")
-    s.add_argument("--exclude", default=None,
-                   help="NOT terms: drop docs containing any of these lemmas")
-    s.add_argument("--negative", default=None,
-                   help="boosting query: demote docs containing any of "
-                        "these lemmas (score x --negative-boost)")
-    s.add_argument("--negative-boost", type=float, default=0.5,
-                   help="demotion factor in [0, 1] for --negative matches")
-    s.add_argument("--ts-min", default=None,
-                   help="inclusive ISO-8601 lower bound on the turn ts")
-    s.add_argument("--ts-max", default=None,
-                   help="inclusive ISO-8601 upper bound on the turn ts")
-    s.add_argument("--collapse", type=int, default=None,
-                   help="field collapsing: keep at most N turns per conversation")
-    s.add_argument("--order-by", choices=["score", "ts_desc", "ts_asc", "rrf"],
-                   default="score",
-                   help="rank by relevance (default) or by turn timestamp")
-    s.add_argument("--synonyms", default=None,
-                   help="query-time synonym mapping 'key=v1|v2;key2=v3' "
-                        "(Lucene SynonymQuery expand rewrite, bm25 mode)")
-    s.add_argument("--boost", default=None,
-                   help="query-time term boosting 'term=2.5;other=0.5' "
-                        "(Lucene term^w weight, bm25 mode)")
-    s.add_argument("--rescore", default=None,
-                   help="two-phase rescore "
-                        "'query=PHRASE[;window=50][;query_weight=1]"
-                        "[;rescore_weight=1]' (ES rescore window: top-W "
-                        "re-ranked by qw*bm25 + rw*phrase BM25)")
-    s.add_argument("--decay", default=None,
-                   help="function-score recency decay "
-                        "'origin=ISO;scale=SECONDS[;shape=gauss|exp|linear]"
-                        "[;rate=0.5][;offset=0]' (ES function_score, "
-                        "boost_mode multiply, bm25 mode)")
-    s.add_argument("--after", nargs=3, metavar=("SCORE", "CONV_ID", "TURN_IDX"),
-                   default=None,
-                   help="cursor pagination: the last row of the previous page; "
-                        "returns results strictly after it in the relevance order")
-    s.add_argument("--group-by-conv", action="store_true",
-                   help="rank CONVERSATIONS by their best matching turn "
-                        "(max-passage aggregation) instead of turns")
-    s.add_argument("--snippets", action="store_true")
-    s.add_argument("--highlight", action="store_true",
-                   help="ES highlight (number_of_fragments=0): the whole "
-                        "cleaned text with query-lemma words in <b></b>")
+    for name, help_ in (
+        ("split", "split every shard by a factor (ES _split): N -> N*factor "
+                  "shards under DEST; source shards must be generation-free"),
+        ("shrink", "merge shards by a factor (ES _shrink): N -> N/factor "
+                   "shards under DEST; source shards must be generation-free"),
+    ):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--root", required=True, help="existing sharded deployment root")
+        sp.add_argument("--shards", type=int, required=True, help="current shard count")
+        sp.add_argument("--dest", required=True, help="new deployment root")
+        sp.add_argument("--factor", type=int, default=2)
+        sp.add_argument("--partitions", type=int, default=2)
 
     t = sub.add_parser("stats", help="index statistics (statistics analog)")
     t.add_argument("--out", required=True)
@@ -166,37 +159,25 @@ def main(argv: list[str] | None = None) -> int:
                    help=">1: --out is a sharded-build root; each conv "
                         "routes to its owning shard's index")
 
-    dq = sub.add_parser(
-        "delete", help="delete-by-query (ES _delete_by_query parity): "
-        "tombstone every matching turn via a delta generation; the next "
-        "compaction folds the delete into the base"
-    )
-    dq.add_argument("query")
-    dq.add_argument("--out", required=True)
-    dq.add_argument("--scope", default=None)
-    dq.add_argument("--conjunctive", action="store_true")
-    dq.add_argument("--shards", type=int, default=1,
-                    help=">1: --out is a sharded-build root; union "
-                         "matching semantics across the shard indexes")
+    for name, help_ in (
+        ("delete", "delete-by-query (ES _delete_by_query): tombstone every "
+                   "matching turn via a delta generation"),
+        ("update", "update-by-query (ES _update_by_query): regex-rewrite every "
+                   "matching turn's text via a delta generation"),
+    ):
+        dq = sub.add_parser(name, help=help_)
+        dq.add_argument("query")
+        if name == "update":
+            dq.add_argument("--pattern", required=True, help="RE2 pattern to rewrite")
+            dq.add_argument("--replacement", required=True)
+        dq.add_argument("--out", required=True)
+        dq.add_argument("--scope", default=None)
+        dq.add_argument("--conjunctive", action="store_true")
+        dq.add_argument("--shards", type=int, default=1,
+                        help=">1: --out is a sharded-build root; union "
+                             "matching semantics across the shard indexes")
 
-    uq = sub.add_parser(
-        "update", help="update-by-query (ES _update_by_query parity): "
-        "regex-rewrite every matching turn's text in the index via a "
-        "delta generation (retroactive redaction); compaction folds it"
-    )
-    uq.add_argument("query")
-    uq.add_argument("--pattern", required=True, help="RE2 pattern to rewrite")
-    uq.add_argument("--replacement", required=True)
-    uq.add_argument("--out", required=True)
-    uq.add_argument("--scope", default=None)
-    uq.add_argument("--conjunctive", action="store_true")
-    uq.add_argument("--shards", type=int, default=1,
-                    help=">1: --out is a sharded-build root; union "
-                         "matching semantics across the shard indexes")
-
-    c = sub.add_parser(
-        "compact", help="fold delta generations into the base index (LSM merge)"
-    )
+    c = sub.add_parser("compact", help="fold delta generations into the base index (LSM merge)")
     c.add_argument("--out", required=True)
     c.add_argument("--resume", action="store_true",
                    help="finish an interrupted compaction swap")
@@ -207,341 +188,19 @@ def main(argv: list[str] | None = None) -> int:
                    help=">1: --out is a sharded-build root; every shard "
                         "folds independently")
 
-    px = sub.add_parser(
-        "phrase-aux", help="build the hot-bigram auxiliary phrase index "
-        "(precomputed adjacency for the hottest term pairs — caps the "
-        "worst-case hot-hot phrase query at a point lookup)"
-    )
+    px = sub.add_parser("phrase-aux", help="build the hot-bigram auxiliary phrase index")
     px.add_argument("--out", required=True)
     px.add_argument("--terms", type=int, default=48,
                     help="hot-term budget (top by collection frequency)")
     px.add_argument("--pairs", type=int, default=512,
                     help="pair budget (top bigrams by occurrence count)")
 
-    fc = sub.add_parser(
-        "facets", help="per-role/per-tool matching-doc counts for a query "
-        "(faceted navigation over the full result set)"
-    )
-    fc.add_argument("query")
-    fc.add_argument("--out", required=True)
-    fc.add_argument("--scope", default=None)
-    fc.add_argument("--conjunctive", action="store_true")
-    fc.add_argument("--exclude", default=None)
-    fc.add_argument("--ts-min", default=None)
-    fc.add_argument("--ts-max", default=None)
-    fc.add_argument("--by", default="role,tool",
-                    help="comma-joined facet groupings: role, tool, day "
-                         "(day = per-UTC-calendar-day date histogram)")
-
-    mt = sub.add_parser(
-        "metrics", help="stats + exact nearest-rank percentiles of "
-        "doc_len / ts over the query's FULL matching set "
-        "(ES stats/percentiles aggregations)"
-    )
-    mt.add_argument("query")
-    mt.add_argument("--out", required=True)
-    mt.add_argument("--scope", default=None)
-    mt.add_argument("--conjunctive", action="store_true")
-    mt.add_argument("--exclude", default=None)
-    mt.add_argument("--ts-min", default=None)
-    mt.add_argument("--ts-max", default=None)
-    mt.add_argument("--fields", default="doc_len,ts")
-
-    cd = sub.add_parser(
-        "cardinality", help="exact distinct-value counts over the "
-        "query's FULL matching set (ES cardinality aggregation): "
-        "conv / role / tool / day / doc_len / ts"
-    )
-    cd.add_argument("query")
-    cd.add_argument("--out", required=True)
-    cd.add_argument("--scope", default=None)
-    cd.add_argument("--conjunctive", action="store_true")
-    cd.add_argument("--exclude", default=None)
-    cd.add_argument("--ts-min", default=None)
-    cd.add_argument("--ts-max", default=None)
-    cd.add_argument("--fields", default="conv")
-
-    th = sub.add_parser(
-        "tophits", help="top hits per bucket (ES top_hits under a terms "
-        "bucket): the m best-scoring matching turns per role/tool value"
-    )
-    th.add_argument("query")
-    th.add_argument("--out", required=True)
-    th.add_argument("--by", choices=["role", "tool"], default="role")
-    th.add_argument("--per-group", type=int, default=3)
-    th.add_argument("--scope", default=None)
-    th.add_argument("--conjunctive", action="store_true")
-    th.add_argument("--exclude", default=None)
-    th.add_argument("--ts-min", default=None)
-    th.add_argument("--ts-max", default=None)
-
-    dx = sub.add_parser(
-        "dismax", help="disjunction-max compound query (Lucene "
-        "DisjunctionMaxQuery / ES dis_max): per-sub BM25 frames combined "
-        "per doc as max + tie_breaker*(sum - max) over the union"
-    )
-    dx.add_argument("queries", nargs="+", help="subquery texts")
-    dx.add_argument("--out", required=True)
-    dx.add_argument("--tie-breaker", type=float, default=0.0)
-    dx.add_argument("--scope", default=None)
-    dx.add_argument("--offset", type=int, default=0)
-    dx.add_argument("--limit", type=int, default=10)
-
-    xp = sub.add_parser(
-        "explain", help="per-term BM25 score breakdown for ONE document "
-        "(ES _explain): (lemma, df, tf, dl, idf, weight) in plan order; "
-        "total is bit-identical to search()'s score for the doc"
-    )
-    xp.add_argument("query")
-    xp.add_argument("conv_id")
-    xp.add_argument("turn_idx", type=int)
-    xp.add_argument("--out", required=True)
-
-    co = sub.add_parser(
-        "complete", help="completion suggester (ES suggest-as-you-type): "
-        "top-k vocabulary lemmas for a prefix, ranked df desc"
-    )
-    co.add_argument("prefix")
-    co.add_argument("--out", required=True)
-    co.add_argument("--k", type=int, default=10)
-
-    az = sub.add_parser(
-        "analyze", help="analysis introspection (ES _analyze): run text "
-        "through the index's analyzer chain — (pos, token, lemma) per "
-        "surviving token; pos is the positional-index coordinate"
-    )
-    az.add_argument("text")
-    az.add_argument("--out", required=True)
-
-    hg = sub.add_parser(
-        "histogram", help="fixed-interval numeric bucket counts over "
-        "the matching set (ES histogram agg; field doc_len or ts)"
-    )
-    hg.add_argument("query")
-    hg.add_argument("--out", required=True)
-    hg.add_argument("--field", choices=["doc_len", "ts"], default="doc_len")
-    hg.add_argument("--interval", type=int, default=10)
-    hg.add_argument("--scope", default=None)
-    hg.add_argument("--conjunctive", action="store_true")
-    hg.add_argument("--pipeline", action="store_true",
-                    help="emit cumulative_sum/derivative/moving-avg "
-                    "pipeline aggs over the gap-filled bucket axis")
-    hg.add_argument("--window", type=int, default=3,
-                    help="moving-average trailing window (with --pipeline)")
-
-    mg = sub.add_parser(
-        "mget", help="batch point fetch (ES _mget): DOCS is a JSON array "
-        "of [conv_id, turn_idx] pairs; misses echo the key, found=false"
-    )
-    mg.add_argument("docs")
-    mg.add_argument("--out", required=True)
-
-    rg = sub.add_parser(
-        "rangeagg", help="custom-boundary bucket counts over the matching "
-        "set (ES range/date_range agg): RANGES is a JSON array of "
-        "[from, to] pairs, null = open side, to exclusive"
-    )
-    rg.add_argument("query")
-    rg.add_argument("ranges")
-    rg.add_argument("--out", required=True)
-    rg.add_argument("--field", default="doc_len", choices=["doc_len", "ts"])
-    rg.add_argument("--scope", default=None)
-    rg.add_argument("--conjunctive", action="store_true")
-
-    mx = sub.add_parser(
-        "matrixstats", help="covariance/correlation of doc_len x ts over "
-        "the matching set (ES matrix_stats agg)"
-    )
-    mx.add_argument("query")
-    mx.add_argument("--out", required=True)
-    mx.add_argument("--scope", default=None)
-    mx.add_argument("--conjunctive", action="store_true")
-
-    xs = sub.add_parser(
-        "extstats", help="extended stats per field (ES extended_stats): "
-        "n/min/max/avg/variance/std ± 2-sigma bounds over the matching set"
-    )
-    xs.add_argument("query")
-    xs.add_argument("--out", required=True)
-    xs.add_argument("--scope", default=None)
-    xs.add_argument("--conjunctive", action="store_true")
-
-    al = sub.add_parser(
-        "alias", help="index aliases (ES alias API): atomic name->index "
-        "swap — rebuild into a fresh dir, repoint the serving name"
-    )
+    al = sub.add_parser("alias", help="index aliases (ES alias API): atomic "
+                        "name->index swap")
     al.add_argument("action", choices=["set", "rm", "list"])
     al.add_argument("name", nargs="?", default=None)
     al.add_argument("target", nargs="?", default=None)
     al.add_argument("--registry", required=True)
-
-    pr = sub.add_parser(
-        "pranks", help="inverse percentiles (ES percentile_ranks): per "
-        "probe value, matching docs with field <= value"
-    )
-    pr.add_argument("query")
-    pr.add_argument("--out", required=True)
-    pr.add_argument("--values", required=True,
-                    help="comma-separated probe values")
-    pr.add_argument("--field", choices=["doc_len", "ts"], default="doc_len")
-    pr.add_argument("--scope", default=None)
-    pr.add_argument("--conjunctive", action="store_true")
-
-    fa = sub.add_parser(
-        "filtersagg", help="named-filter bucket counts (ES filters agg): "
-        "FILTERS is a JSON object {key: query-text}"
-    )
-    fa.add_argument("filters")
-    fa.add_argument("--out", required=True)
-    fa.add_argument("--base", default=None,
-                    help="count buckets within this base query's matching set")
-    fa.add_argument("--scope", default=None)
-    fa.add_argument("--conjunctive", action="store_true")
-
-    am = sub.add_parser(
-        "adjmatrix", help="filter co-occurrence counts (ES adjacency_matrix "
-        "agg): FILTERS is a JSON object {key: query-text}"
-    )
-    am.add_argument("filters")
-    am.add_argument("--out", required=True)
-    am.add_argument("--scope", default=None)
-    am.add_argument("--conjunctive", action="store_true")
-
-    dy = sub.add_parser(
-        "didyoumean", help="whole-query did-you-mean (ES phrase "
-        "suggester): per-token best vocabulary suggestion; prints the "
-        "corrected query"
-    )
-    dy.add_argument("query")
-    dy.add_argument("--out", required=True)
-    dy.add_argument("--max-dist", type=int, default=2)
-
-    fs = sub.add_parser(
-        "fsearch", help="federated search across shard indexes (merged "
-        "global stats; bit-identical to one index over the union)"
-    )
-    fs.add_argument("query")
-    fs.add_argument("--outs", required=True,
-                    help="comma-separated shard index dirs")
-    fs.add_argument("--scope", default=None)
-    fs.add_argument("--offset", type=int, default=0)
-    fs.add_argument("--limit", type=int, default=10)
-    fs.add_argument("--conjunctive", action="store_true")
-    fs.add_argument("--snippets", action="store_true")
-    fs.add_argument("--decay", default=None,
-                    help="function-score recency decay (same syntax as "
-                         "'search --decay'; per-shard multiply == the "
-                         "monolithic result)")
-    fs.add_argument("--exclude", default=None,
-                    help="NOT terms (shard-local == monolithic)")
-    fs.add_argument("--ts-min", default=None)
-    fs.add_argument("--ts-max", default=None)
-    fs.add_argument("--negative", default=None,
-                    help="boosting query: demote matching docs")
-    fs.add_argument("--negative-boost", type=float, default=0.5)
-
-    cp = sub.add_parser(
-        "composite", help="composite aggregation (ES composite): paged "
-        "(role, tool) pair buckets of the matching set in key order, "
-        "resumable strictly after --after-role/--after-tool"
-    )
-    cp.add_argument("query")
-    cp.add_argument("--out", required=True)
-    cp.add_argument("--scope", default=None)
-    cp.add_argument("--size", type=int, default=10)
-    cp.add_argument("--after-role", default=None)
-    cp.add_argument("--after-tool", default="")
-
-    ex = sub.add_parser(
-        "export", help="matching-set export (ES scroll + reindex): "
-        "stream every matching turn to partitioned parquet via a "
-        "distributed broadcast-semi-join scan of the text sources"
-    )
-    ex.add_argument("query")
-    ex.add_argument("--out", required=True)
-    ex.add_argument("--dest", required=True)
-    ex.add_argument("--scope", default=None)
-    ex.add_argument("--conjunctive", action="store_true")
-    ex.add_argument("--exclude", default=None)
-    ex.add_argument("--ts-min", default=None)
-    ex.add_argument("--ts-max", default=None)
-    ex.add_argument("--columns", nargs="+", default=None,
-                    help="project the exported schema (ES reindex "
-                         "_source filtering); conv_id/turn_idx always ride")
-    ex.add_argument("--slice", default=None, metavar="I,MAX",
-                    help="sliced scroll: export only docs with "
-                         "docid %% MAX == I — slices are disjoint, "
-                         "union = full export, each re-runnable alone")
-
-    tv = sub.add_parser(
-        "termvectors", help="per-document term statistics (ES "
-        "_termvectors): every distinct lemma of the doc's current text "
-        "with tf, corpus df and doc length"
-    )
-    tv.add_argument("conv_id")
-    tv.add_argument("turn_idx", type=int)
-    tv.add_argument("--out", required=True)
-
-    re_ = sub.add_parser(
-        "rankeval", help="ranked-retrieval evaluation (ES _rank_eval): "
-        "served top-k page vs the deterministic pseudo-assessor grading "
-        "over the matching set — integer metric cores plus P/R/MRR"
-    )
-    re_.add_argument("query")
-    re_.add_argument("--out", required=True)
-    re_.add_argument("--scope", default=None)
-    re_.add_argument("--k", type=int, default=10)
-
-    sq = sub.add_parser(
-        "sigterms", help="significant-terms aggregation: lemmas most "
-        "overrepresented in the query's matching set vs the corpus "
-        "background (JLH score; distributed index-segment scan)"
-    )
-    sq.add_argument("query")
-    sq.add_argument("--out", required=True)
-    sq.add_argument("--scope", default=None)
-    sq.add_argument("--conjunctive", action="store_true")
-    sq.add_argument("--exclude", default=None)
-    sq.add_argument("--ts-min", default=None)
-    sq.add_argument("--ts-max", default=None)
-    sq.add_argument("--limit", type=int, default=10)
-
-    ms = sub.add_parser(
-        "msearch", help="multi-search (ES _msearch): a JSON array of "
-        "search-request dicts runs as one engine batch; one response "
-        "per request, line-level errors in place"
-    )
-    ms.add_argument("requests", help="JSON array: "
-                    "'[{\"query\": \"...\", \"limit\": 5}, ...]' "
-                    "(pass '-' to read the array from stdin)")
-    ms.add_argument("--out", required=True)
-
-    rt = sub.add_parser(
-        "rareterms", help="rare-terms aggregation: long-tail lemmas of "
-        "the query's matching set whose global df <= --max-doc-count, "
-        "ranked df ASC (same distributed index-segment scan as sigterms)"
-    )
-    rt.add_argument("query")
-    rt.add_argument("--out", required=True)
-    rt.add_argument("--scope", default=None)
-    rt.add_argument("--conjunctive", action="store_true")
-    rt.add_argument("--exclude", default=None)
-    rt.add_argument("--ts-min", default=None)
-    rt.add_argument("--ts-max", default=None)
-    rt.add_argument("--max-doc-count", type=int, default=10)
-    rt.add_argument("--limit", type=int, default=10)
-
-    ml = sub.add_parser(
-        "mlt", help="more-like-this: rank documents similar to one turn "
-        "(its top tf-idf lemmas become a disjunctive BM25 query)"
-    )
-    ml.add_argument("conv_id")
-    ml.add_argument("turn_idx", type=int)
-    ml.add_argument("--out", required=True)
-    ml.add_argument("--scope", default=None)
-    ml.add_argument("--offset", type=int, default=0)
-    ml.add_argument("--limit", type=int, default=10)
-    ml.add_argument("--max-terms", type=int, default=25)
 
     sg = sub.add_parser("suggest", help="did-you-mean term suggestions")
     sg.add_argument("term")
@@ -549,42 +208,29 @@ def main(argv: list[str] | None = None) -> int:
     sg.add_argument("--max-dist", type=int, default=2)
     sg.add_argument("--limit", type=int, default=5)
 
-    sn = sub.add_parser(
-        "snapshot", help="manifest-pinned index snapshot (hardlink where "
-        "possible; ES snapshot-API parity)"
-    )
+    sn = sub.add_parser("snapshot", help="manifest-pinned index snapshot "
+                        "(hardlink where possible; ES snapshot API)")
     sn.add_argument("--out", required=True)
     sn.add_argument("--dest", required=True)
 
-    rs = sub.add_parser(
-        "restore", help="verify + materialize a snapshot at a fresh dir"
-    )
+    rs = sub.add_parser("restore", help="verify + materialize a snapshot at a fresh dir")
     rs.add_argument("--snap", required=True)
     rs.add_argument("--dest", required=True)
 
-    rq = sub.add_parser(
-        "reindex-query", help="ES _reindex with a query: extract matching "
-        "turns (membership by re-analysis) into a new corpus slice and "
-        "build a fresh index over it"
-    )
+    rq = sub.add_parser("reindex-query", help="ES _reindex with a query: "
+                        "matching turns into a fresh index")
     rq.add_argument("--input", required=True, nargs="+")
     rq.add_argument("--query", required=True)
     rq.add_argument("--dest", required=True)
     rq.add_argument("--scope", default=None)
     rq.add_argument("--partitions", type=int, default=None)
 
-    fl = sub.add_parser(
-        "follow", help="one incremental follower-sync pulse from a leader "
-        "index (ES cross-cluster-replication analog): bootstrap full "
-        "link-copy, then per-pulse deltas only"
-    )
+    fl = sub.add_parser("follow", help="one incremental follower-sync pulse "
+                        "from a leader index (ES cross-cluster replication)")
     fl.add_argument("--leader", required=True)
     fl.add_argument("--dest", required=True)
 
-    st = sub.add_parser(
-        "stop", help="cooperative build cancel (stopIndexing analog): the "
-        "running build marks in-flight partitions FAILED and exits resumable"
-    )
+    st = sub.add_parser("stop", help="cooperative build cancel (stopIndexing analog)")
     st.add_argument("--out", required=True)
 
     sv = sub.add_parser("serve", help="HTTP/JSON surface over a built index")
@@ -592,7 +238,15 @@ def main(argv: list[str] | None = None) -> int:
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=8080)
 
-    a = p.parse_args(argv)
+    for name, eps in surface.CLI.items():
+        _add_read(sub, name, eps)
+    return p
+
+
+def main(argv: list[str] | None = None) -> int:
+    a = build_parser().parse_args(argv)
+    if a.cmd in surface.CLI:
+        return _read(a, surface.CLI[a.cmd])
 
     if a.cmd == "build":
         _init_ray()
@@ -606,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
                 list(a.input), a.out, n_shards=a.shards,
                 n_partitions=a.partitions, resume=True,
             )
-            print(json.dumps({
-                "result": r["result"], "shard_outs": r["shard_outs"],
-                "built": r["built"], "error": r["error"],
-            }))
+            print(json.dumps({k: r[k] for k in ("result", "shard_outs", "built", "error")}))
             return 0 if r["result"] else 1
         try:
             m = build_index(
@@ -624,607 +275,28 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"state": "STOPPED", "error": str(e)}))
             return 1
         print(json.dumps({"state": m["state"], "stats": m["stats"], "timings": m["timings"]}))
-    elif a.cmd == "split":
+    elif a.cmd in ("split", "shrink"):
         _init_ray()
-        from .pipelines.shard import split_shards
+        from .pipelines import shard
 
-        r = split_shards(
-            a.root, a.shards, a.dest, factor=a.factor,
-            n_partitions=a.partitions,
-        )
-        print(json.dumps({
-            "result": r["result"], "n_shards": r["n_shards"],
-            "shard_outs": r["shard_outs"], "built": r["built"],
-            "error": r["error"],
-        }))
+        fn = shard.split_shards if a.cmd == "split" else shard.shrink_shards
+        r = fn(a.root, a.shards, a.dest, factor=a.factor, n_partitions=a.partitions)
+        print(json.dumps({k: r[k] for k in
+                          ("result", "n_shards", "shard_outs", "built", "error")}))
         return 0 if r["result"] else 1
-    elif a.cmd == "shrink":
-        _init_ray()
-        from .pipelines.shard import shrink_shards
-
-        r = shrink_shards(
-            a.root, a.shards, a.dest, factor=a.factor,
-            n_partitions=a.partitions,
-        )
-        print(json.dumps({
-            "result": r["result"], "n_shards": r["n_shards"],
-            "shard_outs": r["shard_outs"], "built": r["built"],
-            "error": r["error"],
-        }))
-        return 0 if r["result"] else 1
-    elif a.cmd == "search":
-        from .search import (
-            SearchEngine, parse_boosts_arg, parse_kv_arg, parse_synonyms_arg,
-        )
-
-        out = a.out
-        if a.alias is not None:
-            from .state.aliases import alias_resolve
-
-            if not a.registry:
-                print(json.dumps({"result": False, "error": "no_registry"}))
-                return 1
-            out = alias_resolve(a.registry, a.alias)
-            if out is None:
-                print(json.dumps({"result": False, "error": "unknown_alias"}))
-                return 1
-        if out is None:
-            print(json.dumps({"result": False, "error": "no_out"}))
-            return 1
-        eng = SearchEngine(out)
-        if a.group_by_conv:
-            resp = eng.search_conversations(
-                a.query, scope=a.scope, offset=a.offset, limit=a.limit,
-            )
-        else:
-            resp = eng.search(
-                a.query,
-                scope=a.scope,
-                offset=a.offset,
-                limit=a.limit,
-                mode=a.mode,
-                with_snippets="full" if a.highlight else a.snippets,
-                near_window=a.near_window,
-                in_order=a.in_order,
-                within_first=a.within_first,
-                fuzzy_dist=a.fuzzy_dist,
-                min_match=a.min_match,
-                exclude=a.exclude,
-                ts_min=a.ts_min,
-                ts_max=a.ts_max,
-                collapse=a.collapse,
-                order_by=a.order_by,
-                search_after=tuple(a.after) if a.after else None,
-                synonyms=parse_synonyms_arg(a.synonyms),
-                boosts=parse_boosts_arg(a.boost),
-                decay=parse_kv_arg(a.decay),
-                rescore=parse_kv_arg(a.rescore),
-                negative=a.negative,
-                negative_boost=a.negative_boost,
-            )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "facets":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).facets(
-            a.query, scope=a.scope, conjunctive=a.conjunctive,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max, by=a.by,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "cardinality":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).cardinality(
-            a.query, scope=a.scope, conjunctive=a.conjunctive,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max,
-            fields=a.fields,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "metrics":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).metrics(
-            a.query, scope=a.scope, conjunctive=a.conjunctive,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max,
-            fields=a.fields,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "tophits":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).top_hits(
-            a.query, by=a.by, per_group=a.per_group, scope=a.scope,
-            conjunctive=a.conjunctive, exclude=a.exclude,
-            ts_min=a.ts_min, ts_max=a.ts_max,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "dismax":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).dis_max(
-            a.queries, tie_breaker=a.tie_breaker, scope=a.scope,
-            offset=a.offset, limit=a.limit,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "explain":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).explain(a.query, a.conv_id, a.turn_idx)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "total": resp["total"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "complete":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).complete(a.prefix, k=a.k)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "analyze":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).analyze(a.text)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "histogram":
-        from .search import SearchEngine
-
-        eng = SearchEngine(a.out)
-        if a.pipeline:
-            resp = eng.histogram_pipeline(
-                a.query, field=a.field, interval=a.interval,
-                window=a.window, scope=a.scope, conjunctive=a.conjunctive,
-            )
-        else:
-            resp = eng.histogram(
-                a.query, field=a.field, interval=a.interval, scope=a.scope,
-                conjunctive=a.conjunctive,
-            )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "didyoumean":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).suggest_query(a.query, max_dist=a.max_dist)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "corrected": resp["corrected"],
-                    "changed": resp["changed"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "fsearch":
-        from .federate import FederatedEngine
-
-        from .search import parse_kv_arg
-
-        resp = FederatedEngine(
-            [d for d in a.outs.split(",") if d]
-        ).search(
-            a.query, scope=a.scope, offset=a.offset, limit=a.limit,
-            conjunctive=a.conjunctive, with_snippets=a.snippets,
-            decay=parse_kv_arg(a.decay), exclude=a.exclude,
-            ts_min=a.ts_min, ts_max=a.ts_max,
-            negative=a.negative, negative_boost=a.negative_boost,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "composite":
-        from .search import SearchEngine
-
-        after = (a.after_role, a.after_tool) if a.after_role is not None else None
-        resp = SearchEngine(a.out).facets_composite(
-            a.query, scope=a.scope, size=a.size, after=after
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "after_key": resp["after_key"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "export":
-        _init_ray()  # the export scan is a Ray Data job over the sources
-        from .search import SearchEngine
-
-        sl_id = sl_max = None
-        if a.slice is not None:
-            try:
-                sl_id, sl_max = (int(v) for v in a.slice.split(","))
-            except ValueError:
-                print(json.dumps({"result": False, "count": 0,
-                                  "path": a.dest, "error": "bad_slice"}))
-                return 1
-        resp = SearchEngine(a.out).export(
-            a.query, a.dest, scope=a.scope, conjunctive=a.conjunctive,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max,
-            columns=a.columns, slice_id=sl_id, slice_max=sl_max,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "path": resp["path"],
-                    "error": resp["error"],
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "termvectors":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).termvectors(a.conv_id, a.turn_idx)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "rankeval":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).rank_eval(a.query, scope=a.scope, k=a.k)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "precision": resp["precision"],
-                    "recall": resp["recall"],
-                    "mrr": resp["mrr"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "sigterms":
-        _init_ray()  # the fg scan is a Ray Data job over the index segments
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).significant_terms(
-            a.query, scope=a.scope, conjunctive=a.conjunctive, k=a.limit,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "mget":
-        from .search import SearchEngine
-
-        try:
-            docs = json.loads(a.docs)
-            assert isinstance(docs, list)
-        except Exception:
-            print(json.dumps({"result": False, "error": "bad_docs"}))
-            return 1
-        resp = SearchEngine(a.out).mget(docs)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "rangeagg":
-        from .search import SearchEngine
-
-        try:
-            ranges = json.loads(a.ranges)
-            assert isinstance(ranges, list)
-        except Exception:
-            print(json.dumps({"result": False, "error": "bad_ranges"}))
-            return 1
-        resp = SearchEngine(a.out).range_agg(
-            a.query, ranges, field=a.field, scope=a.scope,
-            conjunctive=a.conjunctive,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "matrixstats":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).matrix_stats(
-            a.query, scope=a.scope, conjunctive=a.conjunctive,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "extstats":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).extended_stats(
-            a.query, scope=a.scope, conjunctive=a.conjunctive,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
     elif a.cmd == "alias":
         from .state import aliases as al_mod
 
         if a.action == "list":
             print(json.dumps({"result": True,
                               "aliases": al_mod.alias_list(a.registry)}))
+        elif not a.name or (a.action == "set" and not a.target):
+            print(json.dumps({"result": False, "error": "bad_args"}))
+            return 1
         elif a.action == "set":
-            if not a.name or not a.target:
-                print(json.dumps({"result": False, "error": "bad_args"}))
-                return 1
             print(json.dumps(al_mod.alias_set(a.registry, a.name, a.target)))
         else:
-            if not a.name:
-                print(json.dumps({"result": False, "error": "bad_args"}))
-                return 1
             print(json.dumps(al_mod.alias_delete(a.registry, a.name)))
-    elif a.cmd == "pranks":
-        from .search import SearchEngine
-
-        vals = [v.strip() for v in a.values.split(",") if v.strip()]
-        resp = SearchEngine(a.out).percentile_ranks(
-            a.query, vals, field=a.field, scope=a.scope,
-            conjunctive=a.conjunctive,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd in ("filtersagg", "adjmatrix"):
-        from .search import SearchEngine
-
-        try:
-            flt = json.loads(a.filters)
-            assert isinstance(flt, dict)
-        except Exception:
-            print(json.dumps({"result": False, "error": "bad_filters"}))
-            return 1
-        eng = SearchEngine(a.out)
-        if a.cmd == "filtersagg":
-            resp = eng.filters_agg(flt, query_text=a.base, scope=a.scope,
-                                   conjunctive=a.conjunctive)
-        else:
-            resp = eng.adjacency_matrix(flt, scope=a.scope,
-                                        conjunctive=a.conjunctive)
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "msearch":
-        from .search import SearchEngine
-
-        raw = sys.stdin.read() if a.requests == "-" else a.requests
-        try:
-            reqs = json.loads(raw)
-            assert isinstance(reqs, list)
-        except Exception:
-            print(json.dumps({"result": False, "error": "bad_requests"}))
-            return 1
-        resps = SearchEngine(a.out).msearch(reqs)
-        print(
-            json.dumps(
-                {
-                    "result": True,
-                    "responses": [
-                        {
-                            "result": r["result"],
-                            "count": r["count"],
-                            "error": r["error"],
-                            "data": r["data"].to_pylist(),
-                        }
-                        for r in resps
-                    ],
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "rareterms":
-        _init_ray()  # the fg scan is a Ray Data job over the index segments
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).rare_terms(
-            a.query, scope=a.scope, conjunctive=a.conjunctive, k=a.limit,
-            max_doc_count=a.max_doc_count,
-            exclude=a.exclude, ts_min=a.ts_min, ts_max=a.ts_max,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
-    elif a.cmd == "mlt":
-        from .search import SearchEngine
-
-        resp = SearchEngine(a.out).more_like_this(
-            a.conv_id, a.turn_idx, scope=a.scope, offset=a.offset,
-            limit=a.limit, max_terms=a.max_terms,
-        )
-        print(
-            json.dumps(
-                {
-                    "result": resp["result"],
-                    "count": resp["count"],
-                    "error": resp["error"],
-                    "data": resp["data"].to_pylist(),
-                },
-                default=str,
-            )
-        )
     elif a.cmd == "stats":
         from .stats import statistics
 
@@ -1240,31 +312,18 @@ def main(argv: list[str] | None = None) -> int:
 
             print(json.dumps(reindex_conversations(
                 a.out, list(a.conv), input_paths=a.input)))
-    elif a.cmd == "delete":
+    elif a.cmd in ("delete", "update"):
+        from .pipelines import delta, shard
+
+        rewrite = (a.pattern, a.replacement) if a.cmd == "update" else ()
+        kw = {"scope": a.scope, "conjunctive": a.conjunctive}
         if a.shards > 1:
-            from .pipelines.shard import delete_by_query_sharded
-
-            print(json.dumps(delete_by_query_sharded(
-                a.out, a.shards, a.query, scope=a.scope,
-                conjunctive=a.conjunctive)))
+            fn = (shard.update_by_query_sharded if rewrite
+                  else shard.delete_by_query_sharded)
+            print(json.dumps(fn(a.out, a.shards, a.query, *rewrite, **kw)))
         else:
-            from .pipelines.delta import delete_by_query
-
-            print(json.dumps(delete_by_query(
-                a.out, a.query, scope=a.scope, conjunctive=a.conjunctive)))
-    elif a.cmd == "update":
-        if a.shards > 1:
-            from .pipelines.shard import update_by_query_sharded
-
-            print(json.dumps(update_by_query_sharded(
-                a.out, a.shards, a.query, a.pattern, a.replacement,
-                scope=a.scope, conjunctive=a.conjunctive)))
-        else:
-            from .pipelines.delta import update_by_query
-
-            print(json.dumps(update_by_query(
-                a.out, a.query, a.pattern, a.replacement,
-                scope=a.scope, conjunctive=a.conjunctive)))
+            fn = delta.update_by_query if rewrite else delta.delete_by_query
+            print(json.dumps(fn(a.out, a.query, *rewrite, **kw)))
     elif a.cmd == "compact":
         _init_ray()
         if a.shards > 1:

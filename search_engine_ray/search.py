@@ -83,41 +83,6 @@ def _decode_pos_blobs(blobs, tf: np.ndarray) -> np.ndarray:
 _QUOTE_RE = re.compile(r'"([^"]*)"')
 
 
-def parse_synonyms_arg(s: str | None) -> dict[str, list[str]] | None:
-    """CLI/HTTP synonym-mapping syntax: ``key=v1|v2;key2=v3`` ->
-    {key: [v1, v2], key2: [v3]}. Empty/None -> None (no expansion)."""
-    if not s:
-        return None
-    out: dict[str, list[str]] = {}
-    for part in s.split(";"):
-        part = part.strip()
-        if not part or "=" not in part:
-            continue
-        key, _, vals = part.partition("=")
-        out[key.strip()] = [v.strip() for v in vals.split("|") if v.strip()]
-    return out or None
-
-
-def parse_boosts_arg(s: str | None) -> dict[str, float] | None:
-    """CLI/HTTP boost syntax: ``term=2.5;other=0.5`` -> {term: 2.5,
-    other: 0.5}. Empty/None -> None (no boosting); unparseable weights
-    are kept as strings so ``search`` reports ``bad_boosts`` instead of
-    silently dropping them."""
-    if not s:
-        return None
-    out: dict[str, object] = {}
-    for part in s.split(";"):
-        part = part.strip()
-        if not part or "=" not in part:
-            continue
-        key, _, val = part.partition("=")
-        try:
-            out[key.strip()] = float(val.strip())
-        except ValueError:
-            out[key.strip()] = val.strip()
-    return out or None
-
-
 def decay_params(decay, ts_us_fn) -> tuple | None:
     """Validate a ``search(decay=...)`` spec and fold its shape constant
     to one float64 — ``(shape, origin_f, c1, off_s)`` — or None when
@@ -182,25 +147,6 @@ def parse_agg_ranges(ranges, field: str, ts_us_fn):
     except (TypeError, ValueError):
         return None
     return bounds
-
-
-def parse_kv_arg(s: str | None) -> dict | None:
-    """CLI/HTTP decay syntax:
-    ``origin=2026-01-02T00:00:00;scale=86400;shape=gauss;rate=0.5;offset=0``
-    -> the ``search(decay=...)`` dict. Empty/None -> None (no decay);
-    values pass through as strings (``search`` validates and reports
-    ``bad_decay`` for anything malformed — scale/rate/offset accept
-    numeric strings there via ``float()``)."""
-    if not s:
-        return None
-    out: dict[str, str] = {}
-    for part in s.split(";"):
-        part = part.strip()
-        if not part or "=" not in part:
-            continue
-        key, _, val = part.partition("=")
-        out[key.strip()] = val.strip()
-    return out or None
 
 
 def parse_boolean_query(text: str) -> tuple[list[str], str, str]:

@@ -1,125 +1,42 @@
-"""HTTP/JSON serving layer — the analog of the reference's REST surface
-(``/root/reference/src/main/java/searchengine/controllers/ApiController.java:20-47``)
-as a dependency-free stdlib ``http.server`` wrapper over the Python API:
+"""HTTP/JSON serving layer: the analog of the reference's REST surface
+(``ApiController.java:20-47``) as a dependency-free stdlib ``http.server``
+over one ``SearchEngine``.
 
-- ``GET /api/search?query=...[&site=<scope>][&offset=N][&limit=N]
-  [&mode=bm25|reference|phrase|phrase_prefix|near|prefix|wildcard|regexp|fuzzy|auto][&window=W][&fuzzy=D][&within_first=N]
-  [&after=<score>,<conv_id>,<turn_idx>][&snippets=1]
-  [&collapse=M][&group=conv][&negative=...&negative_boost=0.5]
-  [&decay=origin%3DISO%3Bscale%3DSECONDS[%3Bshape%3D...][%3Brate%3D...]]``
-  — ``SearchEngine.search``
-  (the reference's ``site`` parameter maps to this engine's ``scope``:
-  a role value or ``tool:<name>``; ``collapse=M`` keeps at most M turns
-  per conversation; ``group=conv`` ranks conversations by their best
-  matching turn via ``SearchEngine.search_conversations``).
-- ``GET /api/mlt?conv=<conv_id>&turn=<turn_idx>[&site=<scope>][&limit=N]
-  [&max_terms=M]`` — ``SearchEngine.more_like_this``: rank documents
-  similar to one turn (its top tf·idf lemmas as a disjunctive BM25
-  query, probe excluded).
-- ``GET /api/facets?query=...[&site=<scope>][&conjunctive=1][&by=role,tool,day]``
-  — ``SearchEngine.facets``: per-role/per-tool matching-doc counts over
-  the FULL result set (faceted navigation); ``by=day`` adds the
-  per-UTC-calendar-day date histogram.
-- ``GET /api/metrics?query=...[&site=<scope>][&conjunctive=1]
-  [&exclude=...][&ts_min=&ts_max=][&fields=doc_len,ts]`` —
-  ``SearchEngine.metrics``: stats + exact nearest-rank percentiles of
-  doc_len / epoch-µs ts over the query's FULL matching set (the ES
-  ``stats`` / ``percentiles`` aggregations on a query).
-- ``GET /api/cardinality?query=...[&fields=conv,role][&site=][&conjunctive=1]
-  [&exclude=][&ts_min=&ts_max=]`` — ``SearchEngine.cardinality``: exact
-  distinct-value counts (ES ``cardinality`` aggregation) over the
-  matching set; fields conv / role / tool / day / doc_len / ts.
-- ``GET /api/disMax?q=<sub1>&q=<sub2>...[&tie=T][&site=<scope>][&offset=N][&limit=N]``
-- ``GET /api/tophits?query=...[&by=role|tool][&per_group=M]
-  [&site=<scope>][&conjunctive=1][&exclude=...][&ts_min=&ts_max=]`` —
-  ``SearchEngine.top_hits``: the M best-scoring matching turns per
-  role/tool value (the ES ``top_hits`` sub-aggregation under a
-  ``terms`` bucket).
-- ``GET /api/explain?query=...&conv=<conv_id>&turn=<turn_idx>`` —
-  ``SearchEngine.explain``: per-term BM25 score breakdown for ONE
-  document (the ES ``_explain`` API); ``total`` is bit-identical to
-  ``search()``'s score for that doc.
-- ``GET /api/complete?prefix=...[&k=K]`` — ``SearchEngine.complete``:
-  completion suggester (suggest-as-you-type) — top-k vocabulary lemmas
-  for the prefix, ranked (df DESC, lemma ASC).
-- ``GET /api/analyze?text=...`` — ``SearchEngine.analyze``: analysis
-  introspection (the ES ``_analyze`` API) — (pos, token, lemma) per
-  surviving token of the index's analyzer chain.
-- ``GET /api/histogram?query=...[&field=doc_len|ts][&interval=N]
-  [&site=<scope>][&conjunctive=1]`` — ``SearchEngine.histogram``:
-  fixed-interval numeric bucket counts over the matching set (the ES
-  ``histogram`` aggregation).
-- ``GET /api/percentileRanks?query=...&values=8,16[&field=]`` — inverse
-  percentiles (ES ``percentile_ranks``).
-- ``GET /api/rangeAgg?query=...&ranges=<json [[from,to],...]>[&field=]``
-  — custom-boundary bucket counts (ES ``range``/``date_range`` agg);
-  ``null`` = open side, ``to`` exclusive, all buckets emitted.
-- ``GET /api/extendedStats?query=...[&site=]`` — per-field extended stats
-- ``GET /api/matrixStats?query=...[&site=]`` — doc_len x ts
-  covariance/correlation over the matching set (ES ``matrix_stats``).
-- ``GET /api/mget?docs=<json [[conv,turn],...]>`` — batch point fetch
-  (ES ``_mget``); misses echo the key with found=false.
-- ``GET /api/histogramPipeline?query=...[&field=][&interval=][&window=]`` —
-  cumulative_sum / derivative / moving-avg pipeline aggs over the
-  gap-filled histogram.
-- ``GET /api/filtersAgg?filters=<json>[&query=base][&site=]`` — named
-  filter bucket counts (ES ``filters`` agg).
-- ``GET /api/adjacencyMatrix?filters=<json>[&site=]`` — filter
-  co-occurrence counts (ES ``adjacency_matrix``).
-- ``GET /api/didYouMean?query=...[&max_dist=D]`` —
-  ``SearchEngine.suggest_query``: whole-query did-you-mean (the ES
-  phrase-suggester shape) — per-token best vocabulary suggestion plus
-  the joined ``corrected`` query.
-- ``GET /api/composite?query=...[&size=N][&after_role=&after_tool=]
-  [&site=<scope>][&conjunctive=1]`` — ``SearchEngine.facets_composite``:
-  paged (role, tool) pair buckets of the matching set in composite key
-  order (the ES ``composite`` aggregation); ``after_key`` resumes.
-- ``GET /api/export?query=...&dest=<dir>[&site=<scope>][&conjunctive=1]
-  [&exclude=...][&ts_min=&ts_max=]`` — ``SearchEngine.export``: stream
-  every matching turn to partitioned Parquet under ``dest`` (the ES
-  scroll + reindex shape; a distributed Ray Data broadcast-semi-join
-  scan of the generation-correct text sources).
-- ``GET /api/termvectors?conv=<conv_id>&turn=<turn_idx>`` —
-  ``SearchEngine.termvectors``: per-document term statistics (the ES
-  ``_termvectors`` API) — every distinct lemma of the doc's current
-  text with tf, corpus df and doc length.
-- ``GET /api/rankEval?query=...[&site=<scope>][&k=K]`` —
-  ``SearchEngine.rank_eval``: the served top-k page scored against the
-  deterministic pseudo-assessor grading of the matching set (the ES
-  ``_rank_eval`` API) — integer metric cores plus P/R/MRR.
-- ``GET /api/significant?query=...[&site=<scope>][&conjunctive=1]
-  [&exclude=...][&ts_min=&ts_max=][&limit=K]`` —
-  ``SearchEngine.significant_terms``: lemmas most overrepresented in the
-  query's matching set vs the corpus background (JLH score; the fg scan
-  is a Ray Data job over the index segments; Ray auto-initialises in the
-  serving process on first use).
-- ``GET /api/rareTerms?query=...[&site=<scope>][&conjunctive=1]
-  [&max_doc_count=N][&limit=K]`` — ``SearchEngine.rare_terms``: the
-  matching set's long-tail lemmas with global df <= N, ranked df ASC
-  (the ES ``rare_terms`` bucket; same distributed scan as
-  /api/significant).
+The read endpoints are declared once, in ``surface.ENDPOINTS``, shared
+with the CLI: each entry names its path (``GET /api/search``,
+``/api/facets``, ``/api/metrics``, ... and ``POST /api/msearch``), its
+engine method and its parameters; its CLI subcommand takes the same
+parameters as ``--flags`` (``python -m search_engine_ray <cmd> -h``).
+The reference's ``site`` parameter maps to this engine's ``scope`` (a
+role value or ``tool:<name>``); ``site`` and ``scope`` are both accepted.
+A read answers ``{"result", "count", "error", [extra keys], "data"}``.
+
+Served by hand, because they have no engine method or no CLI twin:
+
+- ``GET /`` — a statistics-dashboard + search page (the reference's
+  ``templates/index.html``).
 - ``GET /api/statistics`` — :func:`search_engine_ray.stats.statistics`.
-- ``POST /api/msearch`` (JSON array body of search-request dicts) —
-  ``SearchEngine.msearch``: the ES ``_msearch`` batch surface; one
-  standard response per request, line-level errors in place.
-- ``POST /api/indexPage?conv=<conv_id>`` — incremental re-index
-  (``pipelines/delta.reindex_conversations``); the served engine reloads
-  on success so the new generation is visible to the next query.
-- ``POST /api/updateByQuery?query=...&pattern=...&replacement=...
-  [&site=<scope>][&conjunctive=1]`` — update-by-query
-  (``pipelines/delta.update_by_query``; ES ``_update_by_query`` parity):
-  every matching turn's text is regex-rewritten via a delta generation
-  whose stored ``source.parquet`` becomes the convs' text source; the
-  served engine reloads on success.
-- ``POST /api/deleteByQuery?query=...[&site=<scope>][&conjunctive=1]``
-  — delete-by-query (``pipelines/delta.delete_by_query``; the ES
-  ``_delete_by_query`` parity op): every matching turn is tombstoned via
-  a delta generation and the served engine reloads on success; the next
-  compaction folds the delete into the base.
 - ``GET /api/stopIndexing`` — cooperative build cancel: writes the stop
-  flag that a running ``build_index`` on the same out_dir honors between
-  batches (``IndexationServiceImpl.java:52-63`` semantics; in-flight
-  partitions mark FAILED and the build stays resumable).
+  flag a running ``build_index`` on the same out_dir honors between
+  batches (``IndexationServiceImpl.java:52-63``; in-flight partitions
+  mark FAILED and the build stays resumable).
+- ``POST /api/indexPage?conv=<conv_id>`` — incremental re-index
+  (``pipelines/delta.reindex_conversations``).
+- ``POST /api/updateByQuery?query=&pattern=&replacement=[&site=]
+  [&conjunctive=1]`` — regex-rewrite every matching turn's text through a
+  delta generation (ES ``_update_by_query``).
+- ``POST /api/deleteByQuery?query=[&site=][&conjunctive=1]`` — tombstone
+  every matching turn through a delta generation (ES
+  ``_delete_by_query``); the next compaction folds it into the base.
+
+After a mutation that wrote a generation the served engine reloads, so
+the next query sees it.
+
+Status codes: 200 for a successful answer; 400 for a refused request (a
+parameter that does not convert is ``bad_request``; see ``surface`` for
+the other refusals) and for an engine error response; 404
+``unknown_endpoint``; 500 ``internal_error`` for any other fault, whose
+traceback goes to the ``search_engine_ray.server`` logger.
 
 ``startIndexing`` is deliberately NOT served: a full build is a cluster
 job (the ``build`` CLI / ``pipelines.build.build_index``), not something
@@ -127,23 +44,26 @@ to fork from a request thread — the reference's in-process crawl thread
 (``IndexationServiceImpl.java:38-50``) has no safe analog on Ray.
 
 The server owns no Ray session; ``SearchEngine`` reads parquet footers
-and decodes blocks in-process. Handler threads share one engine: its
-post-init state is read-mostly (block/decode caches are idempotent
-per-key dict inserts, atomic under the GIL), and the engine swap after a
-re-index is a single attribute store.
+and decodes blocks in-process (the Ray Data scans of ``/api/export``,
+``/api/significant`` and ``/api/rareTerms`` auto-initialise Ray on first
+use). Handler threads share one engine: its post-init state is
+read-mostly, and the engine swap after a mutation is a single attribute
+store.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .search import (
-    SearchEngine, parse_boosts_arg, parse_kv_arg, parse_synonyms_arg,
-)
+from . import surface
+from .search import SearchEngine
 from .stats import statistics
+
+log = logging.getLogger(__name__)
 
 # Minimal statistics-dashboard + search page (the reference's
 # ``templates/index.html`` analog) — dependency-free, served at GET /;
@@ -240,6 +160,19 @@ loadStats();
 """
 
 
+# the mutating routes: (pipelines.delta function, its parameters)
+_MUTATIONS = {
+    "/api/indexPage": ("reindex_conversations", (
+        surface.P("conv_ids", "conv", nargs="+", conv=list,
+                  required="missing conv parameter"),)),
+    "/api/updateByQuery": ("update_by_query", (
+        surface.QUERY, surface.P("pattern", required="empty_query"),
+        surface.P("replacement", default=""), surface.SCOPE, surface.CONJ)),
+    "/api/deleteByQuery": ("delete_by_query",
+                           (surface.QUERY, surface.SCOPE, surface.CONJ)),
+}
+
+
 def make_server(out_dir: str, host: str = "127.0.0.1", port: int = 8080):
     """Build (without starting) a ThreadingHTTPServer serving ``out_dir``."""
     state = {"engine": SearchEngine(out_dir)}
@@ -249,730 +182,75 @@ def make_server(out_dir: str, host: str = "127.0.0.1", port: int = 8080):
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
-        def _send(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload, default=str).encode()
+        def _send(self, code: int, body: bytes, ctype: str = "application/json") -> None:
             self.send_response(code)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", ctype)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
         def do_GET(self):  # noqa: N802 (stdlib API)
-            # global malformed-parameter net: a garbage ts bound, a
-            # wrong-shaped cursor, a non-numeric size must produce a
-            # JSON error response, never a crashed connection
-            try:
-                self._do_get_inner()
-            except Exception as e:  # noqa: BLE001 — surface, don't die
-                try:
-                    self._send(
-                        400,
-                        {"result": False,
-                         "error": f"bad_request: {type(e).__name__}"},
-                    )
-                except Exception:  # noqa: BLE001 — client went away
-                    pass
-
-        def _do_get_inner(self):
-            u = urlparse(self.path)
-            q = parse_qs(u.query)
-            if u.path == "/":
-                body = _INDEX_HTML.encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "text/html; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                return
-            if u.path == "/api/search":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                collapse_s = (q.get("collapse") or [None])[0]
-                if (q.get("group") or ["turn"])[0] in ("conv", "conversation"):
-                    resp = state["engine"].search_conversations(
-                        query,
-                        scope=(q.get("site") or q.get("scope") or [None])[0],
-                        offset=int((q.get("offset") or ["0"])[0]),
-                        limit=int((q.get("limit") or ["10"])[0]),
-                    )
-                else:
-                    resp = state["engine"].search(
-                        query,
-                        scope=(q.get("site") or q.get("scope") or [None])[0],
-                        offset=int((q.get("offset") or ["0"])[0]),
-                        limit=int((q.get("limit") or ["10"])[0]),
-                        mode=(q.get("mode") or ["bm25"])[0],
-                        with_snippets=(
-                            "full"
-                            if (q.get("snippets") or ["0"])[0] == "full"
-                            else (q.get("snippets") or ["0"])[0] in ("1", "true")
-                        ),
-                        near_window=int((q.get("window") or ["8"])[0]),
-                        in_order=(q.get("in_order") or ["0"])[0] in ("1", "true"),
-                        within_first=(
-                            int((q.get("within_first") or ["0"])[0]) or None
-                        ),
-                        fuzzy_dist=int((q.get("fuzzy") or ["1"])[0]),
-                        exclude=(q.get("exclude") or [None])[0],
-                        negative=(q.get("negative") or [None])[0],
-                        negative_boost=float(
-                            (q.get("negative_boost") or ["0.5"])[0]
-                        ),
-                        ts_min=(q.get("ts_min") or [None])[0],
-                        ts_max=(q.get("ts_max") or [None])[0],
-                        collapse=int(collapse_s) if collapse_s else None,
-                        order_by=(q.get("order") or ["score"])[0],
-                        search_after=(
-                            tuple((q.get("after") or [""])[0].split(",", 2))
-                            if q.get("after") else None
-                        ),
-                        synonyms=parse_synonyms_arg(
-                            (q.get("synonyms") or [None])[0]
-                        ),
-                        boosts=parse_boosts_arg(
-                            (q.get("boost") or [None])[0]
-                        ),
-                        decay=parse_kv_arg(
-                            (q.get("decay") or [None])[0]
-                        ),
-                        rescore=parse_kv_arg(
-                            (q.get("rescore") or [None])[0]
-                        ),
-                    )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/mlt":
-                conv = (q.get("conv") or [""])[0]
-                if not conv:
-                    self._send(400, {"result": False, "error": "not_found"})
-                    return
-                resp = state["engine"].more_like_this(
-                    conv,
-                    int((q.get("turn") or ["0"])[0]),
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    offset=int((q.get("offset") or ["0"])[0]),
-                    limit=int((q.get("limit") or ["10"])[0]),
-                    max_terms=int((q.get("max_terms") or ["25"])[0]),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/facets":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].facets(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                    by=(q.get("by") or ["role,tool"])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/metrics":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].metrics(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                    fields=(q.get("fields") or ["doc_len,ts"])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/cardinality":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].cardinality(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                    fields=(q.get("fields") or ["conv"])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/disMax":
-                # repeated &q= params are the subqueries
-                subs = q.get("q") or []
-                try:
-                    tb = float((q.get("tie") or ["0.0"])[0])
-                except ValueError:
-                    self._send(400, {"result": False, "error": "bad_dis_max"})
-                    return
-                resp = state["engine"].dis_max(
-                    subs,
-                    tie_breaker=tb,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    offset=int((q.get("offset") or ["0"])[0]),
-                    limit=int((q.get("limit") or ["10"])[0]),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/tophits":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].top_hits(
-                    query,
-                    by=(q.get("by") or ["role"])[0],
-                    per_group=int((q.get("per_group") or ["3"])[0]),
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/explain":
-                query = (q.get("query") or [""])[0]
-                conv = (q.get("conv") or [""])[0]
-                if not query or not conv:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].explain(
-                    query, conv, int((q.get("turn") or ["0"])[0])
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "total": resp["total"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/complete":
-                prefix = (q.get("prefix") or [""])[0]
-                resp = state["engine"].complete(
-                    prefix, k=int((q.get("k") or ["10"])[0])
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/analyze":
-                text = (q.get("text") or [""])[0]
-                resp = state["engine"].analyze(text)
-                self._send(
-                    200,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/histogram":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].histogram(
-                    query,
-                    field=(q.get("field") or ["doc_len"])[0],
-                    interval=int((q.get("interval") or ["10"])[0]),
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/mget":
-                import json as _json
-
-                try:
-                    docs = _json.loads((q.get("docs") or ["[]"])[0])
-                    assert isinstance(docs, list) and docs
-                except Exception:
-                    self._send(400, {"result": False, "error": "bad_docs"})
-                    return
-                resp = state["engine"].mget(docs)
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/rangeAgg":
-                import json as _json
-
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                try:
-                    ranges = _json.loads((q.get("ranges") or ["[]"])[0])
-                    assert isinstance(ranges, list) and ranges
-                except Exception:
-                    self._send(400, {"result": False, "error": "bad_ranges"})
-                    return
-                resp = state["engine"].range_agg(
-                    query,
-                    ranges,
-                    field=(q.get("field") or ["doc_len"])[0],
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/matrixStats":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].matrix_stats(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/extendedStats":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].extended_stats(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/percentileRanks":
-                query = (q.get("query") or [""])[0]
-                vals = [v for v in (q.get("values") or [""])[0].split(",") if v]
-                if not query or not vals:
-                    self._send(400, {"result": False, "error": "bad_values"})
-                    return
-                resp = state["engine"].percentile_ranks(
-                    query, vals,
-                    field=(q.get("field") or ["doc_len"])[0],
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/histogramPipeline":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].histogram_pipeline(
-                    query,
-                    field=(q.get("field") or ["doc_len"])[0],
-                    interval=int((q.get("interval") or ["10"])[0]),
-                    window=int((q.get("window") or ["3"])[0]),
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path in ("/api/filtersAgg", "/api/adjacencyMatrix"):
-                import json as _json
-
-                try:
-                    flt = _json.loads((q.get("filters") or ["{}"])[0])
-                    assert isinstance(flt, dict) and flt
-                except Exception:
-                    self._send(400, {"result": False, "error": "bad_filters"})
-                    return
-                scope = (q.get("site") or q.get("scope") or [None])[0]
-                conj = (q.get("conjunctive") or ["0"])[0] in ("1", "true")
-                if u.path == "/api/filtersAgg":
-                    resp = state["engine"].filters_agg(
-                        flt, query_text=(q.get("query") or [None])[0],
-                        scope=scope, conjunctive=conj,
-                    )
-                else:
-                    resp = state["engine"].adjacency_matrix(
-                        flt, scope=scope, conjunctive=conj,
-                    )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/didYouMean":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].suggest_query(
-                    query, max_dist=int((q.get("max_dist") or ["2"])[0])
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "corrected": resp["corrected"],
-                        "changed": resp["changed"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/composite":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                ar = (q.get("after_role") or [None])[0]
-                after = (ar, (q.get("after_tool") or [""])[0]) if ar is not None else None
-                resp = state["engine"].facets_composite(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    size=int((q.get("size") or ["10"])[0]),
-                    after=after,
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "after_key": resp["after_key"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/export":
-                query = (q.get("query") or [""])[0]
-                dest = (q.get("dest") or [""])[0]
-                if not query or not dest:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].export(
-                    query, dest,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "path": resp["path"],
-                        "error": resp["error"],
-                    },
-                )
-            elif u.path == "/api/termvectors":
-                conv = (q.get("conv") or [""])[0]
-                if not conv:
-                    self._send(400, {"result": False, "error": "not_found"})
-                    return
-                resp = state["engine"].termvectors(
-                    conv, int((q.get("turn") or ["0"])[0])
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/rankEval":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].rank_eval(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    k=int((q.get("k") or ["10"])[0]),
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "precision": resp["precision"],
-                        "recall": resp["recall"],
-                        "mrr": resp["mrr"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/significant":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].significant_terms(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    k=int((q.get("limit") or ["10"])[0]),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/rareTerms":
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                resp = state["engine"].rare_terms(
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                    k=int((q.get("limit") or ["10"])[0]),
-                    max_doc_count=int((q.get("max_doc_count") or ["10"])[0]),
-                    exclude=(q.get("exclude") or [None])[0],
-                    ts_min=(q.get("ts_min") or [None])[0],
-                    ts_max=(q.get("ts_max") or [None])[0],
-                )
-                self._send(
-                    200 if resp["result"] else 400,
-                    {
-                        "result": resp["result"],
-                        "count": resp["count"],
-                        "error": resp["error"],
-                        "data": resp["data"].to_pylist(),
-                    },
-                )
-            elif u.path == "/api/statistics":
-                self._send(200, statistics(out_dir))
-            elif u.path == "/api/stopIndexing":
-                from .pipelines import build as build_mod
-
-                self._send(200, build_mod.request_stop(out_dir))
-            else:
-                self._send(404, {"result": False, "error": "unknown_endpoint"})
+            self._handle("GET")
 
         def do_POST(self):  # noqa: N802
-            try:
-                self._do_post_inner()
-            except Exception as e:  # noqa: BLE001 — surface, don't die
-                try:
-                    self._send(
-                        400,
-                        {"result": False,
-                         "error": f"bad_request: {type(e).__name__}"},
-                    )
-                except Exception:  # noqa: BLE001 — client went away
-                    pass
+            self._handle("POST")
 
-        def _do_post_inner(self):
+        def _handle(self, verb: str) -> None:
             u = urlparse(self.path)
-            q = parse_qs(u.query)
-            if u.path == "/api/msearch":
-                # ES POST _msearch parity: JSON array body of request
-                # dicts ({"query": ..., plus any search() parameter});
-                # line-level errors come back in place, the batch never
-                # aborts
-                try:
+            ctype = "application/json"
+            try:
+                if verb == "GET" and u.path == "/":
+                    code, body, ctype = 200, _INDEX_HTML.encode(), "text/html; charset=utf-8"
+                else:
+                    code, payload = self._route(verb, u.path, parse_qs(u.query))
+                    body = json.dumps(payload, default=str).encode()
+            except Exception:  # noqa: BLE001 — a server fault, not the client's
+                log.exception("%s %s failed", verb, self.path)
+                code, body = 500, b'{"result": false, "error": "internal_error"}'
+            try:
+                self._send(code, body, ctype)
+            except OSError:  # the client went away
+                pass
+
+        def _raw(self, q: dict):
+            """The raw value of a surface parameter in this request."""
+            def raw(p):
+                if p.body:
                     n = int(self.headers.get("Content-Length") or 0)
-                    body = json.loads(self.rfile.read(n) or b"[]")
-                    assert isinstance(body, list)
-                except Exception:
-                    self._send(400, {"result": False, "error": "bad_body"})
-                    return
-                resps = state["engine"].msearch(body)
-                self._send(
-                    200,
-                    {
-                        "result": True,
-                        "responses": [
-                            {
-                                "result": r["result"],
-                                "count": r["count"],
-                                "error": r["error"],
-                                "data": r["data"].to_pylist(),
-                            }
-                            for r in resps
-                        ],
-                    },
-                )
-            elif u.path == "/api/indexPage":
-                convs = q.get("conv") or []
-                if not convs:
-                    self._send(400, {"result": False, "error": "missing conv parameter"})
-                    return
+                    return self.rfile.read(n) or surface.MISSING
+                for name in p.http:
+                    if name in q:
+                        return q[name] if p.nargs == "+" else q[name][0]
+                return surface.MISSING
+
+            return raw
+
+        def _route(self, verb: str, path: str, q: dict) -> tuple[int, dict]:
+            eps = surface.HTTP.get((verb, path))
+            if eps:
+                payload = surface.answer(eps, lambda ep: state["engine"], self._raw(q))
+                return (200 if payload["result"] else 400), payload
+            if verb == "GET" and path == "/api/statistics":
+                return 200, statistics(out_dir)
+            if verb == "GET" and path == "/api/stopIndexing":
+                from .pipelines import build as build_mod
+
+                return 200, build_mod.request_stop(out_dir)
+            if verb == "POST" and path in _MUTATIONS:
                 from .pipelines import delta as delta_mod
 
-                resp = delta_mod.reindex_conversations(out_dir, convs)
-                if resp["result"]:
+                fn, params = _MUTATIONS[path]
+                try:
+                    kw = surface.kwargs(params, self._raw(q))
+                except surface.Refused as r:
+                    return 400, {"result": False, "error": r.error}
+                resp = getattr(delta_mod, fn)(out_dir, **kw)
+                # a no-match update/delete writes no generation
+                if resp["result"] and resp.get("generations", True):
                     with lock:  # new generation -> reload overlay state
                         state["engine"] = SearchEngine(out_dir)
-                self._send(200 if resp["result"] else 400, resp)
-            elif u.path == "/api/updateByQuery":
-                # ES POST _update_by_query parity: regex-rewrite every
-                # matching turn's text (delta generation; compaction folds)
-                query = (q.get("query") or [""])[0]
-                pattern = (q.get("pattern") or [""])[0]
-                if not query or not pattern:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                from .pipelines import delta as delta_mod
-
-                resp = delta_mod.update_by_query(
-                    out_dir,
-                    query,
-                    pattern,
-                    (q.get("replacement") or [""])[0],
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                if resp["result"] and resp["generations"]:
-                    with lock:  # new generation -> reload overlay state
-                        state["engine"] = SearchEngine(out_dir)
-                self._send(200 if resp["result"] else 400, resp)
-            elif u.path == "/api/deleteByQuery":
-                # ES POST _delete_by_query parity: tombstone every turn
-                # matching the query (delta generation; compaction folds)
-                query = (q.get("query") or [""])[0]
-                if not query:
-                    self._send(400, {"result": False, "error": "empty_query"})
-                    return
-                from .pipelines import delta as delta_mod
-
-                resp = delta_mod.delete_by_query(
-                    out_dir,
-                    query,
-                    scope=(q.get("site") or q.get("scope") or [None])[0],
-                    conjunctive=(q.get("conjunctive") or ["0"])[0] in ("1", "true"),
-                )
-                if resp["result"] and resp["generations"]:
-                    with lock:  # new generation -> reload overlay state
-                        state["engine"] = SearchEngine(out_dir)
-                self._send(200 if resp["result"] else 400, resp)
-            else:
-                self._send(404, {"result": False, "error": "unknown_endpoint"})
+                return (200 if resp["result"] else 400), resp
+            return 404, {"result": False, "error": "unknown_endpoint"}
 
     return ThreadingHTTPServer((host, port), Handler)
 

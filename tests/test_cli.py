@@ -289,3 +289,24 @@ def test_cli_build_search_stats(tiny_corpus, tmp_path):
     assert dl["result"] and dl["deleted"] == dcount and dl["generations"]
     r3 = _run(["search", probe2, "--out", out, "--limit", "1"])
     assert r3["result"] and r3["count"] == 0
+
+
+def test_cli_group_by_conv_rejects_turn_parameters(tiny_index, capsys):
+    """--group-by-conv refuses a search flag conversation grouping does
+    not take (bad_group, exit 1) and passes --conjunctive through."""
+    from search_engine_ray import datagen
+    from search_engine_ray.__main__ import main
+
+    out, hot = tiny_index["out_dir"], datagen.stem(0)
+    for extra in (["--ts-min", "2026-01-02"], ["--exclude", datagen.stem(1)],
+                  ["--snippets"], ["--mode", "phrase"]):
+        assert main(["search", hot, "--out", out, "--group-by-conv", *extra]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "result": False, "error": "bad_group"}
+    q = f"{hot} {datagen.stem(1)}"
+    assert main(["search", q, "--out", out, "--group-by-conv"]) == 0
+    anyterm = json.loads(capsys.readouterr().out)
+    assert main(["search", q, "--out", out, "--group-by-conv", "--conjunctive"]) == 0
+    both = json.loads(capsys.readouterr().out)
+    assert both["result"] and 0 < both["count"] < anyterm["count"]
+    assert {"conv_id", "n_turns", "best_turn_idx", "score"} <= set(both["data"][0])

@@ -8,9 +8,12 @@ import threading
 import urllib.error
 import urllib.request
 
+import logging
+
 import pytest
 
 from search_engine_ray import datagen
+from search_engine_ray.search import SearchEngine
 from search_engine_ray.server import make_server
 
 
@@ -34,6 +37,15 @@ def served(ray_session, tiny_index, tmp_path_factory):
 def _get(url: str):
     with urllib.request.urlopen(url) as r:
         return r.status, json.loads(r.read())
+
+
+def _err(url: str):
+    """-> (status, error) of a request that must fail."""
+    try:
+        urllib.request.urlopen(url)
+    except urllib.error.HTTPError as e:
+        return e.code, json.loads(e.read())["error"]
+    raise AssertionError("expected an HTTP error")
 
 
 def test_search_endpoint(served):
@@ -116,6 +128,41 @@ def test_search_endpoint_bad_scope(served):
     except urllib.error.HTTPError as e:
         assert e.code == 400
         assert json.loads(e.read())["error"] == "bad_scope"
+
+
+def test_group_conv_rejects_turn_parameters(served):
+    """group=conv ranks conversations with search_conversations, which
+    takes scope, page and conjunctive only: any other search parameter
+    is refused (bad_group), not silently dropped; conjunctive applies."""
+    base, _ = served
+    hot, other = datagen.stem(0), datagen.stem(1)
+    for extra in (f"&exclude={other}", "&ts_min=2026-01-02", "&mode=phrase",
+                  "&snippets=1", "&collapse=1", "&order=ts_desc"):
+        assert _err(f"{base}/api/search?query={hot}&group=conv{extra}") == (
+            400, "bad_group"), extra
+    _, anyterm = _get(f"{base}/api/search?query={hot}+{other}&group=conv")
+    code, both = _get(f"{base}/api/search?query={hot}+{other}&group=conv&conjunctive=1")
+    assert code == 200 and both["result"] and 0 < both["count"] < anyterm["count"]
+    assert {"conv_id", "n_turns", "best_turn_idx", "score"} <= set(both["data"][0])
+
+
+def test_bad_parameter_is_400_and_server_fault_is_500(served, monkeypatch, caplog):
+    """A parameter that does not convert is the client's fault (400
+    bad_request); an exception inside the engine is the server's (500
+    internal_error, traceback logged)."""
+    base, _ = served
+    hot = datagen.stem(0)
+    assert _err(f"{base}/api/search?query={hot}&limit=ten") == (400, "bad_request")
+    assert _err(f"{base}/api/histogram?query={hot}&interval=1.5") == (400, "bad_request")
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(SearchEngine, "facets", boom)
+    with caplog.at_level(logging.ERROR, logger="search_engine_ray.server"):
+        assert _err(f"{base}/api/facets?query={hot}") == (500, "internal_error")
+    assert any(r.exc_info and "engine fault" in str(r.exc_info[1])
+               for r in caplog.records)
 
 
 def test_statistics_endpoint(served):
@@ -309,6 +356,8 @@ def test_filter_agg_endpoints(served):
     code, got = _get(
         f"{base}/api/search?query={hot}&mode=phrase&within_first=4&limit=3")
     assert code == 200 and got["result"] and got["count"] > 0
+    assert _err(f"{base}/api/search?query={hot}&mode=phrase&within_first=0"
+                ) == (400, "bad_within_first")
     from urllib.parse import quote as _quote
 
     docs = _quote('[["conv-00000000", 0], ["conv-99999999", 0]]')
