@@ -399,6 +399,13 @@ def _override_pairs(
     for pths, cids in groups.items():
         cids = sorted(cids)
         ranks = np.searchsorted(convs_np, np.asarray(cids, dtype=object))
+        absent = [c for c, r in zip(cids, ranks)
+                  if r == len(convs_np) or convs_np[r] != c]
+        if absent:
+            # a searchsorted rank of an absent conv is ANOTHER conv's:
+            # its rows would land in that conv's docid range
+            raise ValueError(
+                f"text overrides name conversations absent from the base: {absent[:5]}")
         rank_of = {c: int(r) for c, r in zip(cids, ranks)}
         # DNF-pruned read, capped at 1024 disjuncts (the _load_deltas /
         # _base_old_counts convention — a thousand-way filter expression

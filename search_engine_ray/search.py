@@ -276,6 +276,9 @@ def _pair_adjacency(
 # and 'reference' are handled natively; ``search(mode=<name>)``
 # dispatches to a registered scorer for any other mode.
 SCORERS: dict[str, object] = {}
+# the modes ``search`` implements itself; registered scorers add more
+MODES = ("bm25", "reference", "phrase", "phrase_prefix", "prefix", "wildcard",
+         "regexp", "fuzzy", "near", "auto")
 
 
 def register_scorer(name: str):
@@ -415,6 +418,8 @@ class Aggregations:
         to its constants."""
         if not self.valid_scope(scope):
             return "bad_scope", None
+        if not isinstance(mode, str) or (mode not in MODES and mode not in SCORERS):
+            return "unknown_mode", None
         if search_after is not None and (
             offset != 0 or order_by != "score"
             or not isinstance(search_after, (tuple, list))
@@ -916,6 +921,8 @@ class SearchEngine(Aggregations):
         self._delta_text_paths: dict[str, list[str]] = dict(
             m.get("text_overrides") or {}
         )
+        # text source file -> its docid locator (_text_locator)
+        self._text_locs: dict[str, tuple] = {}
         # the term dictionary (J2): lemma -> df. Preloaded as a dict only
         # while the vocabulary is small; above the threshold each query
         # point-reads its lemmas via row-group stats on the lemma-sorted
@@ -2292,17 +2299,16 @@ class SearchEngine(Aggregations):
         meta: dict[int, tuple] = {}
         if len(found_ids):
             enr = self._enrich(found_ids, np.zeros(len(found_ids)), [], False)
-            for did, r in zip(found_ids, enr.to_pylist()):
-                meta[int(did)] = (r["role"], r["tool"], r["ts"])
+            texts = self._texts(found_ids, enr.column("conv_id").to_pylist())
+            for did, r, x in zip(found_ids, enr.to_pylist(), texts):
+                meta[int(did)] = (r["role"], r["tool"], r["ts"], x or "")
         rows = []
         n_found = 0
         for (c, t), did in zip(pairs, dids):
             if did is None or int(did) not in meta:
                 rows.append((c, t, False, None, None, None, None))
                 continue
-            role, tool, ts = meta[int(did)]
-            rows.append((c, t, True, role, tool, ts,
-                         self._text_of(c, t) or ""))
+            rows.append((c, t, True, *meta[int(did)]))
             n_found += 1
         tbl = pa.table({
             "conv_id": pa.array([r[0] for r in rows], pa.string()),
@@ -2802,7 +2808,7 @@ class SearchEngine(Aggregations):
             alive = t.num_rows > 0
         if not alive:
             return {**self._resp(error="not_found"), "data": empty}
-        text = self._text_of(conv_id, turn_idx) or ""
+        text = self._texts(ids, [conv_id])[0] or ""
         res = self._analyzer.analyze_batch(pa.array([text], pa.string()), {})
         _idx, lemmas, tfs, dlen = res[0], res[1], res[2], res[3]
         if not len(lemmas):
@@ -3618,22 +3624,75 @@ class SearchEngine(Aggregations):
             return None
         return (idx << TURN_BITS) | turn_idx
 
-    def _text_of(self, conv_id: str, turn_idx: int) -> str | None:
-        """One turn's text, or None when absent — a predicate-pushdown
-        point read of the transcripts parquet (the snippet path's
-        lookup, narrowed to one (conv, turn)); re-indexed conversations
-        read from their delta generation's input files, so the text
-        always matches the CURRENT index view."""
-        dpaths = getattr(self, "_delta_text_paths", {})
-        paths = list(dpaths.get(conv_id) or self.transcripts_paths)
-        t = pads.dataset(paths).to_table(
-            filter=(pads.field("conv_id") == str(conv_id))
-            & (pads.field("turn_idx") == int(turn_idx)),
-            columns=["text"],
+    def _text_locator(self, path: str) -> tuple:
+        """(open ParquetFile, docids, row groups, rows) for one text source
+        file: docid-sorted numpy arrays giving where each turn's row sits,
+        built from the file's conv_id/turn_idx columns on first touch
+        (16 B per turn). A (conv_id, turn_idx) written twice keeps its
+        LAST row. Rows of conversations outside the base have no docid
+        and are left out (re-indexing keeps conv ranks, delta.py). Built
+        in full before one dict store publishes it: handler threads share
+        the engine and must never see half a locator."""
+        loc = self._text_locs.get(path)
+        if loc is not None:
+            return loc
+        pf = pq.ParquetFile(path)
+        t = pf.read(columns=["conv_id", "turn_idx"], use_threads=False)
+        convs = (
+            self._fwd[3] if self._fwd is not None
+            else build_mod._load_sorted_convs(self.out_dir)
         )
-        if not t.num_rows:
-            return None
-        return t.column("text")[0].as_py() or ""
+        rank = pc.fill_null(pc.index_in(t.column("conv_id"), value_set=convs), -1)
+        rank = rank.to_numpy().astype(np.int64)
+        turn = t.column("turn_idx").to_numpy().astype(np.int64)
+        row = np.flatnonzero((rank >= 0) & (turn >= 0) & (turn < (1 << TURN_BITS)))
+        docids = (rank[row] << TURN_BITS) | turn[row]
+        order = np.argsort(docids, kind="stable")
+        docids, row = docids[order], row[order]
+        last = np.append(docids[1:] != docids[:-1], True)
+        docids, row = docids[last], row[last]
+        starts = np.cumsum([0] + [pf.metadata.row_group(g).num_rows
+                                  for g in range(pf.num_row_groups)])
+        rg = np.searchsorted(starts, row, "right") - 1
+        loc = (pf, docids, rg.astype(np.int32), (row - starts[rg]).astype(np.int32))
+        self._text_locs[path] = loc
+        return loc
+
+    def _texts(self, ids: np.ndarray, conv_ids: list[str]) -> list[str | None]:
+        """The text of each doc ``ids[i]`` (of conversation
+        ``conv_ids[i]``), or None where its source holds no such turn.
+        Re-indexed conversations read their delta generation's input
+        files, everything else the build's, so the text always matches
+        the CURRENT index view; over several files the last one holding
+        a turn wins. A point read: the docids are looked up in each
+        file's locator and only the row groups holding them decode
+        their ``text`` column."""
+        ids = np.asarray(ids, np.int64)
+        dpaths = self._delta_text_paths
+        groups: dict[tuple, list[int]] = {}
+        for i, c in enumerate(conv_ids):
+            groups.setdefault(tuple(dpaths.get(c) or self.transcripts_paths), []).append(i)
+        where: dict[int, tuple[str, int, int]] = {}  # i -> (path, row group, row)
+        for paths, idx in groups.items():
+            want = ids[idx]
+            for p in paths:
+                _pf, docids, rgs, rows = self._text_locator(p)
+                if not len(docids):
+                    continue
+                pos = np.minimum(np.searchsorted(docids, want), len(docids) - 1)
+                for j in np.flatnonzero(docids[pos] == want):
+                    where[idx[j]] = (p, int(rgs[pos[j]]), int(rows[pos[j]]))
+        reads: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        for i, (p, g, r) in where.items():
+            reads.setdefault((p, g), []).append((i, r))
+        out: list[str | None] = [None] * len(ids)
+        for (p, g), hits in reads.items():
+            col = self._text_locs[p][0].read_row_group(
+                g, columns=["text"], use_threads=False).column(0)
+            vals = col.take(pa.array([r for _, r in hits], pa.int32())).to_pylist()
+            for (i, _), x in zip(hits, vals):
+                out[i] = x or ""
+        return out
 
     MLT_MAX_TERMS = 25
 
@@ -3670,7 +3729,8 @@ class SearchEngine(Aggregations):
         probe (conv_id, turn_idx) has no text in the current view."""
         if not self.valid_scope(scope):
             return self._resp(error="bad_scope")
-        text = self._text_of(conv_id, turn_idx)
+        src = self._cursor_docid(conv_id, turn_idx)
+        text = None if src is None else self._texts([src], [conv_id])[0]
         if text is None:
             return self._resp(error="not_found")
         analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
@@ -3693,9 +3753,8 @@ class SearchEngine(Aggregations):
         terms = self._live_terms(sel)
         if not terms:
             return self._resp(count=0)
-        src = self._cursor_docid(conv_id, turn_idx)
         ids, scores = self.score_exhaustive(terms, scope, False)
-        if src is not None and len(ids):
+        if len(ids):
             keep = ids != src
             ids, scores = ids[keep], scores[keep]
         count = len(ids)
@@ -3734,6 +3793,10 @@ class SearchEngine(Aggregations):
         pa.Table(conv_id, n_turns, best_turn_idx, score), 'error'}.
         Missing-lemma semantics match every other mode (any absent query
         lemma -> zero results)."""
+        err, params = self._search_params(scope, offset, limit)
+        if err:
+            return self._resp(error=err, schema=CONV_RESULT_SCHEMA)
+        offset, limit = params[:2]
         terms, resp = self._planned(query_text, scope, schema=CONV_RESULT_SCHEMA)
         if resp:
             return resp
@@ -5091,10 +5154,7 @@ class SearchEngine(Aggregations):
             count = len(ids)
             ids, scores = self._topk(ids, scores, k)
         elif mode != "bm25":
-            scorer = SCORERS.get(mode)
-            if scorer is None:
-                return self._resp(error="unknown_mode")
-            ids, scores, count = scorer(self, terms, k, scope, conjunctive)
+            ids, scores, count = SCORERS[mode](self, terms, k, scope, conjunctive)
         elif rescore_t is not None:
             # two-phase rescore: phase one = standard disjunctive
             # block-max BM25 top-WINDOW (the full count rides along);
@@ -5334,9 +5394,13 @@ class SearchEngine(Aggregations):
     def _enrich(self, ids: np.ndarray, scores: np.ndarray, terms,
                 with_snippets: bool | str) -> pa.Table:
         """J6: broadcast-small-side join of the k winners back to the
-        doc store / transcripts source for (conv_id, role, tool, ts
-        [, text]) — the analog of the reference enriching every result
-        with site url/name/title (``SearchServiceImpl.java:117-133``)."""
+        doc store for (conv_id, role, tool, ts) — the analog of the
+        reference enriching every result with site url/name/title
+        (``SearchServiceImpl.java:117-133``). With snippets the winners'
+        text is a docid point read of the transcripts parquet
+        (``_texts``): only the row groups holding the k winners decode
+        their ``text`` column, then ``create_snippets`` (True) or
+        ``highlight_full`` ("full") runs per row."""
         conv_rank, turn_idx = split_docids(ids)
         if len(ids) and self.n_docs >= self._POINT_READ_MIN_DOCS:
             conv_ids, roles, tools, tss = self._lookup_rows_point(ids)
@@ -5368,41 +5432,14 @@ class SearchEngine(Aggregations):
             # highlighted — a pure per-word function, SQL-twin-able)
             from .functions.snippets import create_snippets, highlight_full
 
-            # re-indexed convs read their text from their delta's input
-            # paths; everything else from the build's inputs
-            dpaths = getattr(self, "_delta_text_paths", {})
-            groups: dict[tuple, list[str]] = {}
-            for c in set(conv_ids):
-                groups.setdefault(tuple(dpaths.get(c) or self.transcripts_paths), []).append(c)
-            tlut: dict[tuple, str] = {}
-            for paths, cids in groups.items():
-                texts = pads.dataset(list(paths)).to_table(
-                    filter=pads.field("conv_id").isin(cids),
-                    columns=["conv_id", "turn_idx", "text"],
-                )
-                tlut.update(
-                    {
-                        (c, t): x
-                        for c, t, x in zip(
-                            texts.column("conv_id").to_pylist(),
-                            texts.column("turn_idx").to_pylist(),
-                            texts.column("text").to_pylist(),
-                        )
-                    }
-                )
+            texts = [x or "" for x in self._texts(ids, conv_ids)]
             lemmas = {t[0] for t in terms}
             if with_snippets == "full":
-                vals = [
-                    highlight_full(tlut.get((c, int(t)), ""), lemmas)
-                    for c, t in zip(conv_ids, turn_idx)
-                ]
+                vals = [highlight_full(x, lemmas) for x in texts]
                 tbl = tbl.append_column(
                     "highlighted", pa.array(vals, pa.string()))
             else:
-                snips = [
-                    create_snippets(tlut.get((c, int(t)), ""), lemmas)
-                    for c, t in zip(conv_ids, turn_idx)
-                ]
+                snips = [create_snippets(x, lemmas) for x in texts]
                 tbl = tbl.append_column(
                     "snippet", pa.array(snips, pa.string()))
         return tbl

@@ -167,6 +167,29 @@ def test_compact_rank_identical(compact_env):
     assert mine and any("second rewrite" in x["snippet"] or "<b>" in x["snippet"] for x in mine)
 
 
+def test_text_fetch_follows_delta_inputs(compact_env):
+    """A re-indexed conversation's text comes from its latest
+    generation's input files, with the generation live and after
+    compaction folds it (the manifest's text_overrides): mget and the
+    "full" highlight serve exactly those files' text."""
+    conv = compact_env["conv_a"]
+    final = pa.concat_tables([pq.read_table(f) for f in compact_env["mod_final"]])
+    final = final.filter(pc.equal(final.column("conv_id"), conv))
+    texts = dict(zip(final.column("turn_idx").to_pylist(), final.column("text").to_pylist()))
+    assert texts == {0: f"{datagen.stem(11)} {datagen.stem(11)} second rewrite wins"}
+    out = _fresh_overlay_copy(compact_env, "text_fetch")
+    for step in ("live generation", "compacted"):
+        if step == "compacted":
+            assert compact.compact(out)["result"]
+        eng = SearchEngine(out)
+        assert eng._has_deltas == (step == "live generation")
+        got = eng.mget([(conv, 0), (conv, 1)])["data"].to_pylist()
+        assert got[0]["text"] == texts[0] and not got[1]["found"], step
+        rows = eng.search(datagen.stem(11), limit=50, with_snippets="full")["data"].to_pylist()
+        [mine] = [r for r in rows if r["conv_id"] == conv]
+        assert mine["highlighted"].replace("<b>", "").replace("</b>", "") == texts[0], step
+
+
 def test_compact_sig_terms_identical_to_rebuild(compact_env):
     """significant_terms over the COMPACTED (generation-free) index ==
     the same surface over a fresh rebuild of the final corpus — the

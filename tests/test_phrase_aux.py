@@ -391,3 +391,16 @@ def test_aux_budget_in_manifest(aux_index):
     assert isinstance(m["bytes"], int)
     assert len(m["pairs"]) <= 128
     assert all(p["total"] >= 1 for p in m["pairs"])
+
+
+def test_override_pairs_rejects_conv_absent_from_base(tiny_index):
+    """A text override for a conversation the base never held has no
+    conv rank: its searchsorted position is another conversation's, so
+    _override_pairs must refuse it rather than write adjacency rows in
+    that conversation's docid range."""
+    out = tiny_index["out_dir"]
+    hot = [datagen.stem(0), datagen.stem(1)]
+    with pytest.raises(ValueError, match="conv-00000000x"):
+        aux_mod._override_pairs(out, {"conv-00000000x": tiny_index["files"]}, hot)
+    with pytest.raises(ValueError, match="zzz-after-every-conv"):
+        aux_mod._override_pairs(out, {"zzz-after-every-conv": tiny_index["files"]}, hot)

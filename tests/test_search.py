@@ -2388,7 +2388,7 @@ def test_analyze_matches_indexed_positions(engine):
     """analyze() of a real doc's text reproduces the doc's term
     frequencies exactly (cross-check vs termvectors' re-analysis)."""
     hit = engine.search(datagen.stem(0), limit=1)["data"].to_pylist()[0]
-    text = engine._text_of(hit["conv_id"], hit["turn_idx"])
+    text = engine.mget([(hit["conv_id"], hit["turn_idx"])])["data"].column("text")[0].as_py()
     az = engine.analyze(text)["data"].to_pylist()
     tv = engine.termvectors(hit["conv_id"], hit["turn_idx"])["data"].to_pylist()
     from collections import Counter
@@ -2686,6 +2686,11 @@ def test_malformed_parameter_responses(engine):
     assert engine.search(q, ts_min=3.5)["error"] == "bad_ts"
     assert engine.search(q, offset=-1)["error"] == "bad_page"
     assert engine.search(q, limit=-5)["error"] == "bad_page"
+    assert engine.search_conversations(q, offset=-1)["error"] == "bad_page"
+    assert engine.search_conversations(q, limit="x")["error"] == "bad_page"
+    # the mode is checked before planning: an absent lemma does not turn
+    # an unknown mode into an empty success
+    assert engine.search("wqxqzq", mode="nope")["error"] == "unknown_mode"
     # non-bm25 modes never reach the filter gate: reject, don't ignore
     r = engine.search(f"{q} {datagen.stem(1)}", mode="phrase", exclude=q)
     assert r["error"] == "bad_filter_mode"
