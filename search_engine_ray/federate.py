@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from .config import DEFAULT_PAGE_SIZE
-from .search import COMPLETE_SCHEMA, MGET_SCHEMA, Aggregations, SearchEngine, _rows_resp
+from .search import COMPLETE_SCHEMA, MGET_SCHEMA, Aggregations, Query, SearchEngine, _rows_resp
 
 
 class FederatedEngine(Aggregations):
@@ -151,13 +151,13 @@ class FederatedEngine(Aggregations):
         ``method='exhaustive'``. -> the single-index ``search()``
         response; the arguments mean what they mean there and are
         validated by the same code."""
-        err, params = self._search_params(
-            scope, offset, limit, exclude=exclude, ts_min=ts_min,
+        err, q = self._search_params(Query(
+            query_text, scope, offset, limit, exclude=exclude, ts_min=ts_min,
             ts_max=ts_max, decay=decay, negative=negative,
-            negative_boost=negative_boost)
+            negative_boost=negative_boost))
         if err:
             return self._resp(error=err)
-        offset, limit, ts_min, ts_max, _, decay_t, negative_boost = params
+        offset, limit = q.offset, q.limit
         terms, err = self.plan(query_text)
         if err:
             return self._resp(error=None if err == "no_results" else err)
@@ -166,8 +166,8 @@ class FederatedEngine(Aggregations):
             if not sterms:
                 continue
             ids, scores = s.score_exhaustive(sterms, scope, conjunctive)
-            keep, scores = s._filter_docs(ids, scores, exclude, ts_min, ts_max,
-                                          decay_t, negative, negative_boost)
+            keep, scores = s._filter_docs(ids, scores, q.exclude, q.ts_min, q.ts_max,
+                                          q.decay, q.negative, q.negative_boost)
             ids = ids[keep]
             count += len(ids)
             if len(ids):

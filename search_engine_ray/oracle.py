@@ -359,7 +359,7 @@ def phrase_prefix_topk_sql(src: str, queries: list[dict],
     ``expand_prefix`` rule, computed IN SQL over the same dictionary
     (``prefix_topk_sql``'s expansion CTE). Scoring is BM25 over the
     fixed distinct lemmas only (the prefix slot filters — the engine's
-    documented score_auto phrase-as-filter precedent)."""
+    documented auto-mode phrase-as-filter precedent, ``_auto_matches``)."""
     match_branches: list[str] = []
     qterm_rows: list[str] = []
     qmeta_rows: list[str] = []

@@ -18,9 +18,14 @@ same two seams are explicit:
 
 2. **Scorer** — ``search.register_scorer(name)`` registers a ranking
    strategy callable; ``SearchEngine.search(mode=name)`` dispatches to
-   it. The built-ins (``bm25`` block-max / exhaustive, ``reference``
-   parity) are fixed; custom scorers receive the engine instance (block
-   cache, decode helpers, corpus stats) and own their semantics.
+   it. The built-in modes (``search.MODES``) are fixed; custom scorers
+   receive the engine instance (block cache, decode helpers, corpus
+   stats) and own their semantics. A built-in mode hands its FULL match
+   set to ``search``'s one filter tail, so every doc-level filter
+   (``exclude``, ``ts_min``/``ts_max``, ``collapse``, ``order_by``,
+   ``search_after``, ``decay``, ``negative``) composes with it; a scorer
+   returns only its top-k, so ``search`` refuses those filters for it
+   (``bad_filter_mode``) rather than apply them to k docs.
 
 Everything else is plain Ray Data — users splice their own
 ``map_batches`` stages before/after any pipeline stage.
@@ -68,7 +73,9 @@ class Analyzer(Protocol):
 class Scorer(Protocol):
     """Ranking-strategy callable registered via
     ``search.register_scorer``: ``(engine, terms, k, scope, conjunctive)
-    -> (docids desc-by-score, float64 scores, exact count)``."""
+    -> (docids desc-by-score, float64 scores, exact count)`` — the top-k
+    of the plan's (lemma, df) ``terms`` within ``scope``. ``search``
+    pages and enriches the result; it takes no doc-level filter."""
 
     def __call__(
         self,

@@ -41,6 +41,7 @@ import math
 import os
 import re
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -272,13 +273,65 @@ def _pair_adjacency(
 
 # registered ranking strategies (protocols.Scorer) — the formal scorer
 # extension seam (reference analog: the SearchService interface,
-# ``services/search/SearchService.java:5-15``). Built-in modes 'bm25'
-# and 'reference' are handled natively; ``search(mode=<name>)``
-# dispatches to a registered scorer for any other mode.
+# ``services/search/SearchService.java:5-15``). The built-in MODES are
+# handled natively; ``search(mode=<name>)`` dispatches to a registered
+# scorer for any other mode.
 SCORERS: dict[str, object] = {}
 # the modes ``search`` implements itself; registered scorers add more
 MODES = ("bm25", "reference", "phrase", "phrase_prefix", "prefix", "wildcard",
          "regexp", "fuzzy", "near", "auto")
+
+
+class Query(NamedTuple):
+    """Every ``SearchEngine.search`` argument, in its order and with its
+    default. ``Aggregations._search_params`` returns it normalized: the
+    page as ints, ts bounds as epoch-µs ints, ``boosts`` keyed by lemma,
+    ``decay`` folded by ``decay_params``, ``rescore`` as (phrase lemmas,
+    window, query weight, rescore weight), ``negative_boost`` a float."""
+
+    query_text: str
+    scope: str | None = None
+    offset: int = 0
+    limit: int = DEFAULT_PAGE_SIZE
+    mode: str = "bm25"
+    method: str = "blockmax"
+    conjunctive: bool = False
+    with_snippets: bool | str = False
+    near_window: int = 8
+    in_order: bool = False
+    within_first: int | None = None
+    fuzzy_dist: int = 1
+    min_match: int | None = None
+    exclude: str | None = None
+    ts_min: object = None
+    ts_max: object = None
+    collapse: int | None = None
+    order_by: str = "score"
+    search_after: tuple | list | None = None
+    synonyms: dict | None = None
+    boosts: dict | None = None
+    decay: dict | tuple | None = None
+    rescore: dict | tuple | None = None
+    negative: str | None = None
+    negative_boost: float = 0.5
+
+    @property
+    def filtered(self) -> bool:
+        """Whether a doc-level filter or score rewrite applies: these
+        work on a mode's full match set."""
+        return (self.exclude is not None or self.ts_min is not None
+                or self.ts_max is not None or self.collapse is not None
+                or self.order_by != "score" or self.search_after is not None
+                or self.decay is not None or self.negative is not None)
+
+
+def _in_range(v, lo, hi=math.inf) -> bool:
+    """Whether ``v`` is a number in [lo, hi]; False, not an exception,
+    for a value that does not compare."""
+    try:
+        return bool(lo <= v <= hi)
+    except (TypeError, ValueError):
+        return False
 
 
 def register_scorer(name: str):
@@ -405,35 +458,28 @@ class Aggregations:
             resp = self._resp(**shape)
         return None, None, resp
 
-    def _search_params(
-        self, scope, offset, limit, mode="bm25", exclude=None, ts_min=None,
-        ts_max=None, collapse=None, min_match=None, order_by="score",
-        search_after=None, synonyms=None, boosts=None, decay=None,
-        negative=None, negative_boost=0.5,
-    ):
-        """Validate and normalize the ``search`` arguments both engines
-        take. -> (error, None), or (None, (offset, limit, ts_min, ts_max,
-        boosts, decay_t, negative_boost)): the page as ints, the ts bounds
-        as epoch-µs ints, the boost keys as lemmas, the decay spec folded
-        to its constants."""
-        if not self.valid_scope(scope):
+    def _search_params(self, q: Query):
+        """Step 1 of ``search``: validate ``q`` and normalize it (see
+        ``Query``). -> (error, None) or (None, the normalized Query)."""
+        mode = q.mode
+        if not self.valid_scope(q.scope):
             return "bad_scope", None
         if not isinstance(mode, str) or (mode not in MODES and mode not in SCORERS):
             return "unknown_mode", None
-        if search_after is not None and (
-            offset != 0 or order_by != "score"
-            or not isinstance(search_after, (tuple, list))
-            or len(search_after) != 3
+        if q.search_after is not None and (
+            q.offset != 0 or q.order_by != "score"
+            or not isinstance(q.search_after, (tuple, list))
+            or len(q.search_after) != 3
         ):
             return "bad_cursor", None
-        if collapse is not None and collapse < 1:
+        if q.collapse is not None and not _in_range(q.collapse, 1):
             return "bad_collapse", None
-        if order_by not in ("score", "ts_desc", "ts_asc", "rrf"):
+        if q.order_by not in ("score", "ts_desc", "ts_asc", "rrf"):
             return "bad_order", None
         # page sanity: Python slicing makes ids[-1:] the LAST row, so a
         # negative offset would silently return a wrong page as success
         try:
-            offset, limit = int(offset), int(limit)
+            offset, limit = int(q.offset), int(q.limit)
         except (TypeError, ValueError):
             return "bad_page", None
         if offset < 0 or limit < 0:
@@ -442,41 +488,36 @@ class Aggregations:
         # response, not an exception escaping to the HTTP layer — and
         # pass down as exact int epoch-µs
         try:
-            ts_min = self._ts_us(ts_min)
-            ts_max = self._ts_us(ts_max)
+            ts_min, ts_max = self._ts_us(q.ts_min), self._ts_us(q.ts_max)
         except (ValueError, TypeError, OverflowError):
             return "bad_ts", None
-        # the filtering surfaces route through the exhaustive bm25
-        # scorer ONLY; every other mode returns before that gate, so
-        # accepting the combination would report success on silently
-        # UNFILTERED results (the synonyms/boosts/decay convention:
-        # reject, don't ignore)
-        if mode != "bm25" and (
-            exclude is not None or ts_min is not None or ts_max is not None
-            or collapse is not None or min_match is not None
-            or order_by != "score" or search_after is not None
-        ):
+        q = q._replace(offset=offset, limit=limit, ts_min=ts_min, ts_max=ts_max)
+        # every built-in mode filters its full match set; a registered
+        # scorer returns only its top-k, so a filter there is refused
+        # rather than silently applied to k docs
+        if (q.min_match is not None and mode != "bm25") or (
+                mode not in MODES and q.filtered):
             return "bad_filter_mode", None
-        if synonyms is not None and mode != "bm25":
+        if q.synonyms is not None and mode != "bm25":
             return "bad_synonyms", None
-        if negative is not None:
+        if q.negative is not None:
             # boosting query (the ES `boosting` compound): docs matching
             # the negative query stay IN the result set but their score
             # is multiplied by negative_boost in [0, 1] — demotion, the
-            # middle ground exclude= can't express. bm25 mode only; the
-            # negative side must analyze to >= 1 token (ES rejects an
-            # empty negative body); absent-lemma negatives demote
-            # nothing (exclude's no-op rule, NOT the missing-lemma
-            # rule — the negative side is a filter, not the query).
+            # middle ground exclude= can't express. The negative side
+            # must analyze to >= 1 token (ES rejects an empty negative
+            # body); absent-lemma negatives demote nothing (exclude's
+            # no-op rule, NOT the missing-lemma rule — the negative side
+            # is a filter, not the query).
             try:
-                negative_boost = float(negative_boost)
+                q = q._replace(negative_boost=float(q.negative_boost))
             except (TypeError, ValueError):
                 return "bad_negative", None
-            if (mode != "bm25" or not isinstance(negative, str)
-                    or not (0.0 <= negative_boost <= 1.0)
-                    or not self._analyzer.analyze_query(negative)):
+            if (not isinstance(q.negative, str)
+                    or not (0.0 <= q.negative_boost <= 1.0)
+                    or not self._analyzer.analyze_query(q.negative)):
                 return "bad_negative", None
-        if boosts is not None:
+        if q.boosts is not None:
             # query-time term boosting (the Lucene term^w weight):
             # analyzer-normalize the keys, require positive finite
             # factors; bm25 mode only (a boost rewrites idf, which the
@@ -484,7 +525,7 @@ class Aggregations:
             if mode != "bm25":
                 return "bad_boosts", None
             norm_boosts: dict[str, float] = {}
-            for key, w in boosts.items():
+            for key, w in q.boosts.items():
                 try:
                     w = float(w)
                 except (TypeError, ValueError):
@@ -495,19 +536,56 @@ class Aggregations:
                 if len(klems) != 1:
                     return "bad_boosts", None
                 norm_boosts[klems[0]] = w
-            boosts = norm_boosts
-        decay_t: tuple | None = None
-        if decay is not None:
+            q = q._replace(boosts=norm_boosts)
+        if q.decay is not None:
             # function-score recency decay: validate + fold the shape
             # constant to ONE float64 driver-side (the SQL twin inlines
             # the same repr-round-tripped constant)
-            if mode != "bm25":
+            q = q._replace(decay=decay_params(q.decay, self._ts_us))
+            if q.decay is None:
                 return "bad_decay", None
-            decay_t = decay_params(decay, self._ts_us)
-            if decay_t is None:
-                return "bad_decay", None
-        return None, (offset, limit, ts_min, ts_max, boosts, decay_t,
-                      negative_boost)
+        if q.rescore is not None:
+            # two-phase rescore (bm25 only, no filter or rewrite): the
+            # rescore query is an ORDERED phrase whose exact-match BM25
+            # is the phase-two signal
+            rescore = q.rescore
+            if (mode != "bm25" or not isinstance(rescore, dict)
+                    or q.min_match is not None or q.filtered
+                    or q.boosts is not None or q.synonyms is not None):
+                return "bad_rescore", None
+            if not self.has_positions:
+                return "no_positions", None
+            try:
+                rq = str(rescore["query"])
+                window = int(rescore.get("window", 50))
+                qw = float(rescore.get("query_weight", 1.0))
+                rw = float(rescore.get("rescore_weight", 1.0))
+            except (KeyError, TypeError, ValueError):
+                return "bad_rescore", None
+            if (window < 1 or window < offset + limit
+                    or not (math.isfinite(qw) and math.isfinite(rw))):
+                return "bad_rescore", None
+            analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
+            rphrase = analyze_phrase(rq) if analyze_phrase is not None else None
+            if not rphrase:
+                return "bad_rescore", None
+            q = q._replace(rescore=(rphrase, window, qw, rw))
+        # SpanFirstQuery composes with the phrase span only (a
+        # single-term phrase IS the classic term form)
+        if q.within_first is not None and (
+                mode != "phrase" or not isinstance(q.within_first, int)
+                or q.within_first < 1):
+            return "bad_within_first", None
+        if mode == "fuzzy" and not _in_range(q.fuzzy_dist, 0, 3):
+            return "bad_fuzzy_dist", None
+        if mode == "near" and not _in_range(q.near_window, 1):
+            return "bad_window", None
+        if q.min_match is not None and not _in_range(q.min_match, 1):
+            return "bad_min_match", None
+        if mode != "bm25" and mode in MODES:
+            # conjunctive and method shape the bm25 term route only
+            q = q._replace(conjunctive=False, method="blockmax")
+        return None, q
 
     # ---------------- matching-set aggregations ------------------------
 
@@ -1241,9 +1319,7 @@ class SearchEngine(Aggregations):
             if self._bmw_scale > 1.0:
                 bl["bmw"] = bl["bmw"] * self._bmw_scale
             return bl
-        docid, tf, dl, sc = self._decode_term(
-            bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
-        )
+        docid, tf, dl, sc = self._decode_full(bl)
         want_pos = bool(
             self.manifest["stats"].get("positions")
         ) and self._delta_positions_ok and bl.get("poss") is not None
@@ -1700,20 +1776,29 @@ class SearchEngine(Aggregations):
 
     # ---------------- BM25 scorers ------------------------------------
 
+    def _bm25(self, idf, tf, dl):
+        """The BM25 term weight ``idf*(tf*(k1+1))/(tf+k1*(1-b+b*dl/avgdl))``
+        at ``tf`` and ``dl`` (arrays or scalars, taken as float64). Every
+        scorer and ``explain`` compute it here, in this one operation
+        order, so their float64 scores agree bit for bit."""
+        k1, b = self.k1, self.b
+        tf, dl = np.asarray(tf, np.float64), np.asarray(dl, np.float64)
+        return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
+
+    def _decode_full(self, bl: dict):
+        """A term's full (docid, tf, dl, scope code) decode, memoized in
+        its block entry's chunk cache."""
+        return self._decode_term(bl, 0, len(bl["first"]), bl.setdefault("chunks", {}))
+
     def _contributions(self, term_data, lut):
         """Per term (fixed df-asc order): (docid, float64 contribution).
         ``lut`` is the scope bool LUT (or None): per-posting filtering on
         the decoded scope-code stream."""
-        k1, b = self.k1, self.b
         for idf, (docid, tf, dl, sc) in term_data:
             if lut is not None:
                 keep = lut[sc]
                 docid, tf, dl = docid[keep], tf[keep], dl[keep]
-            tff = tf.astype(np.float64)
-            contrib = idf * (tff * (k1 + 1.0)) / (
-                tff + k1 * (1.0 - b + b * dl.astype(np.float64) / self.avgdl)
-            )
-            yield docid, contrib
+            yield docid, self._bm25(idf, tf, dl)
 
     @staticmethod
     def _aggregate(doc_parts, contrib_parts, conjunctive: bool, n_terms: int,
@@ -1818,7 +1903,7 @@ class SearchEngine(Aggregations):
             idf = self.idf(df)
             if boosts and lem in boosts:
                 idf = idf * float(boosts[lem])
-            term_data.append((idf, self._decode_term(bl, 0, len(bl["first"]), bl.setdefault("chunks", {}))))
+            term_data.append((idf, self._decode_full(bl)))
         doc_parts, contrib_parts = [], []
         for docid, contrib in self._contributions(term_data, lut):
             doc_parts.append(docid)
@@ -1834,19 +1919,16 @@ class SearchEngine(Aggregations):
         per-block decode: only the blocks whose [first, last] docid range
         contains a candidate are decoded (single-block varint passes —
         no 128-block chunk inflation), then candidates are matched by
-        binary search. Returns float64 contributions aligned to ``cand``
-        (0.0 where the term is absent — adding 0.0 is a float64 no-op,
-        so summation order semantics match the exhaustive scorer)."""
+        binary search. -> (the candidates holding the term, their float64
+        contributions), in ``cand`` order."""
         out = np.zeros(len(cand), np.float64)
+        present = np.zeros(len(cand), bool)
         first, last = bl["first"], bl["last"]
         if not len(first):
-            return out
+            return cand[present], out[present]
         j = np.searchsorted(first, cand, side="right") - 1
         jc = np.clip(j, 0, len(first) - 1)
         valid = (j >= 0) & (last[jc] >= cand)
-        if not valid.any():
-            return out
-        k1, b = self.k1, self.b
         cum = bl["cum_n"]
         for blk in np.unique(jc[valid]):
             if bl["gaps"] is None:  # synthetic delta-overlay blocks
@@ -1859,13 +1941,9 @@ class SearchEngine(Aggregations):
             pos = np.searchsorted(d, cand[sel])
             pos_c = np.clip(pos, 0, len(d) - 1)
             hit = d[pos_c] == cand[sel]
-            hs = sel[hit]
-            tff = tf[pos_c[hit]].astype(np.float64)
-            dlf = dl[pos_c[hit]].astype(np.float64)
-            out[hs] = idf * (tff * (k1 + 1.0)) / (
-                tff + k1 * (1.0 - b + b * dlf / self.avgdl)
-            )
-        return out
+            out[sel[hit]] = self._bm25(idf, tf[pos_c[hit]], dl[pos_c[hit]])
+            present[sel[hit]] = True
+        return cand[present], out[present]
 
     def _score_candidate_driven(self, terms, term_list, k, lut, scope):
         """MaxScore-style essential-terms evaluation: when the rare
@@ -1903,23 +1981,21 @@ class SearchEngine(Aggregations):
         cand = np.unique(np.concatenate(drv_ids)) if drv_ids else np.empty(0, np.int64)
         if len(cand) < k:
             return None  # top-k could include rest-only docs: no bound
-        # full scores at candidates, fixed df-ascending term order
-        score = np.zeros(len(cand), np.float64)
+        # full scores at candidates, summed by _aggregate in the fixed
+        # df-ascending term order: bit-identical to the exhaustive scorer
+        doc_parts, contrib_parts = [], []
         for t, (idf, bl, cache) in enumerate(term_list):
             if t < n_drv:
-                contrib = np.zeros(len(cand), np.float64)
-                docid, tf, dl, _sc = self._decode_term(bl, 0, len(bl["first"]), cache)
+                docid, tf, dl, _sc = self._decode_full(bl)
                 pos = np.searchsorted(docid, cand)
                 pos_c = np.clip(pos, 0, max(len(docid) - 1, 0))
                 hit = docid[pos_c] == cand if len(docid) else np.zeros(len(cand), bool)
-                tff = tf[pos_c[hit]].astype(np.float64)
-                dlf = dl[pos_c[hit]].astype(np.float64)
-                contrib[hit] = idf * (tff * (k1 + 1.0)) / (
-                    tff + k1 * (1.0 - self.b + self.b * dlf / self.avgdl)
-                )
+                d, w = cand[hit], self._bm25(idf, tf[pos_c[hit]], dl[pos_c[hit]])
             else:
-                contrib = self._contrib_at(bl, cache, cand, idf)
-            score += contrib
+                d, w = self._contrib_at(bl, cache, cand, idf)
+            doc_parts.append(d)
+            contrib_parts.append(w)
+        _, score = self._aggregate(doc_parts, contrib_parts, False, len(term_list))
         sel = np.lexsort((cand, -score))[:k]
         threshold = score[sel][-1]
         if bound_rest >= threshold:
@@ -1941,6 +2017,11 @@ class SearchEngine(Aggregations):
         Returns the top-k by (score DESC, docid ASC) plus the exact match
         count (union of term postings [within scope]).
         """
+        def exhaustive():
+            # term-at-a-time exhaustive scoring: identical results
+            ids, scores = self.score_exhaustive(terms, scope, conjunctive)
+            return *self._topk(ids, scores, k), len(ids)
+
         blocks = self._term_blocks([t[0] for t in terms])
         lut = self._scope_lut(scope) if scope else None
         k1 = self.k1
@@ -1949,22 +2030,18 @@ class SearchEngine(Aggregations):
             bl = blocks[lem]
             term_list.append((self.idf(df), bl, bl.setdefault("chunks", {})))
 
-        if not conjunctive and len(terms) > 1:
+        if not conjunctive and len(terms) > 1 and k:
             got = self._score_candidate_driven(terms, term_list, k, lut, scope)
             if got is not None:
                 return got
 
-        if len(terms) > 1 and min(df for _, df in terms) >= 0.05 * self.n_docs:
+        if k == 0 or (len(terms) > 1 and min(df for _, df in terms) >= 0.05 * self.n_docs):
             # every term is hot: every window keeps every term alive with
             # near-uniform UBs, so the windowed evaluation cannot prune
             # (the bail-out would fire after wasting several group scans
             # — measured ~2x the query on two-hot terms). Term-at-a-time
-            # exhaustive scoring is the optimal exact plan here and
-            # produces identical results.
-            ids, scores = self.score_exhaustive(terms, scope, conjunctive)
-            n = len(ids)
-            ids, scores = self._topk(ids, scores, k)
-            return ids, scores, n
+            # exhaustive scoring is the optimal exact plan here.
+            return exhaustive()
 
         # window boundaries: every block first_docid of every term
         starts = np.unique(np.concatenate([bl["first"] for _, bl, _ in term_list]))
@@ -2031,10 +2108,7 @@ class SearchEngine(Aggregations):
                     int(np.searchsorted(-wub_desc, -threshold, side="right")) - g0
                 )
                 if remaining > GROUP and alive > 0.9 * remaining:
-                    ids, scores = self.score_exhaustive(terms, scope, conjunctive)
-                    n = len(ids)
-                    ids, scores = self._topk(ids, scores, k)
-                    return ids, scores, n
+                    return exhaustive()
             s_arr, e_arr = starts[grp], ends[grp]
             o2 = np.argsort(s_arr)
             s_sorted, e_sorted = s_arr[o2], e_arr[o2]
@@ -2275,27 +2349,7 @@ class SearchEngine(Aggregations):
         dids = [self._cursor_docid(c, t) for c, t in pairs]
         cand = np.array(sorted({int(x) for x in dids if x is not None}),
                         np.int64)
-        alive: set[int] = set()
-        if len(cand):
-            if self._has_deltas:
-                keep = self._tomb_keep_mask(cand)
-                alive |= {int(x) for x in cand[keep]}
-                dead = cand[~keep]
-                if len(dead):
-                    alive |= {
-                        int(x) for x in
-                        dead[np.isin(dead, self._delta_docs["docid"])]
-                    }
-            else:
-                t = pq.read_table(
-                    build_mod.docs_dir(self.out_dir), columns=["docid"],
-                    filters=[("docid", "in", [int(x) for x in cand])],
-                )
-                alive |= {int(x) for x in t.column("docid").to_pylist()}
-        found_ids = np.array(
-            sorted({int(x) for x in dids if x is not None and int(x) in alive}),
-            np.int64,
-        )
+        found_ids = cand[self._alive(cand)]
         meta: dict[int, tuple] = {}
         if len(found_ids):
             enr = self._enrich(found_ids, np.zeros(len(found_ids)), [], False)
@@ -2606,39 +2660,18 @@ class SearchEngine(Aggregations):
         if resp:
             return resp
         did = self._cursor_docid(conv_id, turn_idx)
-        if did is None:
-            return {**self._resp(error="not_found"), "data": empty, "total": 0.0}
-        docid = np.int64(did)
-        ids = np.array([docid], np.int64)
-        alive = True
-        if self._has_deltas and not self._tomb_keep_mask(ids)[0]:
-            alive = bool(np.isin(ids, self._delta_docs["docid"])[0])
-        else:
-            t = pq.read_table(
-                build_mod.docs_dir(self.out_dir),
-                columns=["docid"],
-                filters=[("docid", "==", int(docid))],
-            )
-            alive = t.num_rows > 0
-        if not alive:
+        ids = np.array([] if did is None else [did], np.int64)
+        if not self._alive(ids).any():
             return {**self._resp(error="not_found"), "data": empty, "total": 0.0}
         dl = float(self._dl_of_ids(ids)[0])
         blocks = self._term_blocks([t[0] for t in terms])
-        k1, b = self.k1, self.b
         rows, total = [], 0.0
         for lem, df in terms:
-            bl = blocks[lem]
-            d, tf_arr, _dl, _sc = self._decode_term(
-                bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
-            )
-            pos = int(np.searchsorted(d, docid))
-            tf = int(tf_arr[pos]) if pos < len(d) and d[pos] == docid else 0
+            d, tf_arr, _dl, _sc = self._decode_full(blocks[lem])
+            pos = int(np.searchsorted(d, did))
+            tf = int(tf_arr[pos]) if pos < len(d) and d[pos] == did else 0
             idf = self.idf(df)
-            w = (
-                idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
-                if tf
-                else 0.0
-            )
+            w = float(self._bm25(idf, tf, dl)) if tf else 0.0
             total += w
             rows.append((lem, int(df), tf, int(dl), idf, w))
         tbl = pa.table(
@@ -2794,19 +2827,8 @@ class SearchEngine(Aggregations):
         (1|0), 'data': pa.Table(lemma, tf, df, dl), 'error'}"""
         empty = TERMVECTORS_SCHEMA.empty_table()
         did = self._cursor_docid(conv_id, turn_idx)
-        if did is None:
-            return {**self._resp(error="not_found"), "data": empty}
-        ids = np.array([np.int64(did)], np.int64)
-        if self._has_deltas and not self._tomb_keep_mask(ids)[0]:
-            alive = bool(np.isin(ids, self._delta_docs["docid"])[0])
-        else:
-            t = pq.read_table(
-                build_mod.docs_dir(self.out_dir),
-                columns=["docid"],
-                filters=[("docid", "==", int(did))],
-            )
-            alive = t.num_rows > 0
-        if not alive:
+        ids = np.array([] if did is None else [did], np.int64)
+        if not self._alive(ids).any():
             return {**self._resp(error="not_found"), "data": empty}
         text = self._texts(ids, [conv_id])[0] or ""
         res = self._analyzer.analyze_batch(pa.array([text], pa.string()), {})
@@ -3600,6 +3622,21 @@ class SearchEngine(Aggregations):
         )
         return {"result": True, "count": int(len(uniq)), "data": data, "error": None}
 
+    def _alive(self, ids: np.ndarray) -> np.ndarray:
+        """Bool mask over sorted unique docids: which are docs of the
+        served view — in the doc store and not tombstoned, or re-indexed
+        into a delta generation. One pruned docid read of the store."""
+        alive = self._tomb_keep_mask(ids) if self._has_deltas else np.ones(len(ids), bool)
+        if alive.any():
+            t = pq.read_table(
+                build_mod.docs_dir(self.out_dir), columns=["docid"],
+                filters=[("docid", "in", [int(x) for x in ids[alive]])],
+            )
+            alive &= np.isin(ids, t.column("docid").to_numpy())
+        if self._has_deltas:
+            alive |= np.isin(ids, self._delta_docs["docid"])
+        return alive
+
     def _cursor_docid(self, conv_id, turn_idx) -> int | None:
         """(conv_id, turn_idx) -> docid for the search_after cursor, or
         None when the conversation is unknown / turn_idx out of range.
@@ -3793,10 +3830,10 @@ class SearchEngine(Aggregations):
         pa.Table(conv_id, n_turns, best_turn_idx, score), 'error'}.
         Missing-lemma semantics match every other mode (any absent query
         lemma -> zero results)."""
-        err, params = self._search_params(scope, offset, limit)
+        err, q = self._search_params(Query(query_text, scope, offset, limit))
         if err:
             return self._resp(error=err, schema=CONV_RESULT_SCHEMA)
-        offset, limit = params[:2]
+        offset, limit = q.offset, q.limit
         terms, resp = self._planned(query_text, scope, schema=CONV_RESULT_SCHEMA)
         if resp:
             return resp
@@ -4184,49 +4221,23 @@ class SearchEngine(Aggregations):
         return got
 
     def score_phrase(self, phrase: list[str], k: int, scope: str | None = None,
-                     within_first: int | None = None):
+                     within_first: int | None = None,
+                     last_alts: list[str] | None = None):
         """Exact phrase match + BM25 ranking: a doc matches iff the
         phrase lemmas appear at CONSECUTIVE positions of its
         surviving-token sequence (the generalization of the reference's
         only adjacency-aware code, the snippet best-window scan —
-        ``services/search/SnippetCreator.java:84-102``); matches are
+        ``services/search/SnippetCreator.java:84-102``), followed by one
+        of ``last_alts`` when given (match-phrase-prefix); matches are
         ranked by BM25 over the phrase's distinct lemmas with the
         standard (score DESC, docid ASC) tie-break.
 
         Returns ``(ids, scores, count)`` or ``None`` for no-results
         (a phrase lemma absent from the corpus)."""
-        got = self._phrase_matches(phrase, scope, within_first=within_first)
+        got = self._phrase_matches(phrase, scope, within_first, last_alts)
         if got is None:
             return None
         matched, terms, data = got
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64), 0)
-        if not len(matched):
-            return empty
-        score = self._bm25_at(terms, data, matched, present=True)
-        ids, scores = self._topk(matched, score, len(matched) if k is None else k)
-        return ids, scores, len(matched)
-
-    def score_phrase_prefix(self, phrase: list[str], alts: list[str], k: int,
-                            scope: str | None = None):
-        """Match-phrase-prefix (the Elasticsearch ``match_phrase_prefix``
-        / Lucene MultiPhraseQuery rewrite): a doc matches iff the fixed
-        lemma sequence appears at consecutive positions with ANY of the
-        ``alts`` lemmas (the prefix expansion) at the following
-        position. The prefix slot FILTERS, the fixed lemmas SCORE —
-        ``score_auto``'s phrase-as-filter precedent keeps the score a
-        pure function of the fixed phrase, so typing one more prefix
-        character never re-ranks the already-typed words.
-
-        Returns ``(ids, scores, count)`` or ``None`` when a FIXED lemma
-        is absent (reference missing-lemma semantics; a dead expansion
-        lemma just drops from the alternatives)."""
-        got = self._phrase_matches(phrase, scope, last_alts=alts)
-        if got is None:
-            return None
-        matched, terms, data = got
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64), 0)
-        if not len(matched):
-            return empty
         score = self._bm25_at(terms, data, matched, present=True)
         ids, scores = self._topk(matched, score, len(matched) if k is None else k)
         return ids, scores, len(matched)
@@ -4236,106 +4247,79 @@ class SearchEngine(Aggregations):
         (df-asc term order — the deterministic summation order of every
         mode). ``present=True`` asserts matched ⊆ each term's posting
         list (phrase AND guarantees it); otherwise absent terms add 0.0
-        (a float64 no-op, same as the candidate-driven scorer)."""
+        (a float64 no-op)."""
         score = np.zeros(len(matched), np.float64)
-        k1, b = self.k1, self.b
         for lem, df in sorted(terms, key=lambda t: (t[1], t[0])):
             docid, tf, dl, _sc = data[lem]
             if not len(docid):
                 continue
             pidx = np.searchsorted(docid, matched)
-            if present:
-                sel = slice(None)
-                pc_ = pidx
-            else:
-                pc_ = np.clip(pidx, 0, len(docid) - 1)
-                hit = docid[pc_] == matched
-                sel = np.flatnonzero(hit)
-                pc_ = pc_[sel]
-            tff = tf[pc_].astype(np.float64)
-            dlf = dl[pc_].astype(np.float64)
-            contrib = self.idf(df) * (tff * (k1 + 1.0)) / (
-                tff + k1 * (1.0 - b + b * dlf / self.avgdl)
-            )
-            if present:
-                score += contrib
-            else:
-                score[sel] += contrib
+            sel = slice(None)
+            if not present:
+                pidx = np.clip(pidx, 0, len(docid) - 1)
+                sel = np.flatnonzero(docid[pidx] == matched)
+                pidx = pidx[sel]
+            score[sel] += self._bm25(self.idf(df), tf[pidx], dl[pidx])
         return score
 
-    def score_auto(
-        self,
-        phrases: list[list[str]],
-        loose: list[str],
-        exclude_text: str | None,
-        k: int,
-        scope: str | None = None,
-    ):
-        """Boolean search-box evaluation (mode='auto'): candidates =
-        docs matching EVERY quoted phrase (AND of exact-phrase match
-        sets) — or, with no phrases, the disjunctive union of the loose
-        lemmas' docs — minus the NOT-term docs; score = BM25 over ALL
-        distinct positive lemmas (phrase + loose) at the candidates,
-        loose lemmas adding 0.0 where absent (phrases act as FILTERS,
-        loose terms as ranking signals — Lucene's quoted-clause
-        semantics). Any positive lemma absent from the corpus -> no
-        results (reference missing-lemma semantics, every mode).
-        Returns ``(ids, scores, count)`` or ``None``."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64), 0)
-        all_terms: dict[str, int] = {}
-        matched = None
-        data_all: dict[str, tuple] = {}
+    def _decoded(self, lemmas, need_positions: bool = True, extra=()):
+        """The positional modes' decode preamble -> (terms, blocks, data)
+        for the distinct ``lemmas``: ``terms`` their (lemma, live df),
+        ``blocks`` the term blocks of ``lemmas`` and ``extra``, ``data``
+        each term's full (docid, tf, dl, scope code) decode, memoized in
+        the block cache. None when a lemma is absent (reference
+        missing-lemma semantics)."""
+        distinct = list(dict.fromkeys(lemmas))
+        terms = self._held_terms(distinct)
+        if len(terms) < len(distinct):
+            return None
+        blocks = self._term_blocks(distinct + list(extra), need_positions=need_positions)
+        if self._has_deltas:
+            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
+            if any(df == 0 for _, df in terms):
+                return None
+        return terms, blocks, {lem: self._decode_full(blocks[lem]) for lem, _ in terms}
+
+    @staticmethod
+    def _and_candidates(terms, data, lut) -> np.ndarray:
+        """Sorted docids holding every term, intersected rarest first
+        and masked to the scope LUT ``lut`` (or None)."""
+        cand = None
+        for lem, _df in sorted(terms, key=lambda t: (t[1], t[0])):
+            docid, _tf, _dl, sc = data[lem]
+            d = docid[lut[sc]] if lut is not None else docid
+            cand = d if cand is None else np.intersect1d(cand, d, assume_unique=True)
+            if not len(cand):
+                break
+        return cand
+
+    def _auto_matches(self, phrases: list[list[str]], loose: list[str],
+                      scope: str | None = None):
+        """Match side of mode='auto' with quoted phrases: the docs
+        matching EVERY phrase. ``terms`` are all distinct positive
+        lemmas (phrase + loose), the loose ones adding 0.0 where absent
+        (phrases act as FILTERS, loose terms as ranking signals —
+        Lucene's quoted-clause semantics). -> ``_phrase_matches``'s
+        shape, or None when a positive lemma is absent."""
+        matched, terms, data = None, {}, {}
         for ph in phrases:
             got = self._phrase_matches(ph, scope)
             if got is None:
                 return None
-            m, terms, data = got
-            all_terms.update(dict(terms))
-            data_all.update(data)
+            m, pterms, pdata = got
+            terms.update(pterms)
+            data.update(pdata)
             matched = m if matched is None else np.intersect1d(
-                matched, m, assume_unique=True
-            )
+                matched, m, assume_unique=True)
             if not len(matched):
-                return empty
+                break
         if loose:
-            lterms = self._held_terms(dict.fromkeys(loose))
-            if len(lterms) < len(set(loose)):
+            got = self._decoded(loose, need_positions=False)
+            if got is None:
                 return None
-            blocks = self._term_blocks([t[0] for t in lterms])
-            if self._has_deltas:
-                lterms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in lterms]
-                if any(df == 0 for _, df in lterms):
-                    return None
-            lut = self._scope_lut(scope) if scope else None
-            parts = []
-            for lem, df in lterms:
-                bl = blocks[lem]
-                dec = self._decode_term(bl, 0, len(bl["first"]), bl.setdefault("chunks", {}))
-                data_all[lem] = dec
-                all_terms[lem] = df
-                if matched is None:  # no phrases: loose docs are the candidates
-                    docid, _tf, _dl, sc = dec
-                    parts.append(docid[lut[sc]] if lut is not None else docid)
-            if matched is None:
-                if not parts:
-                    return empty
-                allv = np.concatenate(parts)
-                if not len(allv):
-                    return empty
-                matched = np.unique(allv)
-        if matched is None or not len(matched):
-            return empty
-        if exclude_text:
-            excl = self._exclusion_docids(exclude_text)
-            if excl is not None and len(excl):
-                keep = ~np.isin(matched, excl, assume_unique=False)
-                matched = matched[keep]
-                if not len(matched):
-                    return empty
-        terms = sorted(all_terms.items(), key=lambda t: (t[1], t[0]))
-        score = self._bm25_at(terms, data_all, matched, present=False)
-        ids, scores = self._topk(matched, score, k)
-        return ids, scores, len(matched)
+            terms.update(got[0])
+            data.update(got[2])
+        return matched, sorted(terms.items(), key=lambda t: (t[1], t[0])), data
 
     def _phrase_matches(self, phrase: list[str], scope: str | None = None,
                         within_first: int | None = None,
@@ -4356,25 +4340,19 @@ class SearchEngine(Aggregations):
         span must END within the doc's first N surviving-token
         positions — start + len(phrase) <= N, one vectorized mask over
         the already-intersected start-position keys (zero extra decode
-        work; the low 32 key bits ARE the start positions)."""
-        distinct = list(dict.fromkeys(phrase))
-        terms = self._held_terms(distinct)
-        if len(terms) < len(distinct):
-            return None  # reference semantics: missing lemma -> none
-        alts = [a for a in (last_alts or []) if a not in set(distinct)]
-        blocks = self._term_blocks(distinct + alts, need_positions=True)
-        if self._has_deltas:
-            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-            if any(df == 0 for _, df in terms):
-                return None
+        work; the low 32 key bits ARE the start positions).
 
-        # full (docid, tf, dl, sc) decode per distinct lemma
-        data: dict[str, tuple] = {}
-        for lem, _df in terms:
-            bl = blocks[lem]
-            data[lem] = self._decode_term(
-                bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
-            )
+        ``last_alts`` (the Elasticsearch ``match_phrase_prefix`` /
+        Lucene MultiPhraseQuery rewrite): the phrase must be followed by
+        ANY of these lemmas at the next position. The slot FILTERS and
+        does not score, so typing one more prefix character never
+        re-ranks the already-typed words. A dead alternative drops out;
+        only an absent FIXED lemma means no results."""
+        alts = [a for a in (last_alts or []) if a not in phrase]
+        got = self._decoded(phrase, extra=alts)
+        if got is None:
+            return None
+        terms, blocks, data = got
         alive_alts: list[str] = []
         if last_alts is not None:
             # the final slot matches ANY of the alternative lemmas
@@ -4386,9 +4364,7 @@ class SearchEngine(Aggregations):
                 if self._has_deltas and int(bl["cum_n"][-1]) == 0:
                     continue
                 if lem not in data:
-                    data[lem] = self._decode_term(
-                        bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
-                    )
+                    data[lem] = self._decode_full(bl)
                 alive_alts.append(lem)
 
         lut = self._scope_lut(scope) if scope else None
@@ -4458,16 +4434,8 @@ class SearchEngine(Aggregations):
                 docid0, _t0, _d0, sc0 = data[phrase[smallest[1]]]
                 cand = cand[lut[sc0[np.searchsorted(docid0, cand)]]]
         else:
-            cand = None
-            for lem, _df in sorted(terms, key=lambda t: (t[1], t[0])):
-                docid, _tf, _dl, sc = data[lem]
-                d = docid[lut[sc]] if lut is not None else docid
-                cand = d if cand is None else np.intersect1d(
-                    cand, d, assume_unique=True
-                )
-                if not len(cand):
-                    break
-        if cand is None or not len(cand):
+            cand = self._and_candidates(terms, data, lut)
+        if not len(cand):
             return empty
         if last_alts is not None:
             # shrink candidates to docs containing SOME alternative
@@ -4579,11 +4547,11 @@ class SearchEngine(Aggregations):
         matched = cand[np.unique(cur >> np.int64(32))]
         return matched, terms, data
 
-    def score_near(
-        self, lemmas: list[str], window: int, k: int, scope: str | None = None,
+    def _near_matches(
+        self, lemmas: list[str], window: int, scope: str | None = None,
         in_order: bool = False,
     ):
-        """Proximity match + BM25 ranking: a doc matches iff EVERY
+        """Match side of mode='near': a doc matches iff EVERY
         distinct query lemma occurs within some ``window`` consecutive
         surviving-token positions (unordered — the slop generalization
         of the phrase operator; window = len(lemmas) admits any
@@ -4609,120 +4577,72 @@ class SearchEngine(Aggregations):
         in ``[anchor, anchor+W-1]`` (one global searchsorted per lemma
         over doc-major position keys) is exact and fully vectorized.
 
-        Returns ``(ids, scores, count)`` or ``None`` for no-results."""
-        distinct = list(dict.fromkeys(lemmas))
-        terms = self._held_terms(distinct)
-        if len(terms) < len(distinct):
+        -> ``_phrase_matches``'s shape, or None for no-results."""
+        got = self._decoded(lemmas)
+        if got is None:
             return None
-        blocks = self._term_blocks(distinct, need_positions=True)
-        if self._has_deltas:
-            terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
-            if any(df == 0 for _, df in terms):
-                return None
-        data: dict[str, tuple] = {}
+        terms, blocks, data = got
+        cand = self._and_candidates(terms, data, self._scope_lut(scope) if scope else None)
+        empty = (np.empty(0, np.int64), terms, data)
+        if len(lemmas) == 1 or (not in_order and len(terms) == 1) or not len(cand):
+            return cand, terms, data  # one lemma: any occurrence is its own window
+        shift = np.int64(1) << np.int64(32)
+        term_keys: dict[str, np.ndarray] = {}
         for lem, _df in terms:
-            bl = blocks[lem]
-            data[lem] = self._decode_term(
-                bl, 0, len(bl["first"]), bl.setdefault("chunks", {})
-            )
-        lut = self._scope_lut(scope) if scope else None
-        cand = None
-        for lem, _df in sorted(terms, key=lambda t: (t[1], t[0])):
-            docid, _tf, _dl, sc = data[lem]
-            d = docid[lut[sc]] if lut is not None else docid
-            cand = d if cand is None else np.intersect1d(cand, d, assume_unique=True)
-            if not len(cand):
-                break
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64), 0)
-        if cand is None or not len(cand):
-            return empty
-
-        if len(lemmas) == 1 or (not in_order and len(distinct) == 1):
-            matched = cand  # one lemma: any occurrence is its own window
+            docid, tf, _dl, _sc = data[lem]
+            pos_flat = self._term_positions_full(blocks[lem], tf)
+            pidx = np.searchsorted(docid, cand)
+            p = _take_pos_groups(pos_flat, tf, pidx)
+            cnt = tf[pidx].astype(np.int64)
+            cidx = np.repeat(np.arange(len(cand), dtype=np.int64), cnt)
+            term_keys[lem] = cidx * shift + p  # doc-major, sorted
+        if in_order:
+            # greedy smallest-next chain from every occurrence of
+            # the FIRST sequence lemma; key arithmetic keeps the
+            # doc prefix, so nxt <= hi simultaneously enforces
+            # same-doc and within-window; ok is AND-sticky (a dead
+            # chain never revives on garbage cur values)
+            anchors = term_keys[lemmas[0]]
+            ok = np.ones(len(anchors), bool)
+            hi = anchors + np.int64(window - 1)
+            cur = anchors
+            for lem in lemmas[1:]:
+                tk = term_keys[lem]
+                idx = np.searchsorted(tk, cur, side="right")
+                idxc = np.clip(idx, 0, max(len(tk) - 1, 0))
+                nxt = tk[idxc]
+                ok &= (idx < len(tk)) & (nxt <= hi)
+                if not ok.any():
+                    return empty
+                cur = nxt
         else:
-            shift = np.int64(1) << np.int64(32)
-            term_keys: dict[str, np.ndarray] = {}
+            anchors = np.sort(np.concatenate(list(term_keys.values())))
+            ok = np.ones(len(anchors), bool)
+            hi = anchors + np.int64(window - 1)
             for lem, _df in terms:
-                docid, tf, _dl, _sc = data[lem]
-                pos_flat = self._term_positions_full(blocks[lem], tf)
-                pidx = np.searchsorted(docid, cand)
-                p = _take_pos_groups(pos_flat, tf, pidx)
-                cnt = tf[pidx].astype(np.int64)
-                cidx = np.repeat(np.arange(len(cand), dtype=np.int64), cnt)
-                term_keys[lem] = cidx * shift + p  # doc-major, sorted
-            if in_order:
-                # greedy smallest-next chain from every occurrence of
-                # the FIRST sequence lemma; key arithmetic keeps the
-                # doc prefix, so nxt <= hi simultaneously enforces
-                # same-doc and within-window; ok is AND-sticky (a dead
-                # chain never revives on garbage cur values)
-                anchors = term_keys[lemmas[0]]
-                ok = np.ones(len(anchors), bool)
-                hi = anchors + np.int64(window - 1)
-                cur = anchors
-                for lem in lemmas[1:]:
-                    tk = term_keys[lem]
-                    idx = np.searchsorted(tk, cur, side="right")
-                    idxc = np.clip(idx, 0, max(len(tk) - 1, 0))
-                    nxt = tk[idxc]
-                    ok &= (idx < len(tk)) & (nxt <= hi)
-                    if not ok.any():
-                        return empty
-                    cur = nxt
-                matched = cand[np.unique(anchors[ok] >> np.int64(32))]
-            else:
-                anchors = np.sort(np.concatenate(list(term_keys.values())))
-                ok = np.ones(len(anchors), bool)
-                hi = anchors + np.int64(window - 1)
-                for lem, _df in terms:
-                    tk = term_keys[lem]
-                    lo = np.searchsorted(tk, anchors)
-                    loc = np.clip(lo, 0, max(len(tk) - 1, 0))
-                    ok &= (lo < len(tk)) & (tk[loc] <= hi)
-                    if not ok.any():
-                        return empty
-                matched = cand[np.unique(anchors[ok] >> np.int64(32))]
-        count = len(matched)
-        score = np.zeros(count, np.float64)
-        k1, b = self.k1, self.b
-        for lem, df in sorted(terms, key=lambda t: (t[1], t[0])):
-            docid, tf, dl, _sc = data[lem]
-            pidx = np.searchsorted(docid, matched)
-            tff = tf[pidx].astype(np.float64)
-            dlf = dl[pidx].astype(np.float64)
-            score += self.idf(df) * (tff * (k1 + 1.0)) / (
-                tff + k1 * (1.0 - b + b * dlf / self.avgdl)
-            )
-        ids, scores = self._topk(matched, score, k)
-        return ids, scores, count
+                tk = term_keys[lem]
+                lo = np.searchsorted(tk, anchors)
+                loc = np.clip(lo, 0, max(len(tk) - 1, 0))
+                ok &= (lo < len(tk)) & (tk[loc] <= hi)
+                if not ok.any():
+                    return empty
+        return cand[np.unique(anchors[ok] >> np.int64(32))], terms, data
 
     def score_reference(self, terms, scope=None):
         """Reference semantics: drop df>=250 lemmas (D4; all dropped ->
         'too frequent' error), conjunctive AND over the rest (J4),
-        relevance = doc Σtf / max doc Σtf (G3/G4) — query-independent."""
+        relevance = doc Σtf / max doc Σtf (G3/G4) — query-independent.
+        -> (ascending docids, relevances, None) or (None, None, error)."""
         kept = [(l, df) for l, df in terms if df < REFERENCE_DF_CUTOFF]
         if not kept:
             return None, None, "too_frequent"
         blocks = self._term_blocks([t[0] for t in kept])
-        lut = self._scope_lut(scope) if scope else None
-        inter = None
-        first_docid = first_dl = None
-        for lem, _df in kept:  # rarest-first iteration order preserved
-            bl = blocks[lem]
-            docid, _tf, dl, sc = self._decode_term(bl, 0, len(bl["first"]), bl.setdefault("chunks", {}))
-            if lut is not None:
-                keep = lut[sc]
-                docid, dl = docid[keep], dl[keep]
-            if inter is None:
-                first_docid, first_dl = docid, dl
-                inter = docid
-            else:
-                inter = np.intersect1d(inter, docid, assume_unique=True)
-        if inter is None or len(inter) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64), None
-        # dl per surviving doc via binary search into the (sorted) first
-        # term's decode — doc_len is term-independent, no dict build
-        rel = first_dl[np.searchsorted(first_docid, inter)].astype(np.float64) / self._max_relevance()
+        data = {lem: self._decode_full(blocks[lem]) for lem, _ in kept}
+        inter = self._and_candidates(kept, data, self._scope_lut(scope) if scope else None)
+        # dl per surviving doc via binary search into one term's decode —
+        # doc_len is term-independent, no dict build
+        docid, _tf, dl, _sc = data[kept[0][0]]
+        rel = dl[np.searchsorted(docid, inter)].astype(np.float64) / self._max_relevance()
         return inter, rel, None
 
     # ---------------- public API (S8 analog) ---------------------------
@@ -4758,507 +4678,309 @@ class SearchEngine(Aggregations):
         """-> {'result': bool, 'count': int, 'data': pa.Table, 'error': str|None}
 
         ``data`` columns: (conv_id, turn_idx, role, tool, ts, score
-        [, snippet | highlighted]). ``scope`` is a role value or
-        ``"tool:<name>"``. ``with_snippets``: True = 240-char
-        best-window snippet; ``"full"`` = ES highlight with
-        ``number_of_fragments: 0`` — the whole cleaned text with every
-        query-lemma word wrapped in <b></b> (column ``highlighted``).
-        ``exclude`` is NOT-term text: docs containing ANY of its analyzed
-        lemmas are dropped from the result set (and the exact count)
-        BEFORE top-k — supported for the bm25 mode (composes with
-        ``conjunctive``/``min_match``; like min_match it routes through
-        the exhaustive scorer: threading an exclusion mask into block-max
-        candidate windows is out of scope for a filtering surface).
-        ``ts_min``/``ts_max`` (int epoch-µs, ISO-8601 string, or
-        datetime; INCLUSIVE bounds, SQL ``BETWEEN`` semantics) keep only
-        turns whose ``ts`` falls in the range — same exhaustive routing,
-        applied to the full matching set before the count and top-k.
-        ``collapse`` is field collapsing on the conversation (the
-        Elasticsearch ``collapse`` shape): at most that many turns per
-        conversation survive into the count and top-k, chosen per
-        conversation by (score DESC, turn_idx ASC) — result
-        diversification; same exhaustive routing, applied AFTER the
-        other filters. ``order_by`` = 'score' (default) | 'ts_desc' |
-        'ts_asc' sorts the result page by turn timestamp instead of
-        relevance ("latest matching turns", the canonical transcript
-        ordering) — ranking key only; ``score`` still carries BM25.
-        ``order_by='rrf'`` is hybrid relevance+recency: reciprocal-rank
-        fusion (k=60) of the BM25 and ts-descending rankings of the
-        same matching set — there ``score`` carries the fused value.
-        ``synonyms`` (bm25 mode only) is a query-time synonym mapping
-        {word: [synonym, ...]} — both sides pass through the analyzer,
-        each query lemma expands to itself plus its mapped synonyms,
-        and ranking is standard disjunctive BM25 over the deduplicated
-        expansion union (the Lucene SynonymQuery "expand" rewrite);
-        expansion lemmas absent from the corpus are dropped (an
-        all-absent expansion returns count 0, not the reference's
-        missing-lemma empty result — the mapping exists to RESCUE
-        misses). Composes with every exhaustive-routed filter since it
-        only rewrites the term set.
-        ``boosts`` (bm25 mode only) is query-time per-term boosting
-        {word: weight} — the Lucene ``term^w`` weight: each boosted
-        lemma's idf is pre-scaled by its positive factor (ONE float64
-        multiply per term, so weight 1.0 is an exact bitwise no-op),
-        then standard disjunctive BM25; keys pass through the analyzer
-        (each must analyze to exactly one lemma). Routes through the
-        exhaustive scorer like the other filtering surfaces (block-max
-        upper bounds are computed for unboosted idf) and composes with
-        them.
-        ``rescore`` (bm25 mode only) is two-phase query rescoring (the
-        Elasticsearch ``rescore`` window shape): ``{"query": text,
-        "window": 50, "query_weight": 1.0, "rescore_weight": 1.0}`` —
-        phase one ranks the matching set by standard disjunctive BM25
-        and takes the top-``window``; phase two re-ranks ONLY that
-        window by ``qw*bm25 + rw*phrase_score``, where ``phrase_score``
-        is the exact-phrase BM25 of the rescore query's lemma sequence
-        (``mode='phrase'`` semantics over the window docs; a window doc
-        without the adjacent phrase adds 0). Needs a positions build; a
-        rescore-phrase lemma absent from the corpus boosts nothing
-        (base order stands, scaled by ``query_weight``); ``count``
-        stays the full matching count. Requires ``window >= offset +
-        limit`` (the page must come from the reordered window — the
-        beyond-window tail keeps base order in ES and is out of scope
-        here) and does not compose with the other rewrite/filter
-        surfaces (synonyms/boosts/decay/min_match/exclude/ts/collapse/
-        order_by/search_after) — ``bad_rescore`` otherwise.
-        ``decay`` (bm25 mode only) is function-score recency decay (the
-        Elasticsearch ``function_score`` decay shape, boost_mode
-        multiply): ``{"origin": ts, "scale": seconds, "shape":
-        "gauss"|"exp"|"linear", "rate": 0.5, "offset": seconds}`` —
-        each matching turn's BM25 score is multiplied by a factor of
-        its ts distance ``x = max(|ts - origin|sec - offset, 0)``:
-        gauss ``exp(-x²/c)`` (c = -scale²/ln rate), exp ``exp(λx)``
-        (λ = ln rate / scale), linear ``max((L-x)/L, 0)``
-        (L = scale/(1-rate)); at distance ``scale`` the factor is
-        exactly ``rate``. ``origin`` is explicit (int epoch-µs / ISO /
-        datetime — no hidden "now", so results are reproducible);
-        constants are folded driver-side into ONE float64 each, and
-        the factor is a single multiply on the summed BM25 score, so
-        the SQL twin inlining the same constants matches to float64
-        rounding. Routes through the exhaustive scorer like the other
-        filtering surfaces and composes with them (applied AFTER
-        exclusion/ts filters, BEFORE collapse — collapse diversifies
-        by the FINAL score); linear's zero tail keeps rows (score 0),
-        it never changes ``count``.
-        ``negative``/``negative_boost`` (bm25 mode only) is the ES
-        ``boosting`` compound query: docs containing ANY analyzed lemma
-        of ``negative`` stay in the result set but their score is
-        multiplied by ``negative_boost`` in [0, 1] — demotion, the
-        middle ground ``exclude`` can't express. Absent-lemma negatives
-        demote nothing (exclude's no-op rule); a negative that analyzes
-        to nothing is ``bad_negative`` (ES rejects an empty negative
-        body). Never changes ``count``; composes with the other
-        exhaustive-routed surfaces.
-        ``search_after`` = (score, conv_id, turn_idx) is cursor (deep)
-        pagination: return results STRICTLY AFTER that row in the
-        relevance total order (score DESC, conv_id, turn_idx) — the
-        Elasticsearch ``search_after`` shape. Feed it the last row of
-        the previous page; page N+1 via cursor is pinned identical to
-        ``offset=N*limit`` (the offset route re-ranks the whole result
-        prefix every page — at deep offsets the cursor is what scales).
-        Requires ``offset == 0`` and the default score order; composes
-        with the other exhaustive-routed filters; ``count`` stays the
-        full matching count.
+        [, snippet | highlighted]); ``count`` is the exact number of
+        matching turns after every filter. Every query runs one fixed
+        pipeline:
+
+        1. **Validate** (``_search_params``): every argument, into one
+           normalized ``Query``; a bad one answers its ``bad_*`` code.
+        2. **Source** (``_source``): what ``mode`` matches.
+           - A TERM SET of (lemma, df): ``bm25`` (the query lemmas, or
+             their ``synonyms`` expansion {word: [synonym, ...]}, absent
+             expansion lemmas dropped), ``prefix`` / ``wildcard`` /
+             ``regexp`` / ``fuzzy`` (``fuzzy_dist`` edits per token)
+             vocabulary expansions, ``auto`` without quoted phrases.
+           - A FULL MATCH SET scored by the mode: ``phrase`` (consecutive
+             lemmas; ``within_first`` = the span ends within the first N
+             tokens), ``phrase_prefix`` (the last token is a prefix),
+             ``near`` (all lemmas within ``near_window`` tokens;
+             ``in_order``), ``auto`` with "quoted phrases" (AND filters;
+             loose words score; -tokens join ``exclude``), ``reference``
+             (the reference engine's relevance).
+           Any query lemma absent from the corpus means no results.
+        3. **Rank.** A term set with no doc-level filter takes the
+           block-max route (``method='exhaustive'``: the exhaustive
+           scorer); ``min_match`` (at least M distinct lemmas) and
+           ``boosts`` ({word: factor} scaling idf) are bm25 term-route
+           options that score exhaustively. A registered scorer
+           (``register_scorer``) and ``rescore`` rank their own top-k.
+           Every full set — a match set, or a filtered term set scored
+           exhaustively — then runs one tail over its docid-sorted
+           (ids, scores):
+           - filter mask and score rewrites (``_filter_docs``):
+             ``exclude`` drops docs holding any of its lemmas;
+             ``ts_min``/``ts_max`` (int epoch-µs, ISO-8601 or datetime)
+             keep ts in the inclusive range; ``decay`` = {"origin",
+             "scale" (s), "shape": gauss|exp|linear, "rate", "offset"}
+             multiplies by the ES function-score decay of the ts
+             distance; ``negative`` multiplies the docs holding any of
+             its lemmas by ``negative_boost`` in [0, 1];
+           - ``collapse``: at most N turns per conversation, by (score
+             DESC, turn_idx ASC);
+           - ``search_after`` = (score, conv_id, turn_idx), the last row
+             of the previous page: keep rows strictly after it (offset 0,
+             score order); ``count`` stays the full count;
+           - ``order_by``: 'score', 'ts_desc' / 'ts_asc' (rank by ts;
+             ``score`` stays BM25) or 'rrf' (reciprocal-rank fusion,
+             k=60, of the score and ts-descending rankings; ``score`` is
+             the fused value);
+           - top ``offset + limit`` by (key DESC, docid ASC).
+           A registered scorer refuses every doc-level filter and
+           ``min_match`` outside bm25 is refused (``bad_filter_mode``);
+           ``synonyms``, ``boosts`` and ``rescore`` are bm25-only.
+           ``rescore`` = {"query", "window", "query_weight",
+           "rescore_weight"} re-ranks the block-max top-``window`` by
+           ``qw*bm25 + rw*phrase_bm25`` (ES rescore; window >= offset +
+           limit, no filter or rewrite).
+        4. **Page and enrich** (``_enrich``): rows from ``offset`` on,
+           joined to the doc store; ``with_snippets`` True adds a
+           240-char best-window ``snippet``, "full" the whole text with
+           query words in <b></b> (``highlighted``).
+
+        ``scope`` is a role value or ``"tool:<name>"``; it masks every
+        source.
         """
-        err, params = self._search_params(
-            scope, offset, limit, mode, exclude, ts_min, ts_max, collapse,
-            min_match, order_by, search_after, synonyms, boosts, decay,
-            negative, negative_boost)
+        err, q = self._search_params(Query(
+            query_text, scope, offset, limit, mode, method, conjunctive,
+            with_snippets, near_window, in_order, within_first, fuzzy_dist,
+            min_match, exclude, ts_min, ts_max, collapse, order_by,
+            search_after, synonyms, boosts, decay, rescore, negative,
+            negative_boost))
+        if err is None:
+            resp, q, terms, full = self._source(q)
+            if resp is not None:
+                return resp
+            err, ids, scores, count = self._rank(q, terms, full, q.offset + q.limit)
         if err:
             return self._resp(error=err)
-        offset, limit, ts_min, ts_max, boosts, decay_t, negative_boost = params
-        rescore_t: tuple | None = None
-        if rescore is not None:
-            # two-phase rescore: validate the window/weights, analyze
-            # the rescore query as an ORDERED phrase (its exact-match
-            # BM25 is the phase-two signal)
-            if (mode != "bm25" or not isinstance(rescore, dict)
-                    or min_match is not None or exclude is not None
-                    or ts_min is not None or ts_max is not None
-                    or collapse is not None or order_by != "score"
-                    or search_after is not None or boosts is not None
-                    or synonyms is not None or decay is not None
-                    or negative is not None):
-                return self._resp(error="bad_rescore")
-            if not self.has_positions:
-                return self._resp(error="no_positions")
-            try:
-                rq = str(rescore["query"])
-                window = int(rescore.get("window", 50))
-                qw = float(rescore.get("query_weight", 1.0))
-                rw = float(rescore.get("rescore_weight", 1.0))
-            except (KeyError, TypeError, ValueError):
-                return self._resp(error="bad_rescore")
-            if (window < 1 or window < offset + limit
-                    or not (math.isfinite(qw) and math.isfinite(rw))):
-                return self._resp(error="bad_rescore")
-            analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
-            rphrase = analyze_phrase(rq) if analyze_phrase is not None else None
-            if not rphrase:
-                return self._resp(error="bad_rescore")
-            rescore_t = (rphrase, window, qw, rw)
-        k = offset + limit
-        if within_first is not None and (
-            mode != "phrase"
-            or not isinstance(within_first, int) or within_first < 1
-        ):
-            # SpanFirstQuery composes with the phrase span only (a
-            # single-term phrase IS the classic term form)
-            return self._resp(error="bad_within_first")
-        if mode == "phrase":
-            if not self.has_positions:
-                return self._resp(error="no_positions")
-            analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
-            if analyze_phrase is None:
-                return self._resp(error="no_positions")
-            phrase = analyze_phrase(query_text)
-            if not phrase:
-                return self._resp(error="empty_query")
-            got = self.score_phrase(phrase, k, scope,
-                                    within_first=within_first)
-            if got is None:
-                return self._resp(count=0)
-            ids, scores, count = got
-            ids, scores = ids[offset:], scores[offset:]
-            terms = [(lem, self._df_of(lem) or 0) for lem in dict.fromkeys(phrase)]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "phrase_prefix":
-            # match-phrase-prefix (ES match_phrase_prefix — the
-            # search-as-you-type surface): the query's LAST whitespace
-            # token is a prefix that expands to at most
-            # PREFIX_MAX_EXPANSION vocabulary lemmas by the
-            # (df DESC, lemma ASC) cap rule (expand_prefix — mode
-            # 'prefix''s exact expansion, shared code, both dictionary
-            # regimes); the preceding tokens are an exact phrase, and a
-            # doc matches iff that fixed lemma sequence appears
-            # consecutively with ANY expansion lemma at the following
-            # position. The prefix slot filters, the fixed lemmas score
-            # (BM25) — a single-token query is mode='prefix''s job.
-            if not self.has_positions:
-                return self._resp(error="no_positions")
-            analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
-            if analyze_phrase is None:
-                return self._resp(error="no_positions")
-            toks = (query_text or "").split()
-            if len(toks) < 2:
-                return self._resp(error="bad_query")
-            phrase = analyze_phrase(" ".join(toks[:-1]))
-            if not phrase:
-                return self._resp(error="empty_query")
-            norm_last = self._norm_text(toks[-1]).split()
-            if not norm_last or len(norm_last[0]) < self.PREFIX_MIN_LEN:
-                return self._resp(error="empty_query")
-            exp = self.expand_prefix(norm_last[0])
-            if not exp:
-                return self._resp(count=0)
-            got = self.score_phrase_prefix(phrase, [l for l, _ in exp], k, scope)
-            if got is None:
-                return self._resp(count=0)
-            ids, scores, count = got
-            ids, scores = ids[offset:], scores[offset:]
-            terms = [(lem, self._df_of(lem) or 0) for lem in dict.fromkeys(phrase)]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "prefix":
-            # wildcard search: expand the prefix to vocabulary terms
-            # (df-desc capped), then standard disjunctive BM25 over the
-            # expansion — block-max pruning applies unchanged
-            exp = self.expand_prefix(query_text)
-            if not exp:
-                toks = self._norm_text(query_text or "").split()
-                if not toks or len(toks[0]) < self.PREFIX_MIN_LEN:
-                    return self._resp(error="empty_query")
-                return self._resp(count=0)
-            terms = self._live_terms(list(exp))
-            if not terms:
-                return self._resp(count=0)
-            ids, scores, count = self.score_blockmax(terms, k, scope, False)
-            ids, scores = ids[offset:], scores[offset:]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "wildcard":
-            # wildcard term query (Lucene WildcardQuery rewrite): the
-            # pattern expands to at most WILDCARD_MAX_EXPANSION
-            # vocabulary lemmas by (df DESC, lemma ASC) — prefix's cap
-            # rule — then standard disjunctive block-max BM25 over the
-            # expansion. A pattern with no metachars degenerates to an
-            # exact dictionary-term query (Lucene semantics).
-            exp = self.expand_wildcard(query_text)
+        tbl = self._enrich(ids[q.offset:], scores[q.offset:], terms, q.with_snippets)
+        return {"result": True, "count": int(count), "data": tbl, "error": None}
+
+    def _source(self, q: Query):
+        """Step 2 of ``search``: what the mode matches. -> (response, q,
+        terms, full). A refusal or an empty success comes back as
+        ``response`` and ends the query. Otherwise ``terms`` are (lemma,
+        df) pairs and ``full`` is None for a TERM SET, or the FULL MATCH
+        SET (ascending docids, float64 scores) the mode scored itself.
+        ``q`` comes back rewritten for auto: its -tokens join
+        ``exclude``, and without phrases it is bm25 over its loose
+        text."""
+        mode, text = q.mode, q.query_text
+
+        def stop(**resp):
+            return self._resp(**resp), q, [], None
+
+        def term_set(terms):
+            terms = self._live_terms(terms)
+            return (None, q, terms, None) if terms else stop(count=0)
+
+        if mode in ("prefix", "wildcard", "regexp"):
+            # Lucene's multi-term rewrite: the pattern expands to at most
+            # *_MAX_EXPANSION vocabulary lemmas by (df DESC, lemma ASC)
+            exp = getattr(self, f"expand_{mode}")(text)
             if exp is None:
-                return self._resp(error="bad_pattern")
-            if not exp:
-                return self._resp(count=0)
-            terms = self._live_terms(list(exp))
-            if not terms:
-                return self._resp(count=0)
-            ids, scores, count = self.score_blockmax(terms, k, scope, False)
-            ids, scores = ids[offset:], scores[offset:]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "regexp":
-            # regexp term query (Lucene RegexpQuery rewrite): the
-            # pattern expands to at most REGEXP_MAX_EXPANSION
-            # vocabulary lemmas by (df DESC, lemma ASC) — wildcard's
-            # cap rule — then standard disjunctive block-max BM25 over
-            # the expansion. Invalid patterns (charset / RE2 compile)
-            # are bad_pattern, like wildcard's guard.
-            exp = self.expand_regexp(query_text)
-            if exp is None:
-                return self._resp(error="bad_pattern")
-            if not exp:
-                return self._resp(count=0)
-            terms = self._live_terms(list(exp))
-            if not terms:
-                return self._resp(count=0)
-            ids, scores, count = self.score_blockmax(terms, k, scope, False)
-            ids, scores = ids[offset:], scores[offset:]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
+                return stop(error="bad_pattern")
+            toks = self._norm_text(text or "").split()
+            if mode == "prefix" and (not toks or len(toks[0]) < self.PREFIX_MIN_LEN):
+                return stop(error="empty_query")
+            return term_set(exp)
         if mode == "fuzzy":
-            # fuzzy term search (Lucene FuzzyQuery rewrite semantics):
-            # each analyzer-normalized query token expands to at most
-            # FUZZY_MAX_EXPANSION vocabulary lemmas within ``fuzzy_dist``
-            # Levenshtein edits, ranked (dist ASC, df DESC, lemma ASC) —
-            # exactly the suggest() rule, so BOTH dictionary regimes
-            # (in-memory preload / distributed parquet sweep) ride the
-            # already-pinned-equal scan — then standard disjunctive
-            # block-max BM25 over the deduplicated expansion union.
-            # Tokens are charset-folded but NOT lemmatized (the probe is
-            # matched against the lemma vocabulary directly, like
-            # suggest); a token with no expansion contributes nothing.
-            # With a live delta overlay the expansion reflects the BASE
-            # dictionary (suggest's documented boundary — delta-only
-            # lemmas join at the next compaction); expanded terms' df
-            # and postings DO fold through the overlay below.
-            if not 0 <= fuzzy_dist <= 3:
-                return self._resp(error="bad_fuzzy_dist")
-            toks = self._norm_text(query_text or "").split()
+            # Lucene FuzzyQuery rewrite: each charset-folded (not
+            # lemmatized) token expands to at most FUZZY_MAX_EXPANSION
+            # lemmas within fuzzy_dist edits by suggest()'s (dist ASC,
+            # df DESC, lemma ASC) rule. Under a delta overlay the
+            # expansion reflects the BASE dictionary (suggest's
+            # boundary); the expanded terms' df and postings fold
+            # through the overlay.
+            toks = self._norm_text(text or "").split()
             if not toks:
-                return self._resp(error="empty_query")
+                return stop(error="empty_query")
             seen: dict[str, int] = {}
             for tok in toks:
-                t = self.suggest(tok, max_dist=fuzzy_dist,
-                                 k=self.FUZZY_MAX_EXPANSION)
+                t = self.suggest(tok, max_dist=q.fuzzy_dist, k=self.FUZZY_MAX_EXPANSION)
                 for lem, df in zip(t.column("suggestion").to_pylist(),
                                    t.column("df").to_pylist()):
                     seen.setdefault(lem, int(df))
-            if not seen:
-                return self._resp(count=0)
-            terms = self._live_terms(list(seen.items()))
-            if not terms:
-                return self._resp(count=0)
-            ids, scores, count = self.score_blockmax(terms, k, scope, False)
-            ids, scores = ids[offset:], scores[offset:]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "near":
-            if not self.has_positions:
-                return self._resp(error="no_positions")
-            if in_order:
-                # ordered proximity (Lucene SpanNearQuery in_order):
-                # the ORDERED, duplicate-keeping lemma sequence — query
-                # order is the matching constraint, so the sorted-dedup
-                # analyze_query would destroy the semantics
-                analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
-                if analyze_phrase is None:
-                    return self._resp(error="no_positions")
-                lemmas = analyze_phrase(query_text)
-            else:
-                lemmas = self._analyzer.analyze_query(query_text)
+            return term_set(list(seen.items()))
+        analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
+        if mode in ("phrase", "phrase_prefix", "near") and not self.has_positions:
+            return stop(error="no_positions")
+        if mode in ("phrase", "phrase_prefix"):
+            if analyze_phrase is None:
+                return stop(error="no_positions")
+            toks, alts = (text or "").split(), None
+            if mode == "phrase_prefix":
+                # ES match_phrase_prefix: the LAST whitespace token is a
+                # prefix expanding by mode 'prefix''s rule; a single
+                # token is mode 'prefix''s job
+                if len(toks) < 2:
+                    return stop(error="bad_query")
+                text = " ".join(toks[:-1])
+            phrase = analyze_phrase(text)
+            if not phrase:
+                return stop(error="empty_query")
+            if mode == "phrase_prefix":
+                last = self._norm_text(toks[-1]).split()
+                if not last or len(last[0]) < self.PREFIX_MIN_LEN:
+                    return stop(error="empty_query")
+                alts = [lem for lem, _ in self.expand_prefix(last[0])]
+                if not alts:
+                    return stop(count=0)
+            got = self._phrase_matches(phrase, q.scope, q.within_first, alts)
+        elif mode == "near":
+            # in_order matches the ORDERED, duplicate-keeping lemma
+            # sequence, which the sorted-dedup analyze_query would lose
+            if q.in_order and analyze_phrase is None:
+                return stop(error="no_positions")
+            lemmas = (analyze_phrase(text) if q.in_order
+                      else self._analyzer.analyze_query(text))
             if not lemmas:
-                return self._resp(error="empty_query")
-            if near_window < 1:
-                return self._resp(error="bad_window")
-            got = self.score_near(lemmas, near_window, k, scope,
-                                  in_order=in_order)
-            if got is None:
-                return self._resp(count=0)
-            ids, scores, count = got
-            ids, scores = ids[offset:], scores[offset:]
-            terms = [(lem, self._df_of(lem) or 0) for lem in lemmas]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if mode == "auto":
-            # boolean search-box syntax: "quoted phrases" are AND
-            # filters, -tokens are NOT terms, the rest is loose
-            # disjunctive BM25 text (parse_boolean_query)
-            phrases_raw, loose_text, excl_text = parse_boolean_query(query_text)
-            analyze_phrase = getattr(self._analyzer, "analyze_phrase", None)
+                return stop(error="empty_query")
+            got = self._near_matches(lemmas, q.near_window, q.scope, q.in_order)
+        elif mode == "auto":
+            # search-box syntax (parse_boolean_query): "quoted phrases"
+            # are AND filters, -tokens NOT terms, the rest loose BM25 text
+            phrases_raw, loose_text, excl_text = parse_boolean_query(text)
+            if excl_text:
+                q = q._replace(exclude=excl_text if q.exclude is None
+                               else f"{q.exclude} {excl_text}")
             phrases = []
             for p in phrases_raw:
                 ph = analyze_phrase(p) if analyze_phrase is not None else None
                 if ph is None and p.strip():
-                    return self._resp(error="no_positions")
+                    return stop(error="no_positions")
                 if ph:
                     phrases.append(ph)
             if phrases and not self.has_positions:
-                return self._resp(error="no_positions")
+                return stop(error="no_positions")
             loose = self._analyzer.analyze_query(loose_text) if loose_text else []
             if not phrases and not loose:
-                return self._resp(error="empty_query")
+                return stop(error="empty_query")
             if not phrases:
-                # no phrase filters: the query IS disjunctive BM25 (+
-                # optional NOT) — ride the block-max path (or the
-                # exhaustive exclusion route), don't full-decode here
-                return self.search(
-                    loose_text, scope=scope, offset=offset, limit=limit,
-                    with_snippets=with_snippets, exclude=excl_text or None,
-                )
-            got = self.score_auto(phrases, loose, excl_text or None, k, scope)
-            if got is None:
-                return self._resp(count=0)
-            ids, scores, count = got
-            ids, scores = ids[offset:], scores[offset:]
-            pos_lemmas = dict.fromkeys([l for ph in phrases for l in ph] + loose)
-            terms = [(lem, self._df_of(lem) or 0) for lem in pos_lemmas]
-            tbl = self._enrich(ids, scores, terms, with_snippets)
-            return {"result": True, "count": int(count), "data": tbl, "error": None}
-        if synonyms is not None:
-            # query-time synonym expansion: analyzer-normalize BOTH
-            # mapping sides, expand each query lemma to itself + its
-            # synonyms, drop expansion lemmas absent from the corpus,
-            # dedupe, df-ascending — then fall through to the standard
-            # bm25 routing (blockmax or the exhaustive filter route)
-            lemmas = self._analyzer.analyze_query(query_text)
+                return self._source(q._replace(query_text=loose_text, mode="bm25"))
+            got = self._auto_matches(phrases, loose, q.scope)
+        elif q.synonyms is not None:
+            # query-time synonym expansion (the Lucene SynonymQuery
+            # "expand" rewrite): both mapping sides analyzer-normalized,
+            # each query lemma expands to itself + its synonyms
+            lemmas = self._analyzer.analyze_query(text)
             if not lemmas:
-                return self._resp(error="empty_query")
+                return stop(error="empty_query")
             norm_map: dict[str, list[str]] = {}
-            for key, vals in synonyms.items():
+            for key, vals in q.synonyms.items():
                 klems = self._analyzer.analyze_query(str(key))
                 if len(klems) != 1:
-                    return self._resp(error="bad_synonyms")
+                    return stop(error="bad_synonyms")
                 exp = []
                 for v in vals if isinstance(vals, (list, tuple)) else (vals,):
                     exp.extend(self._analyzer.analyze_query(str(v)))
                 norm_map[klems[0]] = exp
-            seen: dict[str, None] = {}
+            seen = {}
             for lem in lemmas:
                 seen.setdefault(lem)
                 for s in norm_map.get(lem, ()):
                     seen.setdefault(s)
-            terms = self._live_terms(self._held_terms(seen))
-            if not terms:
-                return self._resp(count=0)
-            err = None
+            return term_set(self._held_terms(seen))
         else:
-            terms, err = self.plan(query_text)
-        if err == "empty_query":
-            return self._resp(error="empty_query")
-        if err == "no_results":
-            return self._resp(count=0)
-        if mode == "reference":
-            ids, scores, err = self.score_reference(terms, scope)
+            terms, err = self.plan(text)
             if err:
-                return self._resp(error=err)
-            count = len(ids)
-            ids, scores = self._topk(ids, scores, k)
-        elif mode != "bm25":
-            ids, scores, count = SCORERS[mode](self, terms, k, scope, conjunctive)
-        elif rescore_t is not None:
-            # two-phase rescore: phase one = standard disjunctive
-            # block-max BM25 top-WINDOW (the full count rides along);
-            # phase two = one vectorized searchsorted of the window ids
-            # into the rescore phrase's match set (decoded once via the
-            # memoized term blocks) + a BM25-at-docs pass over the hits
-            # — nothing beyond the window is ever rescored
-            rphrase, window, qw, rw = rescore_t
-            ids, scores, count = self.score_blockmax(
-                terms, window, scope, conjunctive
-            )
-            final = qw * scores
-            got = self._phrase_matches(rphrase, scope)
-            if got is not None and len(ids):
-                matched, pterms, pdata = got
-                if len(matched):
-                    order = np.argsort(ids)
-                    sids = ids[order]
-                    pos = np.clip(
-                        np.searchsorted(matched, sids), 0, len(matched) - 1
-                    )
-                    hit = matched[pos] == sids
-                    if hit.any():
-                        ps = self._bm25_at(pterms, pdata, sids[hit], present=True)
-                        add = np.zeros(len(sids), np.float64)
-                        add[hit] = rw * ps
-                        final[order] += add
-            ids, scores = self._topk(ids, final, k)
-        elif (min_match is not None or exclude is not None or ts_min is not None
-              or ts_max is not None or collapse is not None or order_by != "score"
-              or search_after is not None or boosts is not None
-              or decay_t is not None or negative is not None):
-            # minimum-should-match / NOT-exclusion / ts-range route
-            # through the exhaustive scorer (block-max pruning with an
-            # msm floor or a filter mask would need per-window per-term
-            # presence bounds — out of scope; these are filtering
-            # surfaces, not the hot path)
-            if min_match is not None and not 1 <= min_match <= len(terms):
-                return self._resp(count=0) if min_match > len(terms) else self._resp(error="bad_min_match")
-            ids, scores = self.score_exhaustive(
-                terms, scope, conjunctive, min_match=min_match, boosts=boosts
-            )
-            keep, scores = self._filter_docs(
-                ids, scores, exclude, ts_min, ts_max, decay_t, negative,
-                negative_boost)
-            ids = ids[keep]
-            if collapse is not None:
-                ids, scores = self._collapse_per_conv(ids, scores, collapse)
-            count = len(ids)
-            if search_after is not None:
-                # cursor pagination: keep rows STRICTLY AFTER the cursor
-                # in the (score DESC, docid ASC) total order. The cursor
-                # score is the engine's own float64 from the previous
-                # page (JSON round-trips it exactly), so equality at the
-                # boundary is bit-exact; ties resolve on the docid.
-                s0, conv0, turn0 = search_after
-                d0 = self._cursor_docid(conv0, turn0)
-                try:
-                    s0 = float(s0)
-                except (TypeError, ValueError):
-                    d0 = None
-                if d0 is None:
-                    return self._resp(error="bad_cursor")
-                keep = (scores < s0) | ((scores == s0) & (ids > d0))
-                ids, scores = ids[keep], scores[keep]
-            if order_by in ("ts_desc", "ts_asc"):
-                # rank by turn timestamp: top-k on the ts key (exact in
-                # float64 — epoch-µs < 2^53), ties by docid ASC ==
-                # (conv_id, turn_idx) ASC; BM25 scores re-attached to
-                # the winners by position (ids stay docid-sorted through
-                # every filter above)
-                tss = self._ts_of_ids(ids).astype(np.float64)
-                key = tss if order_by == "ts_desc" else -tss
-                sel_ids, _ = self._topk(ids, key, k)
-                scores = scores[np.searchsorted(ids, sel_ids)]
-                ids = sel_ids
-            elif order_by == "rrf":
-                # hybrid relevance+recency: reciprocal-rank fusion of
-                # the BM25 ranking and the ts-descending ranking of the
-                # SAME filtered matching set (the Elasticsearch RRF
-                # retriever shape): fused = 1/(K + r_rel) + 1/(K + r_ts)
-                # with dense 1-based ranks and docid-ASC ties. Ranks are
-                # integers, each term is ONE IEEE division, and the sum
-                # is commutative at swapped ranks — bit-identical to the
-                # SQL oracle; the fused value IS the returned score.
-                n = len(ids)
-                tss = self._ts_of_ids(ids).astype(np.float64)
-                rel = np.empty(n, np.int64)
-                rel[np.lexsort((ids, -scores))] = np.arange(1, n + 1)
-                rec = np.empty(n, np.int64)
-                rec[np.lexsort((ids, -tss))] = np.arange(1, n + 1)
-                fused = 1.0 / (RRF_K + rel) + 1.0 / (RRF_K + rec)
-                ids, scores = self._topk(ids, fused, k)
-            else:
-                ids, scores = self._topk(ids, scores, k)
-        elif method == "blockmax":
-            ids, scores, count = self.score_blockmax(terms, k, scope, conjunctive)
-        else:
-            ids, scores = self.score_exhaustive(terms, scope, conjunctive)
-            count = len(ids)
-            ids, scores = self._topk(ids, scores, k)
-        ids, scores = ids[offset:], scores[offset:]
-        tbl = self._enrich(ids, scores, terms, with_snippets)
-        return {"result": True, "count": int(count), "data": tbl, "error": None}
+                return stop(error=None if err == "no_results" else err)
+            if mode != "reference":
+                return None, q, terms, None
+            ids, rel, err = self.score_reference(terms, q.scope)
+            return (stop(error=err) if err else (None, q, terms, (ids, rel)))
+        if got is None:
+            return stop(count=0)
+        matched, terms, data = got
+        return None, q, terms, (matched, self._bm25_at(
+            terms, data, matched, present=mode != "auto"))
+
+    def _rank(self, q: Query, terms, full, k: int):
+        """Step 3 of ``search`` -> (error, top-k ids, scores, count).
+        ``full`` None: ``terms`` are a term set, ranked by a registered
+        scorer, the rescore, or — with no filter — the block-max route;
+        otherwise the exhaustive scorer makes them a full set. A full set
+        runs the one tail: filter mask and score rewrites, collapse,
+        cursor, order, top-k."""
+        if full is None:
+            if q.mode not in MODES:
+                return None, *SCORERS[q.mode](self, terms, k, q.scope, q.conjunctive)
+            if q.rescore is not None:
+                return None, *self._rescored(q, terms, k)
+            if (q.method == "blockmax" and not q.filtered and q.min_match is None
+                    and q.boosts is None):
+                return None, *self.score_blockmax(terms, k, q.scope, q.conjunctive)
+            if q.min_match is not None and q.min_match > len(terms):
+                return None, np.empty(0, np.int64), np.empty(0, np.float64), 0
+            full = self.score_exhaustive(terms, q.scope, q.conjunctive,
+                                         min_match=q.min_match, boosts=q.boosts)
+        ids, scores = full
+        keep, scores = self._filter_docs(ids, scores, q.exclude, q.ts_min, q.ts_max,
+                                         q.decay, q.negative, q.negative_boost)
+        ids = ids[keep]
+        if q.collapse is not None:
+            ids, scores = self._collapse_per_conv(ids, scores, q.collapse)
+        count = len(ids)
+        if q.search_after is not None:
+            # keep rows STRICTLY AFTER the cursor in the (score DESC,
+            # docid ASC) total order. The cursor score is the engine's
+            # own float64 from the previous page (JSON round-trips it
+            # exactly), so equality at the boundary is bit-exact; ties
+            # resolve on the docid.
+            s0, conv0, turn0 = q.search_after
+            d0 = self._cursor_docid(conv0, turn0)
+            try:
+                s0 = float(s0)
+            except (TypeError, ValueError):
+                d0 = None
+            if d0 is None:
+                return "bad_cursor", None, None, 0
+            keep = (scores < s0) | ((scores == s0) & (ids > d0))
+            ids, scores = ids[keep], scores[keep]
+        if q.order_by in ("ts_desc", "ts_asc"):
+            # top-k on the ts key (exact in float64 — epoch-µs < 2^53),
+            # ties by docid ASC == (conv_id, turn_idx) ASC; scores
+            # re-attach to the winners by position (ids stay
+            # docid-sorted through every step above)
+            tss = self._ts_of_ids(ids).astype(np.float64)
+            sel_ids, _ = self._topk(ids, tss if q.order_by == "ts_desc" else -tss, k)
+            return None, sel_ids, scores[np.searchsorted(ids, sel_ids)], count
+        if q.order_by == "rrf":
+            # reciprocal-rank fusion (the Elasticsearch RRF retriever):
+            # fused = 1/(K + r_rel) + 1/(K + r_ts), dense 1-based ranks
+            # with docid-ASC ties. Ranks are integers and each term is
+            # ONE IEEE division — bit-identical to the SQL oracle.
+            n = len(ids)
+            tss = self._ts_of_ids(ids).astype(np.float64)
+            rel = np.empty(n, np.int64)
+            rel[np.lexsort((ids, -scores))] = np.arange(1, n + 1)
+            rec = np.empty(n, np.int64)
+            rec[np.lexsort((ids, -tss))] = np.arange(1, n + 1)
+            scores = 1.0 / (RRF_K + rel) + 1.0 / (RRF_K + rec)
+        return None, *self._topk(ids, scores, k), count
+
+    def _rescored(self, q: Query, terms, k: int):
+        """Two-phase rescore -> (top-k ids, scores, count). Phase one is
+        block-max BM25's top-``window`` (the full count rides along);
+        phase two adds ``rw`` × the rescore phrase's BM25 at the window
+        docs holding the phrase (one searchsorted into its match set) to
+        ``qw`` × the phase-one score. Nothing beyond the window is
+        rescored."""
+        rphrase, window, qw, rw = q.rescore
+        ids, scores, count = self.score_blockmax(terms, window, q.scope, q.conjunctive)
+        final = qw * scores
+        got = self._phrase_matches(rphrase, q.scope)
+        if got is not None and len(ids) and len(got[0]):
+            matched, pterms, pdata = got
+            order = np.argsort(ids)
+            sids = ids[order]
+            pos = np.clip(np.searchsorted(matched, sids), 0, len(matched) - 1)
+            hit = matched[pos] == sids
+            if hit.any():
+                add = np.zeros(len(sids), np.float64)
+                add[hit] = rw * self._bm25_at(pterms, pdata, sids[hit], present=True)
+                final[order] += add
+        return *self._topk(ids, final, k), count
 
     def msearch(self, requests: list[dict]) -> list[dict]:
         """Multi-search (the Elasticsearch ``_msearch`` batch surface):
@@ -5267,25 +4989,21 @@ class SearchEngine(Aggregations):
         order-preserving. Line-level error semantics: an invalid
         request yields its error response IN PLACE and the batch never
         aborts (the ES per-line failure shape). Each request is a
-        kwargs dict with ``query`` plus any ``search()`` parameter.
+        kwargs dict with ``query`` plus any ``search()`` parameter; a
+        line without ``query`` or with any other key is ``bad_request``.
         Batch amortization is structural: term block decodes, scope
         LUTs, the forward index and enrichment frames are all memoized
         per engine, so lemmas shared across the batch decode ONCE —
         the per-request HTTP path pays that cache warm-up per process
         lifetime, msearch guarantees it within the batch."""
+        allowed = {"query", *Query._fields[1:]}
         out = []
         for req in requests:
-            if not isinstance(req, dict) or "query" not in req:
+            if not isinstance(req, dict) or "query" not in req or not set(req) <= allowed:
                 out.append(self._resp(error="bad_request"))
                 continue
             kw = dict(req)
-            qtext = kw.pop("query")
-            try:
-                out.append(self.search(qtext, **kw))
-            except TypeError:
-                # unknown parameter name — a malformed line, not a batch
-                # failure
-                out.append(self._resp(error="bad_request"))
+            out.append(self.search(kw.pop("query"), **kw))
         return out
 
     def _forward(self):

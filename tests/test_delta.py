@@ -359,6 +359,24 @@ def test_delta_termvectors_identical_to_rebuild(delta_env):
     assert next(x["tf"] for x in tv if x["lemma"] == datagen.stem(7)) == 2
 
 
+def test_delta_mget_explain_termvectors_agree_on_aliveness(delta_env):
+    """mget, explain and termvectors ask one question of the overlaid
+    view: is this doc live? A turn past the end of a conversation no
+    generation touched is not found by any of them, as in a rebuild
+    (mget used to report it found with another turn's row)."""
+    overlay = SearchEngine(delta_env["base_out"])
+    rebuilt = SearchEngine(delta_env["rebuilt_out"])
+    hit = overlay.search(datagen.stem(0), limit=50)["data"].to_pylist()
+    other = next(r["conv_id"] for r in hit if r["conv_id"] != delta_env["conv"])
+    docs = [(other, 900), (other, 0), (delta_env["conv"], 0), (delta_env["conv"], 5)]
+    for eng in (overlay, rebuilt):
+        found = eng.mget(docs)["data"].column("found").to_pylist()
+        assert found == [False, True, True, False]
+        assert eng.explain(datagen.stem(0), other, 900)["error"] == "not_found"
+        assert eng.termvectors(other, 900)["error"] == "not_found"
+        assert eng.termvectors(delta_env["conv"], 5)["error"] == "not_found"
+
+
 def test_delta_histogram_identical_to_rebuild(delta_env):
     """histogram rides the overlay-folded matching set + the spliced
     per-doc value frames — buckets equal a fresh rebuild exactly."""

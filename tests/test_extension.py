@@ -84,5 +84,11 @@ def test_custom_scorer_registration(tiny_index):
         assert set(r["data"].column("score").to_pylist()) == {1.0}
         assert r["count"] > 0
         assert eng.search(datagen.stem(0), mode="nope")["error"] == "unknown_mode"
+        # a registered scorer returns only its top-k: a doc-level filter
+        # there is refused, not applied to k docs
+        for kw in ({"exclude": datagen.stem(1)}, {"ts_min": 0}, {"collapse": 1},
+                   {"decay": {"origin": 0, "scale": 1.0}}):
+            assert (eng.search(datagen.stem(0), mode="constant-test", **kw)["error"]
+                    == "bad_filter_mode")
     finally:
         SCORERS.pop("constant-test", None)

@@ -644,9 +644,10 @@ def test_decay_semantics(engine):
         {"origin": "2026-01-01", "scale": 10.0, "offset": -1.0},
     ):
         assert engine.search(q, decay=bad)["error"] == "bad_decay"
-    assert engine.search(q, mode="reference",
-                         decay={"origin": "2026-01-01", "scale": 1.0}
-                         )["error"] == "bad_decay"
+    # every built-in mode decays its match set; decay never changes count
+    ph = engine.search(q, mode="phrase",
+                       decay={"origin": "2026-01-01", "scale": 1.0})
+    assert ph["result"] and ph["count"] == engine.search(q, mode="phrase")["count"]
 
 
 def test_decay_vs_duckdb_oracle(engine, duck):
@@ -703,8 +704,8 @@ def test_boosting_vs_duckdb_oracle(engine, duck):
 def test_boosting_semantics(engine):
     """nb=1.0 and an absent negative are exact no-ops; demotion never
     changes the count; nb=0 floors demoted docs below every undemoted
-    one; guards reject non-bm25 modes, out-of-range factors, and a
-    negative that analyzes to nothing."""
+    one; guards reject out-of-range factors and a negative that analyzes
+    to nothing; every built-in mode demotes its own match set."""
     hot, mid = datagen.stem(0), datagen.stem(120)
     plain = engine.search(hot, limit=10)
     noop1 = engine.search(hot, limit=10, negative=mid, negative_boost=1.0)
@@ -724,8 +725,8 @@ def test_boosting_semantics(engine):
             if (r["conv_id"], r["turn_idx"]) in neg_set:
                 assert r["score"] == 0.0
         assert scores == sorted(scores, reverse=True)
-    assert engine.search(hot, mode="phrase", negative=mid)["error"] \
-        == "bad_negative"
+    assert engine.search(hot, mode="phrase", negative=mid)["count"] \
+        == engine.search(hot, mode="phrase")["count"]
     assert engine.search(hot, negative=mid, negative_boost=1.5)["error"] \
         == "bad_negative"
     assert engine.search(hot, negative=mid, negative_boost=-0.1)["error"] \
@@ -2676,9 +2677,8 @@ def test_percolate_indexed_query_set_scales_flat(tiny_corpus):
 
 def test_malformed_parameter_responses(engine):
     """Round-5 hardening: malformed parameters produce error RESPONSES
-    (the bad_* convention), never exceptions; filters that only the
-    exhaustive bm25 route applies are REJECTED in other modes instead
-    of silently ignored."""
+    (the bad_* convention), never exceptions; min_match, a bm25 term-set
+    option, is REJECTED in other modes instead of silently ignored."""
     from search_engine_ray import datagen
 
     q = datagen.stem(0)
@@ -2691,13 +2691,17 @@ def test_malformed_parameter_responses(engine):
     # the mode is checked before planning: an absent lemma does not turn
     # an unknown mode into an empty success
     assert engine.search("wqxqzq", mode="nope")["error"] == "unknown_mode"
-    # non-bm25 modes never reach the filter gate: reject, don't ignore
-    r = engine.search(f"{q} {datagen.stem(1)}", mode="phrase", exclude=q)
+    # min_match shapes the bm25 term route only: reject, don't ignore
+    r = engine.search(f"{q} {datagen.stem(1)}", mode="phrase", min_match=1)
     assert r["error"] == "bad_filter_mode"
-    r = engine.search(q, mode="near", ts_min=0)
-    assert r["error"] == "bad_filter_mode"
-    r = engine.search(q, mode="reference", order_by="ts_desc")
-    assert r["error"] == "bad_filter_mode"
+    # malformed numbers answer their own code, not an exception
+    assert engine.search(q, collapse="x")["error"] == "bad_collapse"
+    assert engine.search(q, mode="near", near_window="a")["error"] == "bad_window"
+    assert engine.search(q, mode="fuzzy", fuzzy_dist=None)["error"] == "bad_fuzzy_dist"
+    assert engine.search(q, min_match="2")["error"] == "bad_min_match"
+    # msearch: an unknown key is a malformed line; a known one runs
+    bad, good = engine.msearch([{"query": q, "nope": 1}, {"query": q, "collapse": "x"}])
+    assert bad["error"] == "bad_request" and good["error"] == "bad_collapse"
     # metrics/top_hits/composite parameter shapes
     assert engine.metrics(q, percentiles=(0,))["error"] == "bad_percentiles"
     assert engine.metrics(q, percentiles=(150,))["error"] == "bad_percentiles"
