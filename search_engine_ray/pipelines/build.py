@@ -512,11 +512,11 @@ def build_index(
             # — a near-full pool starves its own IO; a full pool
             # deadlocks outright)
             conc = max(1, min(max(1, ncpu // (2 * overlap)), (part_bytes >> 22) + 1))
-        elif overlap > 1 and conc * overlap * 2 > ncpu:
-            # an EXPLICIT concurrency must obey the same safety bound
-            # when executions overlap: overlap x conc actors with no
-            # cores left for reads/writes is the outright-deadlock mode
-            # (reproduced: concurrency=4, overlap=2, 8 cpus — both
+        elif conc * overlap * 2 > ncpu:
+            # an EXPLICIT concurrency obeys the same safety bound: overlap
+            # x conc actors with no cores left for reads/writes is the
+            # outright-deadlock mode (reproduced: concurrency=4, overlap=2,
+            # 8 cpus, and concurrency=2 at 2 cpus without overlap — the
             # stage-A datasets stall at spin-up forever)
             conc = max(1, ncpu // (2 * overlap))
         try:

@@ -19,8 +19,15 @@ same two seams are explicit:
 2. **Scorer** — ``search.register_scorer(name)`` registers a ranking
    strategy callable; ``SearchEngine.search(mode=name)`` dispatches to
    it. The built-in modes (``search.MODES``) are fixed; custom scorers
-   receive the engine instance (block cache, decode helpers, corpus
-   stats) and own their semantics. A built-in mode hands its FULL match
+   receive the engine instance (posting reads, corpus stats) and own
+   their semantics. A scorer reads postings the way the built-in ones
+   do: ``engine._term_blocks(lemmas)`` -> lemma -> block entry, then
+   ``engine._decoded(entry, lo=0, hi=None, streams=search.STREAMS)``
+   -> the named streams (any of ``"docid"``, ``"tf"``, ``"dl"``,
+   ``"scope"``, in the order asked) of blocks ``lo``..``hi``, default the whole term.
+   Both read through the engine's one byte-bounded, locked cache, so a
+   scorer may run on concurrent server threads; ``streams=("docid",)``
+   skips the tf/dl decode for counting. A built-in mode hands its FULL match
    set to ``search``'s one filter tail, so every doc-level filter
    (``exclude``, ``ts_min``/``ts_max``, ``collapse``, ``order_by``,
    ``search_after``, ``decay``, ``negative``) composes with it; a scorer

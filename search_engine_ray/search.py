@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,7 @@ from .pipelines import build as build_mod
 from .stages.encode import (
     binary_column_buffers,
     decode_block_range,
+    decode_gaps_range,
     decode_poss_range,
     decode_scps_range,
     scope_code_space,
@@ -269,6 +271,81 @@ def _pair_adjacency(
         ucnt.astype(np.int64),
         (inter & (shift - np.int64(1))).astype(np.int64),
     )
+
+
+def _nbytes(x) -> int:
+    """Resident size of a cache payload: its arrays' bytes (a view
+    counts its span), 8 per other scalar or string."""
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    if isinstance(x, (tuple, list, dict)):
+        return sum(_nbytes(v) for v in (x.values() if isinstance(x, dict) else x))
+    return 8
+
+
+class PayloadCache:
+    """An engine's one store of read and decoded index payloads: an LRU
+    over ``(kind, ...)`` keys holding at most ``max_bytes`` behind one
+    lock, so threads serving one engine share it safely. A payload is
+    computed OUTSIDE the lock: two threads missing the same key both
+    compute it and the second insert wins (the values are identical).
+    A payload larger than the budget is returned without being cached."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self._lru: OrderedDict = OrderedDict()  # key -> (payload, nbytes)
+        self._lock = threading.Lock()
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._lru
+
+    def _hit(self, key):
+        with self._lock:
+            hit = self._lru.get(key)
+            if hit is not None:
+                self._lru.move_to_end(key)
+            return hit
+
+    def peek(self, key):
+        """The cached payload of ``key`` (now most recently used), or None."""
+        hit = self._hit(key)
+        return None if hit is None else hit[0]
+
+    def put(self, key, payload):
+        """Cache ``payload`` under ``key``, evicting least recently used
+        entries past the budget. -> ``payload``."""
+        n = _nbytes(payload)
+        if n <= self.max_bytes:
+            with self._lock:
+                old = self._lru.pop(key, None)
+                self.bytes += n - (old[1] if old else 0)
+                self._lru[key] = (payload, n)
+                while self.bytes > self.max_bytes:
+                    self.bytes -= self._lru.popitem(last=False)[1][1]
+        return payload
+
+    def get(self, key, compute):
+        """The payload of ``key``, from the cache or ``compute()``."""
+        hit = self._hit(key)
+        return self.put(key, compute()) if hit is None else hit[0]
+
+    def stats(self) -> dict[str, tuple[int, int]]:
+        """kind -> (entries, bytes) of what is resident."""
+        out: dict[str, tuple[int, int]] = {}
+        with self._lock:
+            for key, (_, n) in self._lru.items():
+                e, b = out.get(key[0], (0, 0))
+                out[key[0]] = (e + 1, b + n)
+        return out
+
+
+# the decodable streams of a posting list; a counting read asks
+# ``_decoded`` for fewer
+STREAMS = ("docid", "tf", "dl", "scope")
+DOCIDS = ("docid",)
+DOCIDS_SCOPES = ("docid", "scope")
 
 
 # registered ranking strategies (protocols.Scorer) — the formal scorer
@@ -1004,7 +1081,7 @@ class SearchEngine(Aggregations):
         # the term dictionary (J2): lemma -> df. Preloaded as a dict only
         # while the vocabulary is small; above the threshold each query
         # point-reads its lemmas via row-group stats on the lemma-sorted
-        # dictionary parquet (memoized — no vocab-sized driver state at
+        # dictionary parquet (cached — no vocab-sized driver state at
         # 10^8+ terms).
         if m["stats"].get("n_lemmas", 0) <= self._DF_PRELOAD_MAX_LEMMAS:
             t = pq.read_table(build_mod.lemma_dict_path(out_dir), columns=["lemma", "df"])
@@ -1013,7 +1090,10 @@ class SearchEngine(Aggregations):
             )
         else:
             self._df = None
-        self._df_point_cache: dict[str, int | None] = {}
+        # every payload read or decoded per query — block entries, poss
+        # buffers, decoded chunks and positions, aux and on-demand pair
+        # lists, df and doc-row point reads — lives here, byte-bounded
+        self._cache = PayloadCache(self.CACHE_MAX_BYTES)
         self._index = pads.dataset(build_mod.index_dir(out_dir))
         self._poss_in_schema = "poss" in self._index.schema.names
         self._intervals: list[tuple[int, int, str]] | None = None
@@ -1023,25 +1103,12 @@ class SearchEngine(Aggregations):
         # list at ANY corpus size. _scope_luts caches scope -> bool LUT.
         self._scope_luts: dict[str, np.ndarray] = {}
         self._extra_pairs: dict[tuple[str, str], int] = {}  # delta-only (role, tool)
-        self._block_cache: dict[str, dict] = {}  # lemma -> block arrays
         self._fwd: tuple | None = None  # lazy (docids, role_codes, roles, convs)
         self._ref_max_relevance: float | None = None
         # hot-bigram aux phrase index (pipelines/phrase_aux.py):
         # (lemma_a, lemma_b) -> pair_id for the precomputed adjacency
         # lists; empty when absent or stale (build.json md5 mismatch)
         self._aux_pairs: dict[tuple[str, str], int] = {}
-        self._aux_cache: dict[tuple[str, str], tuple] = {}
-        # on-demand adjacency cache for hot-hot bigrams OUTSIDE the aux
-        # budget: the first worst-case query pays the positions-bound
-        # intersection it would pay anyway, the payload (same triple an
-        # aux pair stores) is kept in a byte-bounded LRU, and every
-        # repeat becomes a point lookup. Per-instance — a new engine
-        # (new manifest / new deltas) starts cold, so no explicit
-        # invalidation is needed (the _aux_cache convention).
-        from collections import OrderedDict as _OD
-
-        self._pair_lru: "dict[tuple[str, str], tuple]" = _OD()
-        self._pair_lru_bytes = 0
         try:
             from .pipelines import phrase_aux as _aux_mod
 
@@ -1054,56 +1121,39 @@ class SearchEngine(Aggregations):
             self._aux_pairs = {}
         self._load_deltas()
 
-    # caching pays once the pair's combined postings reach this size
-    # (below it the exact path is already fast); byte budget bounds the
-    # resident payloads, LRU-evicted. Tests shrink MIN_COST to exercise
-    # the path at toy scale.
+    # the byte budget of the engine cache (read at construction)
+    CACHE_MAX_BYTES = 256 << 20
+    # an unindexed hot-hot bigram's full adjacency list is built and
+    # cached once the pair's combined postings reach this size (below it
+    # the exact path is already fast). Tests shrink it to exercise the
+    # path at toy scale.
     PAIR_CACHE_MIN_COST = 200_000
-    PAIR_CACHE_MAX_BYTES = 256 << 20
-
-    def _pair_lru_get(self, pr: tuple[str, str]) -> tuple:
-        payload = self._pair_lru.pop(pr)
-        self._pair_lru[pr] = payload  # move to MRU end
-        return payload
-
-    def _pair_cache_put(self, pr: tuple[str, str], payload: tuple) -> None:
-        nbytes = sum(int(x.nbytes) for x in payload)
-        if nbytes <= self.PAIR_CACHE_MAX_BYTES:
-            old = self._pair_lru.pop(pr, None)
-            if old is not None:  # re-put: release the displaced bytes
-                self._pair_lru_bytes -= sum(int(x.nbytes) for x in old)
-            self._pair_lru[pr] = payload
-            self._pair_lru_bytes += nbytes
-        while self._pair_lru_bytes > self.PAIR_CACHE_MAX_BYTES and self._pair_lru:
-            _, old = self._pair_lru.popitem(last=False)
-            self._pair_lru_bytes -= sum(int(x.nbytes) for x in old)
 
     def _build_pair_cache(
         self, a: str, b: str, blocks: dict, data: dict
     ) -> tuple:
         """Full adjacency list of (a, b) from the (possibly overlaid)
         decoded postings — identical payload shape to an aux pair —
-        stored in the LRU and returned."""
+        cached as an on-demand pair and returned. Per engine: a new
+        engine (new manifest or deltas) starts cold, so nothing needs
+        invalidating."""
         docid_a, tf_a, _dl_a, _sc_a = data[a]
         docid_b, tf_b, _dl_b, _sc_b = data[b]
         pos_a = self._term_positions_full(blocks[a], tf_a)
         pos_b = self._term_positions_full(blocks[b], tf_b)
         payload = _pair_adjacency(docid_a, tf_a, pos_a, docid_b, tf_b, pos_b)
-        self._pair_cache_put((a, b), payload)
-        return payload
+        return self._cache.put(("pair", (a, b)), payload)
 
     def _aux_pair(self, pr: tuple[str, str]):
-        """Decode-once cache of one aux pair's (docids, cnts, starts);
-        composed with the delta overlay when generations are live."""
-        got = self._aux_cache.get(pr)
-        if got is None:
+        """One aux pair's (docids, cnts, starts), composed with the delta
+        overlay when generations are live."""
+        def read():
             from .pipelines import phrase_aux as _aux_mod
 
             got = _aux_mod.read_pair(self.out_dir, self._aux_pairs[pr])
-            if self._has_deltas:
-                got = self._aux_overlay(pr, got)
-            self._aux_cache[pr] = got
-        return got
+            return self._aux_overlay(pr, got) if self._has_deltas else got
+
+        return self._cache.get(("aux", pr), read)
 
     def _aux_overlay(self, pr: tuple[str, str], payload: tuple) -> tuple:
         """Compose one BASE aux pair list with live delta generations —
@@ -1302,13 +1352,14 @@ class SearchEngine(Aggregations):
         idxc = np.clip(idx, 0, len(self._tomb_starts) - 1)
         return ~((idx >= 0) & (docid < self._tomb_ends[idxc]))
 
-    def _overlay_delta(self, lem: str, bl: dict) -> dict:
-        """Merge-on-read for one lemma's freshly read block entry ``bl``:
-        mask tombstoned base postings, splice in delta postings, rebuild
-        synthetic block metadata with the effective avgdl. Untouched
-        lemmas only get the bmw scale. -> the entry to cache (built
-        before it is published, so a concurrent query never sees the
-        base-only postings)."""
+    def _overlay_delta(self, lem: str, bl: dict, poss) -> dict:
+        """Merge-on-read for one lemma's freshly read block entry ``bl``
+        (``poss`` = its raw poss buffers, or None): mask tombstoned base
+        postings, splice in delta postings, rebuild synthetic block
+        metadata with the effective avgdl. Untouched lemmas only get the
+        bmw scale. -> the entry to publish (built before it is cached, so
+        a concurrent query never sees the base-only postings; an evicted
+        entry is rebuilt here on its next read)."""
         delta = self._delta_lemma.get(lem)
         affected = delta is not None
         if not affected and len(bl["first"]):
@@ -1319,12 +1370,16 @@ class SearchEngine(Aggregations):
             if self._bmw_scale > 1.0:
                 bl["bmw"] = bl["bmw"] * self._bmw_scale
             return bl
-        docid, tf, dl, sc = self._decode_full(bl)
+        nb = len(bl["n"])
+        docid, tf, dl, sc = decode_block_range(
+            bl["gaps"], bl["tfs"], bl["dls"], bl["cum_n"], 0, nb, scps_buf=bl["scps"]
+        )
         want_pos = bool(
             self.manifest["stats"].get("positions")
-        ) and self._delta_positions_ok and bl.get("poss") is not None
+        ) and self._delta_positions_ok and poss is not None
         pos_flat = (
-            self._term_positions_full(bl, tf) if want_pos and len(docid) else None
+            decode_poss_range(poss, bl["cum_cf"], 0, nb, tf)
+            if want_pos and len(docid) else None
         )
         if len(docid):
             keep = self._tomb_keep_mask(docid)
@@ -1359,8 +1414,9 @@ class SearchEngine(Aggregations):
         pos_flat: np.ndarray | None = None,
     ) -> dict:
         """Block dict equivalent to a freshly-encoded term: synthetic
-        skip metadata + pre-decoded chunk cache (no varint payloads;
-        ``pos_flat`` = pre-decoded positions, tf values per posting)."""
+        skip metadata over the merged flat arrays it keeps (``flat`` =
+        (docid, tf, dl, scope code); ``pos_flat`` = positions, tf values
+        per posting) — ``_decoded`` slices them, no varint payloads."""
         bs = int(self.manifest["config"]["block_size"])
         n = len(docid)
         nblk = (n + bs - 1) // bs
@@ -1370,26 +1426,14 @@ class SearchEngine(Aggregations):
             tf + self.k1 * (1.0 - self.b + self.b * dl.astype(np.float64) / self.avgdl)
         )
         bmw = np.maximum.reduceat(w, starts) if nblk else np.empty(0, np.float64)
-        cum_n = np.concatenate(([0], ends)).astype(np.int64)
-        ch = self._DECODE_CHUNK
-        chunks = {}
-        for ci in range((nblk + ch - 1) // ch):
-            a, b = ci * ch, min((ci + 1) * ch, nblk)
-            ps, pe = int(cum_n[a]), int(cum_n[b])
-            chunks[ci] = (docid[ps:pe], tf[ps:pe], dl[ps:pe], sc[ps:pe])
         return {
             "first": docid[starts] if n else np.empty(0, np.int64),
             "last": docid[ends - 1] if n else np.empty(0, np.int64),
             "n": (ends - starts).astype(np.int32),
-            "cum_n": cum_n,
+            "cum_n": np.concatenate(([0], ends)).astype(np.int64),
             "bmw": bmw,
-            "gaps": None,
-            "tfs": None,
-            "dls": None,
-            "scps": None,
-            "poss": None,
+            "flat": (docid, tf, dl, sc),
             "pos_flat": pos_flat,
-            "chunks": chunks,
         }
 
     # ---------------- planning (J2/T1) --------------------------------
@@ -1399,19 +1443,19 @@ class SearchEngine(Aggregations):
     def _df_of(self, lem: str) -> int | None:
         """df of one lemma (None = absent). Dict hit below the preload
         threshold; pruned parquet point-read (lemma-sorted row-group
-        stats) above it, memoized per engine."""
+        stats) above it, held in the engine cache."""
         if self._df is not None:
             return self._df.get(lem)
-        if lem in self._df_point_cache:
-            return self._df_point_cache[lem]
-        t = pq.read_table(
-            build_mod.lemma_dict_path(self.out_dir),
-            columns=["lemma", "df"],
-            filters=[("lemma", "==", lem)],
-        )
-        got = int(t.column("df")[0].as_py()) if t.num_rows else None
-        self._df_point_cache[lem] = got
-        return got
+
+        def read():
+            t = pq.read_table(
+                build_mod.lemma_dict_path(self.out_dir),
+                columns=["lemma", "df"],
+                filters=[("lemma", "==", lem)],
+            )
+            return int(t.column("df")[0].as_py()) if t.num_rows else None
+
+        return self._cache.get(("df", lem), read)
 
     def idf(self, df: int) -> float:
         return math.log1p((self.n_docs - df + 0.5) / (df + 0.5))
@@ -1491,219 +1535,156 @@ class SearchEngine(Aggregations):
         "block_cf", "block_max_tf", "gaps", "tfs", "dls", "scps",
     ]
 
-    def _term_blocks(
-        self, lemmas: list[str], need_positions: bool = False
-    ) -> dict[str, dict]:
-        # positions load policy: term queries skip the poss column
-        # entirely (~25-30% of index bytes); phrase/near queries load it
-        # with the term; a delta-overlaid positional engine always loads
-        # it (the merge-on-read overlay must fold positions exactly once,
-        # at block load)
-        load_poss = (
-            self._poss_in_schema
-            and (
-                need_positions
-                or (self._has_deltas and bool(self.manifest["stats"].get("positions")))
-            )
-        )
-        missing = [l for l in lemmas if l not in self._block_cache]
-        if missing:
-            # footer-stats file pruning on the integer cluster key, then
-            # row-group filters inside the chosen file(s), exact string
-            # match last
-            hs = [analyzer.lemma_hash64(l) for l in missing]
-            paths = sorted(
-                {p for mn, mx, p in self._file_intervals() if any(mn <= h <= mx for h in hs)}
-            )
-            cols = self._BLOCK_META_COLS + (["poss"] if load_poss else [])
-            if paths:
-                tbl = pq.read_table(
-                    paths,
-                    columns=cols,
-                    filters=[("lemma_h", "in", hs), ("lemma", "in", missing)],
-                )
-            else:
-                from .stages.encode import INDEX_SCHEMA
-
-                tbl = INDEX_SCHEMA.empty_table().select(cols)
-            lem_arr = tbl.column("lemma")
-            for lem in missing:
-                sub = tbl.filter(pc.equal(lem_arr, lem))
-                order = pc.sort_indices(sub.column("first_docid"))
-                sub = sub.take(order).combine_chunks()
-                n = sub.column("n").to_numpy()
-                cf = sub.column("block_cf").to_numpy()
-                entry = {
-                    "first": sub.column("first_docid").to_numpy(),
-                    "last": sub.column("last_docid").to_numpy(),
-                    "n": n,
-                    "cum_n": np.concatenate(([0], np.cumsum(n, dtype=np.int64))),
-                    # cumulative per-block POSITION counts (= Σtf): the
-                    # slicing key of the poss stream (phrase queries)
-                    "cum_cf": np.concatenate(([0], np.cumsum(cf, dtype=np.int64))),
-                    "bmw": sub.column("bmw").to_numpy().astype(np.float64),
-                    "gaps": binary_column_buffers(sub.column("gaps")),
-                    "tfs": binary_column_buffers(sub.column("tfs")),
-                    "dls": binary_column_buffers(sub.column("dls")),
-                    "scps": binary_column_buffers(sub.column("scps")),
-                    "poss": (
-                        binary_column_buffers(sub.column("poss"))
-                        if "poss" in sub.column_names
-                        else None
-                    ),
-                }
-                self._block_cache[lem] = (
-                    self._overlay_delta(lem, entry) if self._has_deltas else entry
-                )
-        if need_positions:
-            self._attach_poss(lemmas)
-        return {l: self._block_cache[l] for l in lemmas}
-
-    def _attach_poss(self, lemmas: list[str]) -> None:
-        """Upgrade cached block entries loaded WITHOUT the poss column
-        (a term query warmed them) — targeted re-read of just
-        (lemma, first_docid, poss) for the upgrade set. Synthetic
-        overlay entries carry pre-decoded ``pos_flat`` instead."""
-        todo = [
-            l for l in lemmas
-            if self._block_cache[l].get("poss") is None
-            and self._block_cache[l].get("pos_flat") is None
-            and self._block_cache[l].get("gaps") is not None
-            and len(self._block_cache[l]["first"])
-        ]
-        if not todo or not self._poss_in_schema:
-            return
-        hs = [analyzer.lemma_hash64(l) for l in todo]
+    def _read_index(self, lemmas: list[str], cols: list[str]) -> dict:
+        """lemma -> its index rows (``cols``), first_docid-ascending, for
+        every lemma in ``lemmas`` (no rows = an empty table): footer-stats
+        file pruning on the integer cluster key, then row-group filters
+        inside the chosen file(s), exact string match last."""
+        hs = [analyzer.lemma_hash64(l) for l in lemmas]
         paths = sorted(
             {p for mn, mx, p in self._file_intervals() if any(mn <= h <= mx for h in hs)}
         )
-        tbl = pq.read_table(
-            paths,
-            columns=["lemma", "first_docid", "poss"],
-            filters=[("lemma_h", "in", hs), ("lemma", "in", todo)],
-        )
+        if paths:
+            tbl = pq.read_table(
+                paths, columns=cols,
+                filters=[("lemma_h", "in", hs), ("lemma", "in", lemmas)],
+            )
+        else:
+            from .stages.encode import INDEX_SCHEMA
+
+            tbl = INDEX_SCHEMA.empty_table().select(cols)
         lem_arr = tbl.column("lemma")
-        for lem in todo:
+        out = {}
+        for lem in lemmas:
             sub = tbl.filter(pc.equal(lem_arr, lem))
-            order = pc.sort_indices(sub.column("first_docid"))
-            sub = sub.take(order).combine_chunks()
-            self._block_cache[lem]["poss"] = binary_column_buffers(sub.column("poss"))
+            out[lem] = sub.take(pc.sort_indices(sub.column("first_docid"))).combine_chunks()
+        return out
+
+    def _block_entry(self, lem: str, sub: pa.Table) -> dict:
+        """The published block entry of one lemma from its index rows:
+        skip metadata and raw varint buffers, the delta overlay applied."""
+        n = sub.column("n").to_numpy()
+        cf = sub.column("block_cf").to_numpy()
+        entry = {
+            "lemma": lem,
+            "first": sub.column("first_docid").to_numpy(),
+            "last": sub.column("last_docid").to_numpy(),
+            "n": n,
+            "cum_n": np.concatenate(([0], np.cumsum(n, dtype=np.int64))),
+            # cumulative per-block POSITION counts (= Σtf): the
+            # slicing key of the poss stream (phrase queries)
+            "cum_cf": np.concatenate(([0], np.cumsum(cf, dtype=np.int64))),
+            "bmw": sub.column("bmw").to_numpy().astype(np.float64),
+            "gaps": binary_column_buffers(sub.column("gaps")),
+            "tfs": binary_column_buffers(sub.column("tfs")),
+            "dls": binary_column_buffers(sub.column("dls")),
+            "scps": binary_column_buffers(sub.column("scps")),
+        }
+        if not self._has_deltas:
+            return entry
+        poss = sub.column("poss") if "poss" in sub.column_names else None
+        return self._overlay_delta(
+            lem, entry, None if poss is None else binary_column_buffers(poss)
+        )
+
+    def _term_blocks(
+        self, lemmas: list[str], need_positions: bool = False
+    ) -> dict[str, dict]:
+        """lemma -> its block entry, through the engine cache. The
+        lemmas the cache lacks are read in ONE pruned parquet read. The
+        poss column (~25-30% of index bytes) is read with them only for
+        phrase and near queries (``need_positions``) and, on a
+        delta-overlaid positional engine, at every load (the overlay
+        folds positions exactly once, at block load); its raw buffers
+        are cached apart from the entry, and ``_term_positions_full``
+        reads them for a lemma a term query loaded."""
+        out = {lem: self._cache.peek(("blocks", lem)) for lem in lemmas}
+        load_poss = self._poss_in_schema and (
+            need_positions
+            or (self._has_deltas and bool(self.manifest["stats"].get("positions")))
+        )
+        missing = [lem for lem, got in out.items() if got is None]
+        if missing:
+            cols = self._BLOCK_META_COLS + (["poss"] if load_poss else [])
+            for lem, sub in self._read_index(missing, cols).items():
+                out[lem] = self._cache.put(("blocks", lem), self._block_entry(lem, sub))
+                if load_poss and "flat" not in out[lem]:
+                    self._cache.put(("poss", lem), binary_column_buffers(sub.column("poss")))
+        return out
 
     _DECODE_CHUNK = 128  # blocks per cached decode unit
 
-    def _decode_term(self, blocks: dict, lo: int, hi: int, cache: dict):
-        """Decode blocks lo..hi (exclusive) -> (docid, tf, dl,
-        scope_code). Decoding runs in chunk units of ``_DECODE_CHUNK``
-        blocks — each chunk is a single vectorized varint pass over a
-        contiguous buffer slice — memoized in ``cache`` because the
-        windowed block-max path revisits neighbouring blocks."""
+    def _decoded(self, bl: dict, lo: int = 0, hi: int | None = None,
+                 streams: tuple[str, ...] = STREAMS) -> tuple:
+        """The ``streams`` (names from ``STREAMS``, in the order asked) of
+        blocks ``lo``..``hi`` (exclusive; default the whole term) of one
+        block entry — every posting read goes through here. A raw entry
+        decodes in chunk units of ``_DECODE_CHUNK`` blocks, each ONE
+        vectorized varint pass per stream over a contiguous buffer slice,
+        cached per (lemma, chunk); a whole multi-chunk term is also kept
+        concatenated, since hot terms are re-read whole by every warm
+        query. A cached all-stream decode serves a docid-only or
+        docid+scope request. A delta-overlaid entry keeps its merged
+        arrays, so its ranges are slices."""
+        nb = len(bl["n"])
+        hi = nb if hi is None else min(hi, nb)
         if hi <= lo:
-            z = np.empty(0, np.int64)
-            return z, z, z, z
+            return tuple(np.empty(0, np.int64) for _ in streams)
+        cum = bl["cum_n"]
+        flat = bl.get("flat")
+        if flat is not None:
+            ps, pe = int(cum[lo]), int(cum[hi])
+            return tuple(flat[STREAMS.index(x)][ps:pe] for x in streams)
         ch = self._DECODE_CHUNK
-        cum = blocks["cum_n"]
-        nb = len(blocks["n"])
-        full_span = lo == 0 and hi >= nb
-        if full_span:
-            got_full = cache.get("full")
-            if got_full is not None:
-                return got_full
-        out = ([], [], [], [])
-        for ci in range(lo // ch, (hi - 1) // ch + 1):
-            a, b = ci * ch, min((ci + 1) * ch, nb)
-            got = cache.get(ci)
-            if got is None:
+        chunks = range(lo // ch, (hi - 1) // ch + 1)
+        lem = bl["lemma"]
+        if lo == 0 and hi == nb and len(chunks) > 1:
+            return self._streams(("term", lem), streams, lambda st: tuple(
+                np.concatenate(c) for c in zip(*(self._chunk(bl, ci, st) for ci in chunks))
+            ))
+        parts = []
+        for ci in chunks:
+            a = ci * ch
+            got = self._chunk(bl, ci, streams)
+            ps, pe = int(cum[max(lo, a)] - cum[a]), int(cum[min(hi, a + ch)] - cum[a])
+            parts.append(tuple(x[ps:pe] for x in got))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(c) for c in zip(*parts))
+
+    def _chunk(self, bl: dict, ci: int, streams: tuple[str, ...]) -> tuple:
+        """The ``streams`` of decode chunk ``ci`` of a raw block entry."""
+        def decode(st):
+            ch, cum = self._DECODE_CHUNK, bl["cum_n"]
+            a, b = ci * ch, min((ci + 1) * ch, len(bl["n"]))
+            if "tf" in st or "dl" in st:
                 got = decode_block_range(
-                    blocks["gaps"], blocks["tfs"], blocks["dls"], cum, a, b,
-                    scps_buf=blocks["scps"],
+                    bl["gaps"], bl["tfs"], bl["dls"], cum, a, b, scps_buf=bl["scps"]
                 )
-                cache[ci] = got
-            s, e = max(lo, a), min(hi, b)
-            ps, pe = int(cum[s] - cum[a]), int(cum[e] - cum[a])
-            for k in range(4):
-                out[k].append(got[k][ps:pe])
-        if len(out[0]) == 1:
-            got = (out[0][0], out[1][0], out[2][0], out[3][0])
-        else:
-            got = tuple(np.concatenate(o) for o in out)
-        if full_span:
-            # hot terms are re-decoded whole by every warm query; the
-            # concatenation of chunk entries is itself ~0.07s at sf1
-            cache["full"] = got
-        return got
+            else:  # counting: the tf/dl varint passes are skipped
+                got = (decode_gaps_range(bl["gaps"], cum, a, b), None, None,
+                       decode_scps_range(bl["scps"], cum, a, b) if "scope" in st else None)
+            return tuple(got[STREAMS.index(x)] for x in st)
 
-    def _decode_term_docids(self, blocks: dict, cache: dict) -> np.ndarray:
-        """Gaps-only decode of a term's FULL docid list (for counting:
-        tf/dl varint passes are skipped — ~3x less decode work). Reuses
-        full-decode chunk entries when the scoring path already paid for
-        them; caches under ('g', ci) otherwise."""
-        from .stages.encode import decode_gaps_range
+        return self._streams(("chunk", bl["lemma"], ci), streams, decode)
 
-        cum = blocks["cum_n"]
-        nb = len(blocks["n"])
-        if nb == 0:
-            return np.empty(0, np.int64)
-        ch = self._DECODE_CHUNK
-        out = []
-        for ci in range((nb - 1) // ch + 1):
-            a, b = ci * ch, min((ci + 1) * ch, nb)
-            full = cache.get(ci)
+    def _streams(self, key: tuple, streams: tuple[str, ...], compute) -> tuple:
+        """``streams`` of the decode cached under ``key`` + streams: from
+        a cached all-stream decode when there is one, else from the cache
+        or ``compute(streams)``."""
+        if streams != STREAMS:
+            full = self._cache.peek(key + (STREAMS,))
             if full is not None:
-                out.append(full[0])
-                continue
-            got = cache.get(("g", ci))
-            if got is None:
-                if blocks["gaps"] is None:  # synthetic delta-overlay blocks
-                    got = self._decode_term(blocks, a, b, cache)[0]
-                else:
-                    got = decode_gaps_range(blocks["gaps"], cum, a, b)
-                cache[("g", ci)] = got
-            out.append(got)
-        return out[0] if len(out) == 1 else np.concatenate(out)
+                return tuple(full[STREAMS.index(x)] for x in streams)
+        return self._cache.get(key + (streams,), lambda: compute(streams))
 
-    def _decode_term_docids_sc(self, blocks: dict, cache: dict):
-        """(docid, scope_code) full decode for the SCOPED counting path —
-        gaps + scps streams only (tf/dl skipped). Chunk-memoized like
-        the gaps-only variant; reuses full-decode entries when present."""
-        cum = blocks["cum_n"]
-        nb = len(blocks["n"])
-        if nb == 0:
-            z = np.empty(0, np.int64)
-            return z, z
-        ch = self._DECODE_CHUNK
-        out_d, out_s = [], []
-        for ci in range((nb - 1) // ch + 1):
-            a, b = ci * ch, min((ci + 1) * ch, nb)
-            full = cache.get(ci)
-            if full is not None:
-                out_d.append(full[0])
-                out_s.append(full[3])
-                continue
-            docid = self._decode_term_docids_chunk(blocks, cache, ci, a, b)
-            sc = cache.get(("s", ci))
-            if sc is None:
-                if blocks["scps"] is None:  # synthetic delta-overlay blocks
-                    sc = self._decode_term(blocks, a, b, cache)[3]
-                else:
-                    sc = decode_scps_range(blocks["scps"], cum, a, b)
-                cache[("s", ci)] = sc
-            out_d.append(docid)
-            out_s.append(sc)
-        if len(out_d) == 1:
-            return out_d[0], out_s[0]
-        return np.concatenate(out_d), np.concatenate(out_s)
-
-    def _decode_term_docids_chunk(self, blocks, cache, ci, a, b) -> np.ndarray:
-        from .stages.encode import decode_gaps_range
-
-        got = cache.get(("g", ci))
-        if got is None:
-            if blocks["gaps"] is None:
-                got = self._decode_term(blocks, a, b, cache)[0]
-            else:
-                got = decode_gaps_range(blocks["gaps"], blocks["cum_n"], a, b)
-            cache[("g", ci)] = got
-        return got
+    def _scoped_docids(self, bl: dict, lut: np.ndarray | None) -> np.ndarray:
+        """A term's full docid list, masked to the scope LUT ``lut`` (or
+        None) — the counting read: tf/dl are never decoded."""
+        if lut is None:
+            return self._decoded(bl, streams=DOCIDS)[0]
+        docid, sc = self._decoded(bl, streams=DOCIDS_SCOPES)
+        return docid[lut[sc]]
 
     # ---------------- scope (site-analog) filter ----------------------
 
@@ -1784,11 +1765,6 @@ class SearchEngine(Aggregations):
         k1, b = self.k1, self.b
         tf, dl = np.asarray(tf, np.float64), np.asarray(dl, np.float64)
         return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
-
-    def _decode_full(self, bl: dict):
-        """A term's full (docid, tf, dl, scope code) decode, memoized in
-        its block entry's chunk cache."""
-        return self._decode_term(bl, 0, len(bl["first"]), bl.setdefault("chunks", {}))
 
     def _contributions(self, term_data, lut):
         """Per term (fixed df-asc order): (docid, float64 contribution).
@@ -1903,7 +1879,7 @@ class SearchEngine(Aggregations):
             idf = self.idf(df)
             if boosts and lem in boosts:
                 idf = idf * float(boosts[lem])
-            term_data.append((idf, self._decode_full(bl)))
+            term_data.append((idf, self._decoded(bl)))
         doc_parts, contrib_parts = [], []
         for docid, contrib in self._contributions(term_data, lut):
             doc_parts.append(docid)
@@ -1914,36 +1890,21 @@ class SearchEngine(Aggregations):
 
     _CAND_DRIVER_MAX = 4096  # max Σdf of candidate-driving terms
 
-    def _contrib_at(self, bl: dict, cache: dict, cand: np.ndarray, idf: float):
-        """Per-candidate BM25 contribution of ONE term via sparse
-        per-block decode: only the blocks whose [first, last] docid range
-        contains a candidate are decoded (single-block varint passes —
-        no 128-block chunk inflation), then candidates are matched by
-        binary search. -> (the candidates holding the term, their float64
-        contributions), in ``cand`` order."""
-        out = np.zeros(len(cand), np.float64)
-        present = np.zeros(len(cand), bool)
-        first, last = bl["first"], bl["last"]
-        if not len(first):
-            return cand[present], out[present]
-        j = np.searchsorted(first, cand, side="right") - 1
-        jc = np.clip(j, 0, len(first) - 1)
-        valid = (j >= 0) & (last[jc] >= cand)
-        cum = bl["cum_n"]
-        for blk in np.unique(jc[valid]):
-            if bl["gaps"] is None:  # synthetic delta-overlay blocks
-                d, tf, dl, _sc = self._decode_term(bl, int(blk), int(blk) + 1, cache)
-            else:
-                d, tf, dl, _sc = decode_block_range(
-                    bl["gaps"], bl["tfs"], bl["dls"], cum, int(blk), int(blk) + 1
-                )
-            sel = np.flatnonzero(valid & (jc == blk))
-            pos = np.searchsorted(d, cand[sel])
-            pos_c = np.clip(pos, 0, len(d) - 1)
-            hit = d[pos_c] == cand[sel]
-            out[sel[hit]] = self._bm25(idf, tf[pos_c[hit]], dl[pos_c[hit]])
-            present[sel[hit]] = True
-        return cand[present], out[present]
+    def _contrib_at(self, bl: dict, cand: np.ndarray, idf: float):
+        """Per-candidate BM25 contribution of ONE term: the block span
+        holding the (sorted) candidates is read in one ``_decoded`` call
+        (cached chunks; the whole-term entry when the span is the whole
+        term), then candidates are matched by one binary search. -> (the
+        candidates holding the term, their float64 contributions), in
+        ``cand`` order."""
+        lo = int(np.searchsorted(bl["last"], cand[0])) if len(cand) else 0
+        hi = int(np.searchsorted(bl["first"], cand[-1], side="right")) if len(cand) else 0
+        d, tf, dl, _sc = self._decoded(bl, lo, hi)
+        if not len(d):
+            return cand[:0], np.empty(0, np.float64)
+        pos = np.minimum(np.searchsorted(d, cand), len(d) - 1)
+        hit = d[pos] == cand
+        return cand[hit], self._bm25(idf, tf[pos[hit]], dl[pos[hit]])
 
     def _score_candidate_driven(self, terms, term_list, k, lut, scope):
         """MaxScore-style essential-terms evaluation: when the rare
@@ -1968,31 +1929,24 @@ class SearchEngine(Aggregations):
         k1 = self.k1
         rest = term_list[n_drv:]
         bound_rest = sum(
-            idf * (k1 + 1.0) * float(bl["bmw"].max(initial=0.0)) for idf, bl, _ in rest
+            idf * (k1 + 1.0) * float(bl["bmw"].max(initial=0.0)) for idf, bl in rest
         )
-        drv_ids = []
-        for idf, bl, cache in term_list[:n_drv]:
-            if lut is not None:
-                docid, sc = self._decode_term_docids_sc(bl, cache)
-                docid = docid[lut[sc]]
-            else:
-                docid = self._decode_term_docids(bl, cache)
-            drv_ids.append(docid)
+        drv_ids = [self._scoped_docids(bl, lut) for _, bl in term_list[:n_drv]]
         cand = np.unique(np.concatenate(drv_ids)) if drv_ids else np.empty(0, np.int64)
         if len(cand) < k:
             return None  # top-k could include rest-only docs: no bound
         # full scores at candidates, summed by _aggregate in the fixed
         # df-ascending term order: bit-identical to the exhaustive scorer
         doc_parts, contrib_parts = [], []
-        for t, (idf, bl, cache) in enumerate(term_list):
+        for t, (idf, bl) in enumerate(term_list):
             if t < n_drv:
-                docid, tf, dl, _sc = self._decode_full(bl)
+                docid, tf, dl, _sc = self._decoded(bl)
                 pos = np.searchsorted(docid, cand)
                 pos_c = np.clip(pos, 0, max(len(docid) - 1, 0))
                 hit = docid[pos_c] == cand if len(docid) else np.zeros(len(cand), bool)
                 d, w = cand[hit], self._bm25(idf, tf[pos_c[hit]], dl[pos_c[hit]])
             else:
-                d, w = self._contrib_at(bl, cache, cand, idf)
+                d, w = self._contrib_at(bl, cand, idf)
             doc_parts.append(d)
             contrib_parts.append(w)
         _, score = self._aggregate(doc_parts, contrib_parts, False, len(term_list))
@@ -2001,14 +1955,7 @@ class SearchEngine(Aggregations):
         if bound_rest >= threshold:
             return None  # a rest-only doc could reach the top-k
         # exact: count = |union| with the hot terms' gaps(+scps) decode
-        parts = [cand]
-        for _, bl, cache in rest:
-            if lut is not None:
-                docid, sc = self._decode_term_docids_sc(bl, cache)
-                docid = docid[lut[sc]]
-            else:
-                docid = self._decode_term_docids(bl, cache)
-            parts.append(docid)
+        parts = [cand] + [self._scoped_docids(bl, lut) for _, bl in rest]
         return cand[sel], score[sel], self._union_count(parts)
 
     def score_blockmax(self, terms, k, scope=None, conjunctive=False):
@@ -2025,10 +1972,7 @@ class SearchEngine(Aggregations):
         blocks = self._term_blocks([t[0] for t in terms])
         lut = self._scope_lut(scope) if scope else None
         k1 = self.k1
-        term_list = []
-        for lem, df in terms:
-            bl = blocks[lem]
-            term_list.append((self.idf(df), bl, bl.setdefault("chunks", {})))
+        term_list = [(self.idf(df), blocks[lem]) for lem, df in terms]
 
         if not conjunctive and len(terms) > 1 and k:
             got = self._score_candidate_driven(terms, term_list, k, lut, scope)
@@ -2044,13 +1988,13 @@ class SearchEngine(Aggregations):
             return exhaustive()
 
         # window boundaries: every block first_docid of every term
-        starts = np.unique(np.concatenate([bl["first"] for _, bl, _ in term_list]))
+        starts = np.unique(np.concatenate([bl["first"] for _, bl in term_list]))
         W = len(starts)
         ends = np.append(starts[1:], np.iinfo(np.int64).max)
         # per-term upper bound per window
         wub = np.zeros(W, np.float64)
         covers = []
-        for idf, bl, _ in term_list:
+        for idf, bl in term_list:
             j = np.searchsorted(bl["first"], starts, side="right") - 1
             j = np.clip(j, 0, len(bl["first"]) - 1)
             alive = (bl["first"][j] <= starts) & (bl["last"][j] >= starts)
@@ -2072,8 +2016,8 @@ class SearchEngine(Aggregations):
             for t in range(len(term_list))
         ]
         # windows are evaluated in groups of GROUP (descending UB):
-        # per group each term decodes ONE contiguous block span (chunk-
-        # memoized) and postings are masked to the union of the group's
+        # per group each term decodes ONE contiguous block span (cached
+        # chunks) and postings are masked to the union of the group's
         # [start, end) intervals — every posting of a doc falls in
         # exactly one window, so group scores are complete doc scores.
         # Pruning stays lossless: the group is entered only while its
@@ -2113,13 +2057,13 @@ class SearchEngine(Aggregations):
             o2 = np.argsort(s_arr)
             s_sorted, e_sorted = s_arr[o2], e_arr[o2]
             term_data = []
-            for t, ((idf, bl, cache), (jarr, alive)) in enumerate(zip(term_list, covers)):
+            for t, ((idf, bl), (jarr, alive)) in enumerate(zip(term_list, covers)):
                 aw = alive[grp]
                 if not aw.any():
                     continue
                 j0 = int(jarr[grp][aw].min())
                 j1 = int(j1s[t][grp][aw].max())
-                docid, tf, dl, sc = self._decode_term(bl, j0, j1, cache)
+                docid, tf, dl, sc = self._decoded(bl, j0, j1)
                 # mask to the union of the group's windows
                 idx = np.searchsorted(s_sorted, docid, side="right") - 1
                 idx_c = np.clip(idx, 0, len(s_sorted) - 1)
@@ -2150,14 +2094,7 @@ class SearchEngine(Aggregations):
     def _exact_count(self, term_list, lut, conjunctive) -> int:
         """Exact result count (G6) via a gaps(+scps when scoped) union
         pass — tf/dl never decoded."""
-        parts = []
-        for _, bl, cache in term_list:
-            if lut is not None:
-                docid, sc = self._decode_term_docids_sc(bl, cache)
-                docid = docid[lut[sc]]
-            else:
-                docid = self._decode_term_docids(bl, cache)
-            parts.append(docid)
+        parts = [self._scoped_docids(bl, lut) for _, bl in term_list]
         if not parts:
             return 0
         if conjunctive:
@@ -2667,7 +2604,7 @@ class SearchEngine(Aggregations):
         blocks = self._term_blocks([t[0] for t in terms])
         rows, total = [], 0.0
         for lem, df in terms:
-            d, tf_arr, _dl, _sc = self._decode_full(blocks[lem])
+            d, tf_arr, _dl, _sc = self._decoded(blocks[lem])
             pos = int(np.searchsorted(d, did))
             tf = int(tf_arr[pos]) if pos < len(d) and d[pos] == did else 0
             idf = self.idf(df)
@@ -2997,7 +2934,7 @@ class SearchEngine(Aggregations):
             return np.empty(0, np.int64)
         blocks = self._term_blocks(present)
         parts = [
-            self._decode_term_docids(blocks[lem], blocks[lem].setdefault("chunks", {}))
+            self._decoded(blocks[lem], streams=DOCIDS)[0]
             for lem in present
         ]
         allv = np.concatenate(parts)
@@ -3044,7 +2981,7 @@ class SearchEngine(Aggregations):
         d_parts, s_parts = [], []
         for lem, _df in terms:
             bl = blocks[lem]
-            docid, sc = self._decode_term_docids_sc(bl, bl.setdefault("chunks", {}))
+            docid, sc = self._decoded(bl, streams=DOCIDS_SCOPES)
             if lut is not None:
                 keep = lut[sc]
                 docid, sc = docid[keep], sc[keep]
@@ -3352,7 +3289,7 @@ class SearchEngine(Aggregations):
         rows = []
         for lem in touched:
             bl = blocks[lem]
-            d = self._decode_term_docids(bl, bl.setdefault("chunks", {}))
+            d = self._decoded(bl, streams=DOCIDS)[0]
             if not len(d):
                 continue
             p2 = np.searchsorted(uniq, d)
@@ -4208,17 +4145,20 @@ class SearchEngine(Aggregations):
     def _term_positions_full(self, bl: dict, tf_full: np.ndarray) -> np.ndarray:
         """Flat absolute positions of a term's FULL posting list
         (``tf_full`` = the already-decoded tf stream; posting i owns
-        ``pos[cumsum(tf)[i] : cumsum(tf)[i+1]]``). Memoized per term —
-        ONE varint pass over the poss column."""
-        if bl.get("pos_flat") is not None:  # synthetic overlay blocks
+        ``pos[cumsum(tf)[i] : cumsum(tf)[i+1]]``). Cached per term — ONE
+        varint pass over the raw poss buffers (cached apart, re-read if
+        evicted). A delta-overlaid entry keeps its merged positions."""
+        if "flat" in bl:
             return bl["pos_flat"]
-        got = bl.get("pos_full")
-        if got is None:
-            got = decode_poss_range(
-                bl["poss"], bl["cum_cf"], 0, len(bl["first"]), tf_full
-            )
-            bl["pos_full"] = got
-        return got
+        lem = bl["lemma"]
+
+        def poss():
+            sub = self._read_index([lem], ["lemma", "first_docid", "poss"])[lem]
+            return binary_column_buffers(sub.column("poss"))
+
+        return self._cache.get(("pos", lem), lambda: decode_poss_range(
+            self._cache.get(("poss", lem), poss), bl["cum_cf"], 0, len(bl["n"]), tf_full
+        ))
 
     def score_phrase(self, phrase: list[str], k: int, scope: str | None = None,
                      within_first: int | None = None,
@@ -4262,12 +4202,12 @@ class SearchEngine(Aggregations):
             score[sel] += self._bm25(self.idf(df), tf[pidx], dl[pidx])
         return score
 
-    def _decoded(self, lemmas, need_positions: bool = True, extra=()):
+    def _term_data(self, lemmas, need_positions: bool = True, extra=()):
         """The positional modes' decode preamble -> (terms, blocks, data)
         for the distinct ``lemmas``: ``terms`` their (lemma, live df),
         ``blocks`` the term blocks of ``lemmas`` and ``extra``, ``data``
-        each term's full (docid, tf, dl, scope code) decode, memoized in
-        the block cache. None when a lemma is absent (reference
+        each term's full (docid, tf, dl, scope code) decode, read through
+        the engine cache. None when a lemma is absent (reference
         missing-lemma semantics)."""
         distinct = list(dict.fromkeys(lemmas))
         terms = self._held_terms(distinct)
@@ -4278,7 +4218,7 @@ class SearchEngine(Aggregations):
             terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
             if any(df == 0 for _, df in terms):
                 return None
-        return terms, blocks, {lem: self._decode_full(blocks[lem]) for lem, _ in terms}
+        return terms, blocks, {lem: self._decoded(blocks[lem]) for lem, _ in terms}
 
     @staticmethod
     def _and_candidates(terms, data, lut) -> np.ndarray:
@@ -4314,7 +4254,7 @@ class SearchEngine(Aggregations):
             if not len(matched):
                 break
         if loose:
-            got = self._decoded(loose, need_positions=False)
+            got = self._term_data(loose, need_positions=False)
             if got is None:
                 return None
             terms.update(got[0])
@@ -4326,9 +4266,8 @@ class SearchEngine(Aggregations):
                         last_alts: list[str] | None = None):
         """Match side of the phrase operator: ``(matched_docids, terms,
         data)`` with ``matched`` sorted, ``terms`` = distinct (lemma,
-        effective df), ``data`` = full per-lemma decodes (chunk-memoized
-        in the block cache — callers scoring afterwards pay no second
-        varint pass). ``None`` = a phrase lemma is absent (reference
+        effective df), ``data`` = full per-lemma decodes (cached — callers
+        scoring afterwards pay no second varint pass). ``None`` = a phrase lemma is absent (reference
         missing-lemma semantics). Evaluation is slot-at-a-time set
         intersection: docid AND-intersection first (rarest term first —
         candidates shrink before any position work), then per-slot
@@ -4349,7 +4288,7 @@ class SearchEngine(Aggregations):
         re-ranks the already-typed words. A dead alternative drops out;
         only an absent FIXED lemma means no results."""
         alts = [a for a in (last_alts or []) if a not in phrase]
-        got = self._decoded(phrase, extra=alts)
+        got = self._term_data(phrase, extra=alts)
         if got is None:
             return None
         terms, blocks, data = got
@@ -4364,7 +4303,7 @@ class SearchEngine(Aggregations):
                 if self._has_deltas and int(bl["cum_n"][-1]) == 0:
                     continue
                 if lem not in data:
-                    data[lem] = self._decode_full(bl)
+                    data[lem] = self._decoded(bl)
                 alive_alts.append(lem)
 
         lut = self._scope_lut(scope) if scope else None
@@ -4384,15 +4323,13 @@ class SearchEngine(Aggregations):
         covered: set[int] = set()
         pseudo: list[tuple[int, int, tuple]] = []  # (df_rank, j, payload)
         pos_ok = not self._has_deltas or self._delta_positions_ok
-        if (self._aux_pairs or self._pair_lru) and pos_ok:
+        if pos_ok:
             jj = 0
             while jj + 1 < len(phrase):
                 pr = (phrase[jj], phrase[jj + 1])
-                if jj not in covered and pr in self._aux_pairs:
-                    payload = self._aux_pair(pr)
-                elif jj not in covered and pr in self._pair_lru:
-                    payload = self._pair_lru_get(pr)
-                else:
+                payload = (self._aux_pair(pr) if pr in self._aux_pairs
+                           else self._cache.peek(("pair", pr)))
+                if payload is None:
                     jj += 1
                     continue
                 pseudo.append((len(payload[0]), jj, payload))
@@ -4578,7 +4515,7 @@ class SearchEngine(Aggregations):
         over doc-major position keys) is exact and fully vectorized.
 
         -> ``_phrase_matches``'s shape, or None for no-results."""
-        got = self._decoded(lemmas)
+        got = self._term_data(lemmas)
         if got is None:
             return None
         terms, blocks, data = got
@@ -4637,7 +4574,7 @@ class SearchEngine(Aggregations):
         if not kept:
             return None, None, "too_frequent"
         blocks = self._term_blocks([t[0] for t in kept])
-        data = {lem: self._decode_full(blocks[lem]) for lem, _ in kept}
+        data = {lem: self._decoded(blocks[lem]) for lem, _ in kept}
         inter = self._and_candidates(kept, data, self._scope_lut(scope) if scope else None)
         # dl per surviving doc via binary search into one term's decode —
         # doc_len is term-independent, no dict build
@@ -4991,11 +4928,10 @@ class SearchEngine(Aggregations):
         aborts (the ES per-line failure shape). Each request is a
         kwargs dict with ``query`` plus any ``search()`` parameter; a
         line without ``query`` or with any other key is ``bad_request``.
-        Batch amortization is structural: term block decodes, scope
-        LUTs, the forward index and enrichment frames are all memoized
-        per engine, so lemmas shared across the batch decode ONCE —
-        the per-request HTTP path pays that cache warm-up per process
-        lifetime, msearch guarantees it within the batch."""
+        Batch amortization is structural: term block decodes (in the
+        engine cache), scope LUTs and the forward index are kept per
+        engine, so lemmas shared across the batch decode once while
+        they fit the cache budget."""
         allowed = {"query", *Query._fields[1:]}
         out = []
         for req in requests:
@@ -5068,18 +5004,17 @@ class SearchEngine(Aggregations):
     def _lookup_rows_point(self, ids: np.ndarray):
         """(conv_id, role, tool, ts) per winner docid via a pruned read
         of the doc store + delta overlay — O(k) rows driver-side, never
-        the whole forward index. Rows are memoized across queries (hot
+        the whole forward index. Rows are cached across queries (hot
         winners recur)."""
-        cache = getattr(self, "_point_cache", None)
-        if cache is None:
-            cache = self._point_cache = {}
-        missing = [int(x) for x in ids if int(x) not in cache]
+        rows = {int(d): self._cache.peek(("row", int(d))) for d in ids}
+        missing = [d for d, row in rows.items() if row is None]
         if missing:
             t = pq.read_table(
                 build_mod.docs_dir(self.out_dir),
                 columns=["docid", "conv_id", "role", "tool", "ts"],
                 filters=[("docid", "in", missing)],
             )
+            fresh = {}
             for d, c, r, to, ts in zip(
                 t.column("docid").to_pylist(),
                 t.column("conv_id").to_pylist(),
@@ -5087,7 +5022,7 @@ class SearchEngine(Aggregations):
                 t.column("tool").to_pylist(),
                 t.column("ts").combine_chunks().cast(pa.int64()).to_pylist(),
             ):
-                cache[int(d)] = (c, r, to, ts)
+                fresh[int(d)] = (c, r, to, ts)
             if self._has_deltas:
                 dd = self._delta_docs
                 dmap = {int(d): i for i, d in enumerate(dd["docid"])}
@@ -5096,12 +5031,14 @@ class SearchEngine(Aggregations):
                 for d, is_tomb in zip(missing, tomb):
                     i = dmap.get(d)
                     if i is not None:  # delta row wins over masked base
-                        cache[d] = (
+                        fresh[d] = (
                             dd["conv_id"][i], dd["role"][i], dd["tool"][i] or "", int(dd["ts"][i])
                         )
                     elif is_tomb:  # a tombstoned docid can never win
-                        cache.pop(d, None)
-        rows = [cache[int(d)] for d in ids]
+                        fresh.pop(d, None)
+            for d, row in fresh.items():
+                rows[d] = self._cache.put(("row", d), row)
+        rows = [rows[int(d)] for d in ids]
         return (
             [r[0] for r in rows],
             [r[1] for r in rows],

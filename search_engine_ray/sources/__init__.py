@@ -3,12 +3,35 @@
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 
 import pyarrow as pa
 import ray.data
 
-# (path, size, mtime_ns) -> parquet footer row count; see read_clean_parquet
-_ROWS_MEMO: dict[tuple, int] = {}
+# (path, size, mtime_ns) -> parquet footer row count, oldest first; see
+# read_clean_parquet
+_ROWS_MEMO: OrderedDict[tuple, int] = OrderedDict()
+_ROWS_MEMO_MAX = 65_536
+
+
+def _footer_rows(path: str, st: os.stat_result) -> int:
+    """Parquet footer row count of ``path`` (0 if unreadable), memoized
+    by (path, size, mtime): repeated reads of the same tables (bench
+    loops, the driver gate) must not re-pay a serial footer scan. Past
+    ``_ROWS_MEMO_MAX`` entries the oldest is evicted."""
+    key = (path, st.st_size, st.st_mtime_ns)
+    n = _ROWS_MEMO.get(key)
+    if n is None:
+        try:
+            import pyarrow.parquet as pq
+
+            n = int(pq.read_metadata(path).num_rows)
+        except Exception:  # noqa: BLE001 — best-effort term
+            n = 0
+        _ROWS_MEMO[key] = n
+        while len(_ROWS_MEMO) > _ROWS_MEMO_MAX:
+            _ROWS_MEMO.popitem(last=False)
+    return n
 
 
 def read_clean_parquet(paths, columns=None, **read_kwargs) -> ray.data.Dataset:
@@ -79,22 +102,7 @@ def read_clean_parquet(paths, columns=None, **read_kwargs) -> ray.data.Dataset:
             for f in files:
                 st = os.stat(f)
                 disk += st.st_size
-                # per-file footer rows, MEMOIZED by (path, size, mtime)
-                # — repeated reads of the same tables (bench loops, the
-                # driver gate) must not re-pay a serial footer scan
-                key = (f, st.st_size, st.st_mtime_ns)
-                n = _ROWS_MEMO.get(key)
-                if n is None:
-                    try:
-                        import pyarrow.parquet as _pq
-
-                        n = int(_pq.read_metadata(f).num_rows)
-                    except Exception:  # noqa: BLE001 — best-effort term
-                        n = 0
-                    if len(_ROWS_MEMO) > 65_536:
-                        _ROWS_MEMO.clear()
-                    _ROWS_MEMO[key] = n
-                nrows += n
+                nrows += _footer_rows(f, st)
             # never let a read helper be the thing that initializes Ray
             # (the driver contract owns the session)
             ncpu = (

@@ -311,3 +311,36 @@ def test_explicit_concurrency_overlap_respects_safety_bound(tiny_corpus, tmp_pat
     from search_engine_ray.search import SearchEngine
 
     assert SearchEngine(out).search(datagen.stem(0), limit=3)["count"] > 0
+
+
+def test_explicit_concurrency_at_cluster_cpus_is_clamped(tiny_corpus, tmp_path, ray_session,
+                                                         monkeypatch):
+    """Regression: an explicit concurrency equal to the cluster's CPUs,
+    WITHOUT overlapped executions, deadlocked stage A at scale (reproduced
+    at num_cpus=2, concurrency=2, sf0.1: the analyzer actors held every
+    CPU and the read tasks never ran). The safety bound — half the CPUs
+    per overlapped execution — now applies at every overlap; the pool
+    size handed to Ray Data is checked directly, since a tiny corpus
+    does not hang."""
+    import ray
+    import ray.data
+
+    from search_engine_ray.config import BuildConfig
+    from search_engine_ray.pipelines import build
+
+    pools = []
+    orig = ray.data.Dataset.map_batches
+
+    def spy(self, fn, *a, **kw):
+        if getattr(fn, "__name__", "") == "AnalyzerActor":
+            pools.append(kw.get("concurrency"))
+        return orig(self, fn, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
+    ncpu = int(ray.cluster_resources()["CPU"])
+    m = build.build_index(BuildConfig(
+        input_paths=tiny_corpus, out_dir=str(tmp_path / "cpus-guard"),
+        n_partitions=2, concurrency=ncpu,
+    ))
+    assert m["state"] == "DONE"
+    assert pools and set(pools) == {max(1, ncpu // 2)}

@@ -1,0 +1,110 @@
+"""The engine cache (search.PayloadCache): one byte-budgeted LRU holds
+every read and decoded posting payload. A budget far below the working
+set changes what is resident, never an answer."""
+
+from __future__ import annotations
+
+import shutil
+
+import numpy as np
+
+from search_engine_ray import analyzer, datagen
+from search_engine_ray.search import PayloadCache, SearchEngine
+
+S = datagen.stem
+BUDGET = 6 << 10  # a few KiB: far below one query's working set
+
+
+def _small(out: str, budget: int = BUDGET) -> SearchEngine:
+    return type("SmallCache", (SearchEngine,), {"CACHE_MAX_BYTES": budget})(out)
+
+
+def _answer(eng: SearchEngine, q: str, **kw):
+    r = eng.search(q, **kw)
+    return r["result"], r["count"], r["error"], r["data"].to_pylist()
+
+
+# K distinct queries over every posting reader: block-max, the
+# candidate-driven route, exhaustive, counting (filters, facets),
+# phrase/near (positions) and the on-demand pair path
+QUERIES = [(q, kw) for q in (S(0), S(5), f"{S(0)} {S(700)}", f"{S(2)} {S(60)}",
+                             f"{S(0)} {S(1)} {S(2)}", f"{S(9)} {S(300)}")
+           for kw in ({}, {"scope": "user"}, {"method": "exhaustive"},
+                      {"exclude": S(1)}, {"ts_min": "2024-01-10T00:00:00"},
+                      {"conjunctive": True}, {"limit": 40, "offset": 5})]
+QUERIES += [(f"{a} {b}", {"mode": m}) for a, b in ((S(0), S(1)), (S(1), S(2)), (S(3), S(4)))
+            for m in ("phrase", "near")]
+# rare lemmas: payloads small enough to be cached, then evicted
+QUERIES += [(f"{S(i)} {S(i + 7)}", kw) for i in range(100, 400, 30)
+            for kw in ({}, {"scope": "user"})]
+
+
+def _check_budget(ref: SearchEngine, small: SearchEngine, queries) -> None:
+    for q, kw in queries:
+        assert _answer(small, q, **kw) == _answer(ref, q, **kw), (q, kw)
+        st = small._cache.stats()
+        assert small._cache.bytes <= BUDGET
+        assert sum(b for _, b in st.values()) == small._cache.bytes
+
+
+def test_lru_evicts_to_budget_and_skips_oversized():
+    c = PayloadCache(100)
+    c.put(("chunk", "a", 0), np.zeros(5, np.int64))   # 40 B
+    c.put(("chunk", "b", 0), np.zeros(5, np.int64))   # 80 B
+    assert c.peek(("chunk", "a", 0)) is not None      # a is now MRU
+    c.put(("chunk", "c", 0), np.zeros(5, np.int64))   # evicts b, the LRU
+    assert ("chunk", "b", 0) not in c and ("chunk", "a", 0) in c
+    big = np.zeros(20, np.int64)                      # 160 B > budget
+    assert c.get(("term", "big"), lambda: big) is big
+    assert ("term", "big") not in c and c.bytes == 80
+    assert c.stats() == {"chunk": (2, 80)}
+    assert c.get(("df", "absent"), lambda: None) is None
+    assert c.get(("df", "absent"), lambda: 1 / 0) is None  # a cached None
+
+
+def test_budget_bounds_memory_plain_index(tiny_index, monkeypatch):
+    """Every answer under a few-KiB budget equals the default-budget
+    engine's, and the resident bytes never exceed the budget. A hot-hot
+    pair payload larger than the budget is served but not cached."""
+    monkeypatch.setattr(SearchEngine, "PAIR_CACHE_MIN_COST", 0)
+    out = tiny_index["out_dir"]
+    ref, small = SearchEngine(out), _small(out)
+    _check_budget(ref, small, QUERIES)
+    _check_budget(ref, small, QUERIES[::-1])  # evicted payloads re-read
+    assert "pair" in ref._cache.stats()
+    assert "pair" not in small._cache.stats()
+
+
+def test_budget_rebuilds_evicted_overlay_entry(tiny_index, tmp_path, monkeypatch):
+    """Under live delta generations a block entry is built by the
+    merge-on-read overlay; an evicted overlaid entry is rebuilt on its
+    next read, and every answer still equals the default budget's."""
+    from search_engine_ray.pipelines import delta
+    from tests.test_delta import _modify_corpus
+
+    monkeypatch.setattr(SearchEngine, "PAIR_CACHE_MIN_COST", 0)
+    out = str(tmp_path / "overlaid")
+    shutil.copytree(tiny_index["out_dir"], out)
+    eng0 = SearchEngine(out)
+    conv = eng0.search(f"{S(0)} {S(1)}", mode="phrase", limit=1)["data"].to_pylist()[0]["conv_id"]
+    mod = _modify_corpus(
+        eng0.manifest["config"]["input_paths"], str(tmp_path / "mod"), conv,
+        [f"{S(0)} {S(1)} qqovlword fresh", f"{S(2)} qqovlword {S(0)} again"],
+    )
+    assert delta.reindex_conversations(out, [conv], input_paths=mod)["result"]
+    lem = analyzer.analyze_query("qqovlword")[0]  # a delta-only lemma
+
+    ref, small = SearchEngine(out), _small(out)
+    assert small._has_deltas
+    built = []
+    orig = small._overlay_delta
+    small._overlay_delta = lambda le, *a: built.append(le) or orig(le, *a)
+    probe = [("qqovlword", {})]
+    _check_budget(ref, small, probe)
+    assert ("blocks", lem) in small._cache  # the overlaid entry fits
+    _check_budget(ref, small, [(f"{S(0)} qqovlword", {"mode": "phrase"})] + QUERIES)
+    assert ("blocks", lem) not in small._cache  # ... and was evicted
+    n = built.count(lem)
+    _check_budget(ref, small, probe)
+    assert built.count(lem) > n  # rebuilt by the overlay
+

@@ -71,7 +71,7 @@ def test_custom_scorer_registration(tiny_index):
     def constant(engine, terms, k, scope, conjunctive):
         bl = engine._term_blocks([t[0] for t in terms])
         lem = terms[0][0]
-        docid = engine._decode_term_docids(bl[lem], bl[lem].setdefault("chunks", {}))
+        (docid,) = engine._decoded(bl[lem], streams=("docid",))
         ids = docid[:k]
         return ids, np.ones(len(ids), np.float64), int(len(docid))
 

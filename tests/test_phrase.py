@@ -426,17 +426,17 @@ def test_near_single_term_and_absent(phrase_index):
 
 
 def test_poss_lazy_load_and_upgrade(phrase_index, tiny_corpus):
-    """Term queries load block metadata WITHOUT the poss stream; a later
-    phrase query on the same (cached) lemmas upgrades them in place and
-    matches a fresh positional engine exactly."""
+    """Term queries load block metadata WITHOUT the poss stream; a phrase
+    query after a term query warmed the lemma reads the positions it
+    lacks and equals a fresh engine exactly."""
     eng = SearchEngine(phrase_index)
     lem = analyzer.analyze_phrase(HOT2)
     r_term = eng.search(datagen.stem(0), limit=3)
     assert r_term["result"]
-    bl = eng._block_cache[lem[0]]
-    assert bl.get("poss") is None  # term query skipped the stream
+    assert ("blocks", lem[0]) in eng._cache  # the term query warmed it ...
+    assert ("poss", lem[0]) not in eng._cache  # ... without the stream
     r1 = eng.search(HOT2, mode="phrase", limit=20)
-    assert eng._block_cache[lem[0]].get("poss") is not None  # upgraded
+    assert ("pos", lem[0]) in eng._cache  # positions read and decoded
     fresh = SearchEngine(phrase_index)
     r2 = fresh.search(HOT2, mode="phrase", limit=20)
     assert r1["count"] == r2["count"]

@@ -49,7 +49,7 @@ def test_aux_phrase_rank_identity(aux_index):
     got = _phrase_rows(eng_aux, qs)
     want = _phrase_rows(plain, qs)
     assert got == want
-    assert eng_aux._aux_cache, "no phrase query hit a precomputed pair"
+    assert "aux" in eng_aux._cache.stats(), "no phrase query hit a precomputed pair"
 
 
 def test_aux_near_and_prefix_unaffected(aux_index):
@@ -175,7 +175,7 @@ def test_aux_delta_overlay(aux_index, tmp_path):
     eng = SearchEngine(out)
     assert eng._has_deltas and eng._aux_pairs and eng._delta_positions_ok
     got = eng.search(hot_q, mode="phrase", limit=20)["data"].to_pylist()
-    assert eng._aux_cache, "aux not consulted despite positions-ok deltas"
+    assert "aux" in eng._cache.stats(), "aux not consulted despite positions-ok deltas"
     plain = SearchEngine(out)
     plain._aux_pairs = {}
     want = plain.search(hot_q, mode="phrase", limit=20)["data"].to_pylist()
@@ -241,7 +241,7 @@ def test_aux_rebuilt_at_compact(aux_index, tmp_path):
         assert (ra["error"], ra["count"]) == (rb["error"], rb["count"]), q
         if ra["result"]:
             assert ra["data"].to_pylist() == rb["data"].to_pylist(), q
-    assert eng._aux_cache, "no query exercised the folded aux"
+    assert "aux" in eng._cache.stats(), "no query exercised the folded aux"
     # full-result equality on the hot bigram: a stale folded entry (old
     # text's adjacency) would surface as an extra aux-path match here
     ga = eng.search(hot_q, mode="phrase", limit=10_000)["data"].to_pylist()
@@ -252,10 +252,11 @@ def test_aux_rebuilt_at_compact(aux_index, tmp_path):
 
 
 def test_pair_lru_unindexed_hot_pairs(tiny_index):
-    """Bigrams OUTSIDE the aux budget: with the on-demand pair LRU
+    """Bigrams OUTSIDE the aux budget: with on-demand pair caching
     enabled (threshold 0) the first query builds the full adjacency
     payload, the second serves from cache, and BOTH are rank-identical
-    to the exact positional path. Eviction respects the byte budget."""
+    to the exact positional path. (Eviction under the byte budget:
+    tests/test_cache.py.)"""
     out = tiny_index["out_dir"]
     q = f"{datagen.stem(0)} {datagen.stem(1)}"
 
@@ -269,8 +270,8 @@ def test_pair_lru_unindexed_hot_pairs(tiny_index):
     eng.PAIR_CACHE_MIN_COST = 0
     got1 = eng.search(q, mode="phrase", limit=20)["data"].to_pylist()
     assert got1 == want
-    assert len(eng._pair_lru) == 1 and eng._pair_lru_bytes > 0
-    # second query: served from the LRU (no rebuild), still identical
+    assert eng._cache.stats()["pair"][0] == 1 and eng._cache.stats()["pair"][1] > 0
+    # second query: served from the cache (no rebuild), still identical
     builds = []
     orig = eng._build_pair_cache
     eng._build_pair_cache = lambda *a, **k: builds.append(1) or orig(*a, **k)
@@ -285,14 +286,10 @@ def test_pair_lru_unindexed_hot_pairs(tiny_index):
     r3w = e3.search(q3, mode="phrase", limit=20)["data"].to_pylist()
     r3g = eng.search(q3, mode="phrase", limit=20)["data"].to_pylist()
     assert r3g == r3w
-    # byte-budget eviction: shrink the budget below the resident payload
-    eng.PAIR_CACHE_MAX_BYTES = 1
-    eng.search(f"{datagen.stem(1)} {datagen.stem(2)}", mode="phrase", limit=5)
-    assert len(eng._pair_lru) == 0 and eng._pair_lru_bytes == 0
 
 
 def test_pair_lru_with_live_deltas(aux_index, tmp_path):
-    """The LRU path composes with the delta overlay exactly like the
+    """The on-demand pair path composes with the delta overlay exactly like the
     aux path: payloads built from OVERLAID postings, rank-identical to
     the exact path over base+delta."""
     import shutil
@@ -324,7 +321,7 @@ def test_pair_lru_with_live_deltas(aux_index, tmp_path):
     got1 = eng.search(q, mode="phrase", limit=10_000)["data"].to_pylist()
     got2 = eng.search(q, mode="phrase", limit=10_000)["data"].to_pylist()
     assert got1 == want and got2 == want
-    assert eng._pair_lru
+    assert "pair" in eng._cache.stats()
 
 
 def test_crash_resume_folds_aux_forward(aux_index, tmp_path, monkeypatch):

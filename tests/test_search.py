@@ -222,8 +222,8 @@ def test_df_point_read_path_identical(engine, tiny_index, monkeypatch):
         b = lazy.search(q, scope=scope, limit=10)
         assert a["count"] == b["count"] and a["error"] == b["error"]
         assert a["data"].equals(b["data"]), q
-    # memoized: second plan of the same lemma hits the cache
-    assert "wbababa" in lazy._df_point_cache
+    # cached: second plan of the same lemma hits the cache
+    assert ("df", "wbababa") in lazy._cache
 
 
 def test_suggest_semantics_and_scale_path(tiny_index):

@@ -546,3 +546,69 @@ def test_dis_max_endpoint(served):
         except urllib.error.HTTPError as e:
             assert e.code == 400
             assert json.loads(e.read())["error"] == "bad_dis_max"
+
+
+def test_concurrent_queries_match_serial(tiny_index, monkeypatch):
+    """Eight client threads against one server share one engine and its
+    cache: every response — bm25, scoped, ts/exclude-filtered and phrase
+    queries, with the on-demand pair path on — is byte-identical to a
+    serial pass over a separate server. Both servers start cold, so the
+    threads race on cache misses, inserts and evictions."""
+    import hashlib
+    import random
+    import time
+
+    monkeypatch.setattr(SearchEngine, "PAIR_CACHE_MIN_COST", 0)
+    s = datagen.stem
+    paths = []
+    for i in (0, 1, 2, 3, 7, 40, 300, 2000):
+        paths += [f"query={s(i)}&limit=10", f"query={s(i)}+{s(i + 1)}&limit=5&scope=user",
+                  f"query={s(i)}&ts_min=2024-01-10T00:00:00&limit=5",
+                  f"query={s(i)}+{s(3)}&exclude={s(1)}&limit=5"]
+    for a, b in ((0, 1), (1, 2), (0, 2), (2, 5), (3, 4)):
+        paths += [f"query={s(a)}+{s(b)}&mode=phrase&limit=10",
+                  f"query={s(a)}+{s(b)}&mode=phrase&limit=5&scope=user",
+                  f"query={s(a)}+{s(b)}+{s(a)}&mode=phrase&limit=5"]
+
+    def start():
+        srv = make_server(tiny_index["out_dir"], port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        return srv, f"http://127.0.0.1:{srv.server_address[1]}/api/search?"
+
+    def fetch(base, p):
+        with urllib.request.urlopen(base + p) as r:
+            return hashlib.sha256(r.read()).hexdigest()
+
+    srv_a, base_a = start()
+    srv_b, base_b = start()
+    try:
+        want = {p: fetch(base_a, p) for p in paths}  # cold serial pass
+        t0 = time.perf_counter()
+        for p in paths:
+            fetch(base_a, p)
+        serial_qps = len(paths) / (time.perf_counter() - t0)
+        rounds, got, errors = 3, [], []
+
+        def client(seed):
+            order = paths * rounds
+            random.Random(seed).shuffle(order)
+            try:
+                got.extend((p, fetch(base_b, p)) for p in order)
+            except Exception as e:  # noqa: BLE001 — reported below
+                errors.append(repr(e))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        t0 = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        conc_qps = len(got) / (time.perf_counter() - t0)
+    finally:
+        for srv in (srv_a, srv_b):
+            srv.shutdown()
+            srv.server_close()
+    assert not errors, errors
+    assert len(got) == 8 * rounds * len(paths)
+    assert [p for p, h in got if h != want[p]] == []
+    print(f"serial {serial_qps:.0f} q/s (warm), 8 threads {conc_qps:.0f} q/s")

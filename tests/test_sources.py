@@ -88,3 +88,26 @@ def test_actor_pool_sizing(ray_session):
     assert lo == 1 and hi == max(2, ncpu // 2)
     assert actor_pool(cap=3)[1] == min(3, max(2, ncpu // 2))
     assert actor_pool(floor=5)[1] >= 5
+
+
+def test_rows_memo_evicts_oldest(ray_session, tmp_path, monkeypatch):
+    """Past its bound the footer-row memo of ``read_clean_parquet``
+    evicts its OLDEST entry, one at a time, instead of clearing itself
+    whole; a repeated read is served from it."""
+    from collections import OrderedDict
+
+    import search_engine_ray.sources as src
+
+    monkeypatch.setattr(src, "_ROWS_MEMO", OrderedDict())
+    monkeypatch.setattr(src, "_ROWS_MEMO_MAX", 2)
+    paths = []
+    for i in range(3):
+        p = str(tmp_path / f"f{i}.parquet")
+        pq.write_table(pa.table({"x": list(range(i + 1))}), p)
+        paths.append(p)
+        src.read_clean_parquet([p])
+    assert [k[0] for k in src._ROWS_MEMO] == paths[1:]
+    assert list(src._ROWS_MEMO.values()) == [2, 3]
+    monkeypatch.setattr(pq, "read_metadata", lambda *_: 1 / 0)  # a re-scan fails loudly
+    src.read_clean_parquet(paths[1:])
+    assert list(src._ROWS_MEMO.values()) == [2, 3]
