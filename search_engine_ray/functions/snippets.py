@@ -21,16 +21,24 @@ from ..config import SNIPPET_LEN
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
-def highlight(text: str, query_lemmas: set[str]) -> str:
+def highlight(
+    text: str,
+    query_lemmas: set[str],
+    lemmatize=analyzer.lemmatize_token,
+    stopset=analyzer._STOPSET,
+    min_len: int = analyzer.MIN_TOKEN_LEN,
+) -> str:
     """Wrap every word whose lemma is in ``query_lemmas`` in <b></b>
     (the reference's collectLemmasAndWords + formatWordIfIsInQuery,
-    ``LemmaFinderImpl.java:61-84``, ``SnippetCreator.java:40-58``)."""
+    ``LemmaFinderImpl.java:61-84``, ``SnippetCreator.java:40-58``).
+    ``lemmatize``/``stopset``/``min_len`` are the index analyzer's
+    token rules (the default module's unless given)."""
 
     def repl(m: re.Match) -> str:
         w = m.group(0)
         tok = w.lower()
-        if len(tok) >= analyzer.MIN_TOKEN_LEN and tok not in analyzer._STOPSET:
-            if analyzer.lemmatize_token(tok) in query_lemmas:
+        if len(tok) >= min_len and tok not in stopset:
+            if lemmatize(tok) in query_lemmas:
                 return f"<b>{w}</b>"
         return w
 
@@ -43,9 +51,12 @@ def _clean(text: str) -> str:
     return re.sub(r"\s+", " ", text or "").strip()
 
 
-def create_snippets(text: str, query_lemmas: set[str], max_len: int = SNIPPET_LEN) -> str:
-    """Best-window snippet of ``max_len`` chars with balanced <b> tags."""
-    marked = highlight(_clean(text), query_lemmas)
+def create_snippets(
+    text: str, query_lemmas: set[str], max_len: int = SNIPPET_LEN, **rules
+) -> str:
+    """Best-window snippet of ``max_len`` chars with balanced <b> tags;
+    ``rules`` are :func:`highlight`'s token rules."""
+    marked = highlight(_clean(text), query_lemmas, **rules)
     if len(marked) <= max_len:
         return marked
     # find the window of max_len raw chars containing the most <b> openings
@@ -68,10 +79,11 @@ def create_snippets(text: str, query_lemmas: set[str], max_len: int = SNIPPET_LE
     return snip
 
 
-def highlight_full(text: str, query_lemmas: set[str]) -> str:
+def highlight_full(text: str, query_lemmas: set[str], **rules) -> str:
     """ES ``highlight`` with ``number_of_fragments: 0``: the WHOLE
     cleaned field highlighted — no best-window cut, so the output is a
     pure per-word function (clean, then wrap every query-lemma word)
     and SQL-twin-able exactly (the window cut in
-    :func:`create_snippets` is presentation-layer, pytest-pinned)."""
-    return highlight(_clean(text), query_lemmas)
+    :func:`create_snippets` is presentation-layer, pytest-pinned);
+    ``rules`` are :func:`highlight`'s token rules."""
+    return highlight(_clean(text), query_lemmas, **rules)

@@ -37,6 +37,7 @@ matching the reference's single-request query path.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -274,10 +275,15 @@ def _pair_adjacency(
 
 
 def _nbytes(x) -> int:
-    """Resident size of a cache payload: its arrays' bytes (a view
-    counts its span), 8 per other scalar or string."""
+    """Resident size of a cache payload: its arrays' bytes (a numpy view
+    counts its span, an Arrow array its buffers), a string's length, 8
+    per other scalar."""
     if isinstance(x, np.ndarray):
         return x.nbytes
+    if isinstance(x, (pa.Array, pa.ChunkedArray)):
+        return x.get_total_buffer_size()
+    if isinstance(x, (str, bytes)):
+        return len(x)
     if isinstance(x, (tuple, list, dict)):
         return sum(_nbytes(v) for v in (x.values() if isinstance(x, dict) else x))
     return 8
@@ -1121,7 +1127,10 @@ class SearchEngine(Aggregations):
             self._aux_pairs = {}
         self._load_deltas()
 
-    # the byte budget of the engine cache (read at construction)
+    # the byte budget of the engine cache (read at construction). A text
+    # row group whose decoded column exceeds a quarter of it is read
+    # uncached on every touch (_text_column), so one huge input row
+    # group (pyarrow's default is 1 Mi rows) cannot flush the postings.
     CACHE_MAX_BYTES = 256 << 20
     # an unindexed hot-hot bigram's full adjacency list is built and
     # cached once the pair's combined postings reach this size (below it
@@ -3639,8 +3648,9 @@ class SearchEngine(Aggregations):
         files, everything else the build's, so the text always matches
         the CURRENT index view; over several files the last one holding
         a turn wins. A point read: the docids are looked up in each
-        file's locator and only the row groups holding them decode
-        their ``text`` column."""
+        file's locator, and the ``text`` column of each row group
+        holding them comes from the engine cache (``_text_column``), so
+        a repeat touch decodes nothing."""
         ids = np.asarray(ids, np.int64)
         dpaths = self._delta_text_paths
         groups: dict[tuple, list[int]] = {}
@@ -3661,12 +3671,26 @@ class SearchEngine(Aggregations):
             reads.setdefault((p, g), []).append((i, r))
         out: list[str | None] = [None] * len(ids)
         for (p, g), hits in reads.items():
-            col = self._text_locs[p][0].read_row_group(
-                g, columns=["text"], use_threads=False).column(0)
+            col = self._text_column(p, g)
             vals = col.take(pa.array([r for _, r in hits], pa.int32())).to_pylist()
             for (i, _), x in zip(hits, vals):
                 out[i] = x or ""
         return out
+
+    def _text_column(self, path: str, g: int) -> pa.Array:
+        """Row group ``g`` of text source file ``path`` (its locator
+        built): its decoded ``text`` column as one array, cached as
+        ``("text", path, g)`` — input files never change under an
+        engine. A miss decodes outside the cache lock; a column above a
+        quarter of the budget is returned uncached."""
+        key = ("text", path, g)
+        col = self._cache.peek(key)
+        if col is None:
+            col = self._text_locs[path][0].read_row_group(
+                g, columns=["text"], use_threads=False).column(0).combine_chunks()
+            if _nbytes(col) <= self._cache.max_bytes // 4:
+                self._cache.put(key, col)
+        return col
 
     MLT_MAX_TERMS = 25
 
@@ -5053,9 +5077,11 @@ class SearchEngine(Aggregations):
         reference enriching every result with site url/name/title
         (``SearchServiceImpl.java:117-133``). With snippets the winners'
         text is a docid point read of the transcripts parquet
-        (``_texts``): only the row groups holding the k winners decode
-        their ``text`` column, then ``create_snippets`` (True) or
-        ``highlight_full`` ("full") runs per row."""
+        (``_texts``): the ``text`` column of each row group holding a
+        winner, decoded once and then served from the engine cache.
+        ``create_snippets`` (True) or ``highlight_full`` ("full") runs
+        per row with the index analyzer's token rules, each word's
+        lemma computed once per call."""
         conv_rank, turn_idx = split_docids(ids)
         if len(ids) and self.n_docs >= self._POINT_READ_MIN_DOCS:
             conv_ids, roles, tools, tss = self._lookup_rows_point(ids)
@@ -5089,12 +5115,14 @@ class SearchEngine(Aggregations):
 
             texts = [x or "" for x in self._texts(ids, conv_ids)]
             lemmas = {t[0] for t in terms}
+            rules = {"lemmatize": functools.lru_cache(None)(self._lemmatize_token),
+                     "stopset": self._stopset, "min_len": self._min_token_len}
             if with_snippets == "full":
-                vals = [highlight_full(x, lemmas) for x in texts]
+                vals = [highlight_full(x, lemmas, **rules) for x in texts]
                 tbl = tbl.append_column(
                     "highlighted", pa.array(vals, pa.string()))
             else:
-                snips = [create_snippets(x, lemmas) for x in texts]
+                snips = [create_snippets(x, lemmas, **rules) for x in texts]
                 tbl = tbl.append_column(
                     "snippet", pa.array(snips, pa.string()))
         return tbl

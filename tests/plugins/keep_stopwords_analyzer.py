@@ -8,6 +8,9 @@ import pyarrow.compute as pc
 from search_engine_ray import analyzer as base
 
 ANALYZER_VERSION = "test-keep-stopwords-1"
+# no stopword filter: the engine's snippets and token-level surfaces read
+# this (a module without it gets the default module's stopwords)
+_STOPSET = frozenset()
 
 
 def tokenize(text: str) -> list[str]:

@@ -7,9 +7,10 @@ from __future__ import annotations
 import shutil
 
 import numpy as np
+import pyarrow as pa
 
 from search_engine_ray import analyzer, datagen
-from search_engine_ray.search import PayloadCache, SearchEngine
+from search_engine_ray.search import PayloadCache, SearchEngine, _nbytes
 
 S = datagen.stem
 BUDGET = 6 << 10  # a few KiB: far below one query's working set
@@ -60,6 +61,24 @@ def test_lru_evicts_to_budget_and_skips_oversized():
     assert c.stats() == {"chunk": (2, 80)}
     assert c.get(("df", "absent"), lambda: None) is None
     assert c.get(("df", "absent"), lambda: 1 / 0) is None  # a cached None
+
+
+def test_lru_charges_arrow_and_string_payloads():
+    """An Arrow array costs its buffers and a string its length, so
+    decoded text columns and doc-row strings count what they hold."""
+    col = pa.array(["x" * 30, None, "y" * 20], pa.string())
+    assert _nbytes(col) == col.get_total_buffer_size() >= 50
+    other = pa.array(["z" * 10])
+    assert _nbytes(pa.chunked_array([col, other])) == _nbytes(col) + _nbytes(other)
+    assert _nbytes(("conv-00000001", "user", "")) == 17
+    c = PayloadCache(100)
+    c.put(("row", 1), ("c" * 40, "user", ""))          # 44 B
+    c.put(("text", "f", 0), col)
+    assert c.bytes <= 100 and ("text", "f", 0) in c
+    assert c.stats()["text"] == (1, _nbytes(col))
+    assert ("row", 1) not in c  # evicted: 44 B + the column's buffers > 100
+    c.put(("text", "f", 1), pa.array(["z" * 200]))     # over budget: not cached
+    assert ("text", "f", 1) not in c and ("text", "f", 0) in c
 
 
 def test_budget_bounds_memory_plain_index(tiny_index, monkeypatch):

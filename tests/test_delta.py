@@ -8,6 +8,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
@@ -587,6 +588,28 @@ def test_delta_snippets_use_fresh_text(delta_env):
         mine = [x for x in rows if x["conv_id"] == delta_env["conv"]]
         for x in mine:
             assert "third version" in x["snippet"] or "<b>" in x["snippet"]
+
+
+def test_delta_text_cached_per_generation_file(delta_env):
+    """Decoded text is cached per (file, row group): with every base
+    row group resident, the old text of the re-indexed conversation
+    included, its turns still read its generation's input files."""
+    eng = SearchEngine(delta_env["base_out"])
+    conv = delta_env["conv"]
+    gen_paths = eng._delta_text_paths[conv]
+    for p in eng.transcripts_paths:
+        eng._text_locator(p)
+        for g in range(pq.ParquetFile(p).num_row_groups):
+            eng._text_column(p, g)
+    fresh = pads.dataset(gen_paths).to_table(
+        filter=pads.field("conv_id") == conv, columns=["turn_idx", "text"])
+    stale = pads.dataset(eng.transcripts_paths).to_table(
+        filter=pads.field("conv_id") == conv, columns=["turn_idx", "text"])
+    want = dict(zip(fresh.column("turn_idx").to_pylist(), fresh.column("text").to_pylist()))
+    assert want != dict(zip(stale.column("turn_idx").to_pylist(), stale.column("text").to_pylist()))
+    got = eng.mget([(conv, t) for t in sorted(want)])["data"].to_pylist()
+    assert [r["text"] for r in got] == [want[t] for t in sorted(want)]
+    assert any(k[0] == "text" and k[1] in gen_paths for k in list(eng._cache._lru))
 
 
 def test_delta_novel_scope_values(delta_env, tiny_corpus, tmp_path):

@@ -62,6 +62,12 @@ def test_custom_analyzer_build_and_query(tmp_path):
     r = eng.search("the")
     assert r["result"] and r["count"] == 2  # both c-0 turns contain 'the'
     assert SearchEngine(out_d).search("the")["error"] == "empty_query"
+    # snippets and highlights mark words by the index's own analyzer:
+    # 'the' is a query lemma here, not a stopword
+    for mode, col in ((True, "snippet"), ("full", "highlighted")):
+        marked = eng.search("the", with_snippets=mode)["data"].column(col).to_pylist()
+        assert len(marked) == 2
+        assert all("<b>the</b>" in x or "<b>The</b>" in x for x in marked), marked
     # lineage records the custom module:version
     assert m["versions"]["analyzer"].startswith("tests.plugins")
 

@@ -2,7 +2,9 @@
 transcripts parquet must give exactly what a filtered scan of every
 input file gives — the last row of a duplicated (conv_id, turn_idx) in
 file and path order wins, an absent turn yields "" — while decoding the
-``text`` column of only the row groups that hold the winners."""
+``text`` column of only the row groups that hold the winners, once:
+the decoded columns live in the engine cache, whose budget changes what
+is resident, never an answer."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import pytest
 
 from search_engine_ray import analyzer, datagen
 from search_engine_ray.functions.snippets import create_snippets, highlight_full
-from search_engine_ray.search import SearchEngine
+from search_engine_ray.search import SearchEngine, _nbytes
 
 ROW_GROUP = 50
 QUERIES = datagen.reference_queries() + [
@@ -141,9 +143,12 @@ def test_threads_match_serial(rg_env):
 
 
 def test_reads_only_winner_row_groups(rg_env, monkeypatch):
+    """The first snippet query decodes exactly the winners' row groups;
+    its repeat is served from the engine cache and decodes none."""
     eng = SearchEngine(rg_env["out_dir"], transcripts_paths=rg_env["paths"])
     q = {"query_text": datagen.stem(1), "scope": None, "k": 10}
-    _rows(eng, q, True)  # build the locators
+    for p in rg_env["paths"]:
+        eng._text_locator(p)
     reads = []
     real = pq.ParquetFile.read_row_group
 
@@ -169,3 +174,64 @@ def test_reads_only_winner_row_groups(rg_env, monkeypatch):
     assert {(ids[f], g) for f, g in reads} == occupied
     total = sum(pq.ParquetFile(p).num_row_groups for p in rg_env["paths"])
     assert len(reads) < total
+    n = len(reads)
+    assert _rows(eng, q, True) == rows
+    assert len(reads) == n
+
+
+def _budgeted(rg_env, budget: int) -> SearchEngine:
+    cls = type("SmallCache", (SearchEngine,), {"CACHE_MAX_BYTES": budget})
+    return cls(rg_env["out_dir"], transcripts_paths=rg_env["paths"])
+
+
+def _text_calls(rg_env):
+    """One call per reader of turn text: snippets, highlights, mget,
+    termvectors and more_like_this."""
+    def out(r):
+        return r["error"], r["data"].to_pylist()
+
+    pairs = [rg_env["dup_same"], rg_env["dup_late"], rg_env["dropped"]]
+    calls = [lambda e, q=q, s=s: _rows(e, q, s) for q in QUERIES for s in (True, "full")]
+    calls.append(lambda e: out(e.mget(pairs)))
+    for p in pairs:
+        calls.append(lambda e, p=p: out(e.termvectors(*p)))
+        calls.append(lambda e, p=p: out(e.more_like_this(*p)))
+    return calls
+
+
+@pytest.mark.parametrize("budget", [6 << 10, 64 << 10])
+def test_budget_bounds_text(rg_env, budget):
+    """Under a few-KiB budget (only the short last text groups of the
+    files fit a quarter of it) and a 64-KiB one (every group does, and
+    they evict each other and the postings), every text reader answers
+    as the default budget does, the resident bytes never exceed the
+    budget and no resident text group exceeds a quarter of it."""
+    ref = SearchEngine(rg_env["out_dir"], transcripts_paths=rg_env["paths"])
+    small = _budgeted(rg_env, budget)
+    seen = set()
+    for call in _text_calls(rg_env) * 2:
+        assert call(small) == call(ref)
+        assert small._cache.bytes <= budget
+        text = {k: n for k, (_, n) in small._cache._lru.items() if k[0] == "text"}
+        assert all(n <= budget // 4 for n in text.values())
+        seen |= set(text)
+    assert seen
+
+
+def test_text_group_above_quarter_budget_not_resident(rg_env):
+    """A text row group larger than a quarter of the budget is served
+    but never cached; at exactly a quarter it is cached."""
+    q = {"query_text": datagen.stem(1), "scope": None, "k": 10}
+    ref = SearchEngine(rg_env["out_dir"], transcripts_paths=rg_env["paths"])
+    expect = _rows(ref, q, True)
+    keys = [k for k in list(ref._cache._lru) if k[0] == "text"]
+    assert keys
+    size = {k: _nbytes(ref._cache.peek(k)) for k in keys}
+    big = max(keys, key=size.get)
+    over = _budgeted(rg_env, 4 * size[big] - 1)
+    assert _rows(over, q, True) == expect
+    assert big not in over._cache
+    fits = _budgeted(rg_env, 4 * size[big])
+    fits._text_locator(big[1])
+    assert fits._text_column(*big[1:]) == ref._cache.peek(big)
+    assert big in fits._cache
