@@ -716,8 +716,9 @@ def build_index(
                     stats_d["roles"], stats_d["tools"],
                 ).astype(np.int32),
             )
-            # small row groups: the query engine point-reads winner
-            # docids via row-group stats on the docid sort key
+            # bounded row groups: the query engine gathers per-doc fields
+            # from the row groups that hold them, located by the docid
+            # sort key's footer stats (SearchEngine._doc_rows)
             pq.write_table(
                 tD, os.path.join(docs_d, "docs.parquet"), row_group_size=65_536
             )

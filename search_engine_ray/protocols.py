@@ -55,6 +55,21 @@ class Analyzer(Protocol):
     #: bumped whenever tokenization/lemmatization semantics change —
     #: part of every stage-A partition's lineage key
     ANALYZER_VERSION: str
+    #: the token rules ``SearchEngine`` reads from the bound module for
+    #: highlighting and its expansion surfaces (suggest, prefix,
+    #: wildcard, fuzzy, analyze): dropped stopwords and the shortest
+    #: kept token. An engine over an index built with a module that
+    #: lacks any of these four names refuses it with a TypeError.
+    _STOPSET: frozenset[str]
+    MIN_TOKEN_LEN: int
+
+    def normalize_text(self, text: str) -> str:
+        """Case/character folding applied before tokenization."""
+        ...
+
+    def lemmatize_token(self, tok: str) -> str:
+        """One normalized token's lemma."""
+        ...
 
     def analyze_batch(
         self, texts: pa.Array | pa.ChunkedArray, memo: dict[str, str]

@@ -347,6 +347,23 @@ class PayloadCache:
         return out
 
 
+# the doc-store columns the per-doc reader (SearchEngine._doc_rows) decodes
+_DOC_COLUMNS = ("docid", "doc_len", "ts", "role", "tool")
+
+
+def _decode_doc_group(t: pa.Table) -> dict:
+    """One doc-store row group as gather-ready arrays: ``docid``,
+    ``doc_len`` and epoch-µs ``ts`` as int64; ``role`` and ``tool`` as
+    str object arrays (null as ""), gathered by numpy indexing."""
+    out = {c: t.column(c).combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+           for c in ("docid", "doc_len", "ts")}
+    for c in ("role", "tool"):
+        d = pc.fill_null(t.column(c).combine_chunks(), "").dictionary_encode()
+        out[c] = np.array(d.dictionary.to_pylist(), object)[
+            d.indices.to_numpy(zero_copy_only=False)]
+    return out
+
+
 # the decodable streams of a posting list; a counting read asks
 # ``_decoded`` for fewer
 STREAMS = ("docid", "tf", "dl", "scope")
@@ -1055,21 +1072,21 @@ class SearchEngine(Aggregations):
             self._analyzer = importlib.import_module(amod)
         else:
             self._analyzer = analyzer
-        # token-level helpers for the expansion surfaces (suggest /
-        # prefix / wildcard / fuzzy / analyze): use the BOUND analyzer's
-        # exports when present (a custom module folds/normalizes its own
-        # way — default-module calls would expand lemmas the index never
-        # produced), falling back per attribute to the default module
-        self._norm_text = getattr(
-            self._analyzer, "normalize_text", analyzer.normalize_text
-        )
-        self._lemmatize_token = getattr(
-            self._analyzer, "lemmatize_token", analyzer.lemmatize_token
-        )
-        self._stopset = getattr(self._analyzer, "_STOPSET", analyzer._STOPSET)
-        self._min_token_len = int(getattr(
-            self._analyzer, "MIN_TOKEN_LEN", analyzer.MIN_TOKEN_LEN
-        ))
+        # token-level rules for the expansion surfaces (suggest / prefix /
+        # wildcard / fuzzy / analyze) and highlighting come from the BOUND
+        # analyzer (a custom module folds, filters and lemmatizes its own
+        # way); a module that lacks any of them is refused, never
+        # silently completed with the default module's
+        mod = self._analyzer
+        missing = [a for a in ("normalize_text", "lemmatize_token", "_STOPSET",
+                               "MIN_TOKEN_LEN") if not hasattr(mod, a)]
+        if missing:
+            raise TypeError(f"analyzer module {mod.__name__} lacks "
+                            f"{', '.join(missing)} (protocols.Analyzer)")
+        self._norm_text = mod.normalize_text
+        self._lemmatize_token = mod.lemmatize_token
+        self._stopset = mod._STOPSET
+        self._min_token_len = int(mod.MIN_TOKEN_LEN)
         self.k1: float = m["config"]["k1"]
         self.b: float = m["config"]["b"]
         self.n_docs: int = m["stats"]["n_docs"]
@@ -1084,6 +1101,12 @@ class SearchEngine(Aggregations):
         )
         # text source file -> its docid locator (_text_locator)
         self._text_locs: dict[str, tuple] = {}
+        # open parquet files of the doc store and text sources (_parquet),
+        # the doc store's row-group docid bounds (_doc_groups) and the
+        # sorted conversation list (_conv_list), each loaded on first use
+        self._pfs: dict[str, pq.ParquetFile] = {}
+        self._doc_rgs: tuple | None = None
+        self._convs: pa.Array | None = None
         # the term dictionary (J2): lemma -> df. Preloaded as a dict only
         # while the vocabulary is small; above the threshold each query
         # point-reads its lemmas via row-group stats on the lemma-sorted
@@ -1098,7 +1121,8 @@ class SearchEngine(Aggregations):
             self._df = None
         # every payload read or decoded per query — block entries, poss
         # buffers, decoded chunks and positions, aux and on-demand pair
-        # lists, df and doc-row point reads — lives here, byte-bounded
+        # lists, df point reads, decoded doc-store and text row groups —
+        # lives here, byte-bounded
         self._cache = PayloadCache(self.CACHE_MAX_BYTES)
         self._index = pads.dataset(build_mod.index_dir(out_dir))
         self._poss_in_schema = "poss" in self._index.schema.names
@@ -1109,7 +1133,6 @@ class SearchEngine(Aggregations):
         # list at ANY corpus size. _scope_luts caches scope -> bool LUT.
         self._scope_luts: dict[str, np.ndarray] = {}
         self._extra_pairs: dict[tuple[str, str], int] = {}  # delta-only (role, tool)
-        self._fwd: tuple | None = None  # lazy (docids, role_codes, roles, convs)
         self._ref_max_relevance: float | None = None
         # hot-bigram aux phrase index (pipelines/phrase_aux.py):
         # (lemma_a, lemma_b) -> pair_id for the precomputed adjacency
@@ -1127,9 +1150,9 @@ class SearchEngine(Aggregations):
             self._aux_pairs = {}
         self._load_deltas()
 
-    # the byte budget of the engine cache (read at construction). A text
-    # row group whose decoded column exceeds a quarter of it is read
-    # uncached on every touch (_text_column), so one huge input row
+    # the byte budget of the engine cache (read at construction). A doc
+    # store or text row group whose decoded columns exceed a quarter of
+    # it is read uncached on every touch (_row_group), so one huge row
     # group (pyarrow's default is 1 Mi rows) cannot flush the postings.
     CACHE_MAX_BYTES = 256 << 20
     # an unindexed hot-hot bigram's full adjacency list is built and
@@ -1258,7 +1281,7 @@ class SearchEngine(Aggregations):
         # positions survive the overlay only if EVERY generation carries
         # them (a pre-positions generation would leave holes)
         self._delta_positions_ok = bool(self.manifest["stats"].get("positions"))
-        dd_docid, dd_role, dd_dl, dd_tool, dd_ts, dd_conv = [], [], [], [], [], []
+        dd_docid, dd_role, dd_dl, dd_tool, dd_ts = [], [], [], [], []
         for cid, info in latest.items():
             lo, hi = info["range"]
             a, b = np.searchsorted(bdoc, lo), np.searchsorted(bdoc, hi)
@@ -1278,7 +1301,6 @@ class SearchEngine(Aggregations):
             dd_ts.append(
                 docs.column("ts").combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
             )
-            dd_conv.extend(docs.column("conv_id").to_pylist())
             posts = pq.read_table(os.path.join(info["dir"], "postings.parquet"))
             pmask = (posts.column("docid").to_numpy() >= lo) & (
                 posts.column("docid").to_numpy() < hi
@@ -1317,33 +1339,34 @@ class SearchEngine(Aggregations):
                     _decode_pos_blobs(pos_blobs[s:e], tf[s:e]) if with_pos else None
                 )
                 self._delta_lemma[lem_arr[s]] = (docid[s:e], tf[s:e], dl[s:e], pos_flat)
-        self._delta_docs = {
-            "docid": np.concatenate(dd_docid).astype(np.int64) if dd_docid else np.empty(0, np.int64),
-            "role": dd_role,
-            "dl": np.concatenate(dd_dl).astype(np.int64) if dd_dl else np.empty(0, np.int64),
-            "tool": dd_tool,
-            "ts": np.concatenate(dd_ts).astype(np.int64) if dd_ts else np.empty(0, np.int64),
-            "conv_id": dd_conv,
-        }
-        # per-posting scope codes for the delta overlay: delta docs may
-        # carry (role, tool) pairs unseen at base-build time — those get
-        # codes appended after the base code space (_pair_code), so base
-        # block codes never renumber. Delta postings inherit their doc's
-        # code via binary search (delta volume is reindexed-conv-sized).
-        dd0 = self._delta_docs
-        doc_codes = np.fromiter(
-            (self._pair_code(r, t) for r, t in zip(dd0["role"], dd0["tool"])),
-            np.int64,
-            count=len(dd0["role"]),
+        # the delta doc rows, docid-ascending, keyed like the doc store's
+        # columns (_doc_rows gathers from both the same way). Delta docs
+        # may carry (role, tool) pairs unseen at base-build time — those
+        # get codes appended after the base code space (_pair_code, in
+        # generation order), so base block codes never renumber. Delta
+        # postings inherit their doc's code by binary search (delta
+        # volume is reindexed-conv-sized).
+        codes = np.fromiter(
+            (self._pair_code(r, t) for r, t in zip(dd_role, dd_tool)),
+            np.int64, count=len(dd_role),
         )
-        dd0["scope_code"] = doc_codes
-        if self._delta_lemma:
-            order_d = np.argsort(dd0["docid"], kind="stable")
-            sorted_ids = dd0["docid"][order_d]
-            code_sorted = doc_codes[order_d]
-            for lem, (di, tfv, dlv, posf) in list(self._delta_lemma.items()):
-                sc = code_sorted[np.searchsorted(sorted_ids, di)]
-                self._delta_lemma[lem] = (di, tfv, dlv, sc, posf)
+
+        def cat(parts: list) -> np.ndarray:
+            return np.concatenate(parts).astype(np.int64) if parts else np.empty(0, np.int64)
+
+        docid = cat(dd_docid)
+        order = np.argsort(docid, kind="stable")
+        dd = self._delta_docs = {
+            "docid": docid[order],
+            "doc_len": cat(dd_dl)[order],
+            "ts": cat(dd_ts)[order],
+            "role": np.array([r or "" for r in dd_role], object)[order],
+            "tool": np.array([t or "" for t in dd_tool], object)[order],
+        }
+        codes = codes[order]
+        for lem, (di, tfv, dlv, posf) in list(self._delta_lemma.items()):
+            sc = codes[np.searchsorted(dd["docid"], di)]
+            self._delta_lemma[lem] = (di, tfv, dlv, sc, posf)
         # exact corpus-stat adjustments + a safe block-max inflation for
         # unaffected lemmas. Their stored bmw used the base avgdl; the
         # weight tf/(tf + k1*(1-b+b*dl/avgdl)) INCREASES when avgdl grows
@@ -2116,58 +2139,15 @@ class SearchEngine(Aggregations):
     # ---------------- timestamp-range filter ----------------------------
 
     def _ts_of_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Epoch-µs ts per (live) docid, vectorized. Below the enrichment
-        point-read threshold this is a searchsorted against the preloaded
-        forward index (which already folds the delta overlay); above it,
-        a row-group-pruned (docid, ts) column read of the docid-sorted
-        doc store bounded by the matched docid range — 16 B/doc of IO,
-        never the whole store. At 10^12 docs a standing time predicate
-        should instead ride the BUILD as a partition key (date-sharded
-        index segments pruned at plan time); this engine-side filter is
-        the exact generic fallback."""
-        if not len(ids):
-            return np.empty(0, np.int64)
-        if self._has_deltas or self.n_docs <= self._POINT_READ_MIN_DOCS:
-            fwd = self._forward()
-            docids, ts = fwd[0], fwd[6]
-            pos = np.searchsorted(docids, ids)
-            return ts[pos]
-        lo, hi = int(ids.min()), int(ids.max())
-        t = pq.read_table(
-            build_mod.docs_dir(self.out_dir),
-            columns=["docid", "ts"],
-            filters=[("docid", ">=", lo), ("docid", "<=", hi)],
-        )
-        docids = t.column("docid").to_numpy()
-        ts = t.column("ts").combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(docids, ids)
-        return ts[pos]
+        """Epoch-µs ts per (live) docid (``_doc_rows``). At 10^12 docs a
+        standing time predicate should instead ride the BUILD as a
+        partition key (date-sharded index segments pruned at plan
+        time); this engine-side filter is the exact generic fallback."""
+        return self._doc_rows(ids, ("ts",))[1]
 
     def _dl_of_ids(self, ids: np.ndarray) -> np.ndarray:
-        """doc_len per (live) docid — the doc_len twin of
-        :meth:`_ts_of_ids`: a row-group-pruned (docid, doc_len) column
-        read bounded by the matched docid range; under a delta overlay
-        the read folds tombstones and splices the delta doc rows (delta
-        volume is reindexed-conv-sized)."""
-        if not len(ids):
-            return np.empty(0, np.int64)
-        lo, hi = int(ids.min()), int(ids.max())
-        t = pq.read_table(
-            build_mod.docs_dir(self.out_dir),
-            columns=["docid", "doc_len"],
-            filters=[("docid", ">=", lo), ("docid", "<=", hi)],
-        )
-        docids = t.column("docid").to_numpy()
-        dl = t.column("doc_len").to_numpy(zero_copy_only=False).astype(np.int64)
-        if self._has_deltas:
-            keep = self._tomb_keep_mask(docids)
-            dd = self._delta_docs
-            docids = np.concatenate([docids[keep], dd["docid"]])
-            dl = np.concatenate([dl[keep], dd["dl"]])
-            order = np.argsort(docids, kind="stable")
-            docids, dl = docids[order], dl[order]
-        pos = np.searchsorted(docids, ids)
-        return dl[pos]
+        """doc_len per (live) docid (``_doc_rows``)."""
+        return self._doc_rows(ids, ("doc_len",))[1]
 
     def _field_values(self, ids: np.ndarray, field: str) -> np.ndarray:
         """int64 values of ``field`` per (live) docid: ``doc_len``,
@@ -2678,10 +2658,7 @@ class SearchEngine(Aggregations):
         if resp:
             return resp
         [(_, uniq, _)] = parts
-        convs = (
-            self._fwd[3] if self._fwd is not None
-            else build_mod._load_sorted_convs(self.out_dir)
-        )
+        convs = self._conv_list()
         conv_len = pc.utf8_length(convs).to_numpy().astype(np.int64)
         conv_rank, turn = split_docids(uniq)
         if rating_of is None:
@@ -2882,10 +2859,7 @@ class SearchEngine(Aggregations):
             uniq = uniq[(uniq % slice_max) == slice_id]
         if not len(uniq):
             return self._resp(path=dest)
-        convs = (
-            self._fwd[3] if self._fwd is not None
-            else build_mod._load_sorted_convs(self.out_dir)
-        )
+        convs = self._conv_list()
         conv_rank, _turn = split_docids(uniq)
         dpaths = getattr(self, "_delta_text_paths", {})
         groups: dict[tuple, list[int]] = {}
@@ -3569,40 +3543,128 @@ class SearchEngine(Aggregations):
         return {"result": True, "count": int(len(uniq)), "data": data, "error": None}
 
     def _alive(self, ids: np.ndarray) -> np.ndarray:
-        """Bool mask over sorted unique docids: which are docs of the
-        served view — in the doc store and not tombstoned, or re-indexed
-        into a delta generation. One pruned docid read of the store."""
-        alive = self._tomb_keep_mask(ids) if self._has_deltas else np.ones(len(ids), bool)
-        if alive.any():
-            t = pq.read_table(
-                build_mod.docs_dir(self.out_dir), columns=["docid"],
-                filters=[("docid", "in", [int(x) for x in ids[alive]])],
-            )
-            alive &= np.isin(ids, t.column("docid").to_numpy())
-        if self._has_deltas:
-            alive |= np.isin(ids, self._delta_docs["docid"])
-        return alive
+        """Bool mask over docids: which are docs of the served view
+        (``_doc_rows``)."""
+        return self._doc_rows(ids)[0]
+
+    def _conv_list(self) -> pa.Array:
+        """The sorted conversation list — a docid's conv rank indexes it
+        (the compaction sidecar when present, build._load_sorted_convs)
+        — loaded once per engine."""
+        if self._convs is None:
+            self._convs = build_mod._load_sorted_convs(self.out_dir)
+        return self._convs
+
+    def _parquet(self, path: str) -> pq.ParquetFile:
+        """One open ParquetFile per doc-store or text source file (its
+        footer parsed once)."""
+        pf = self._pfs.get(path)
+        if pf is None:
+            pf = self._pfs[path] = pq.ParquetFile(path)
+        return pf
+
+    def _row_group(self, kind: str, path: str, g: int, columns, decode):
+        """Row group ``g`` of parquet file ``path``, its ``columns`` read
+        and shaped by ``decode(table)``, cached as ``(kind, path, g)``
+        (``docs`` for the doc store, ``text`` for text sources): neither
+        changes under an engine, so a delta generation's files get
+        their own keys. A miss decodes outside the cache lock; a row
+        group above a quarter of the budget is returned uncached."""
+        key = (kind, path, g)
+        got = self._cache.peek(key)
+        if got is None:
+            got = decode(self._parquet(path).read_row_group(
+                g, columns=list(columns), use_threads=False))
+            if _nbytes(got) <= self._cache.max_bytes // 4:
+                self._cache.put(key, got)
+        return got
+
+    def _doc_groups(self) -> tuple:
+        """(first docids, [(path, row group)]) of the doc store's row
+        groups, docid-ascending, from footer stats — read once. The
+        store is docid-sorted and written by pyarrow with statistics
+        (build and compaction), so each row group holds one docid
+        interval. The first bound is lowered to the int64 minimum:
+        every docid then maps to the one row group that may hold it."""
+        if self._doc_rgs is None:
+            d = build_mod.docs_dir(self.out_dir)
+            rgs = []
+            for f in sorted(os.listdir(d)):
+                if not f.endswith(".parquet"):
+                    continue
+                p = os.path.join(d, f)
+                md = self._parquet(p).metadata
+                ci = md.schema.to_arrow_schema().get_field_index("docid")
+                rgs += [(int(md.row_group(g).column(ci).statistics.min), p, g)
+                        for g in range(md.num_row_groups) if md.row_group(g).num_rows]
+            rgs.sort()
+            firsts = np.array([r[0] for r in rgs], np.int64)
+            firsts[:1] = np.iinfo(np.int64).min
+            self._doc_rgs = (firsts, [r[1:] for r in rgs])
+        return self._doc_rgs
+
+    def _doc_rows(self, ids: np.ndarray, fields=()) -> tuple:
+        """Per-doc fields of any docids, in their order: ``(present,
+        *values)``. ``present`` marks the docs of the served view — in
+        the doc store and not tombstoned, or in a delta generation; each
+        of ``fields`` (``doc_len`` and epoch-µs ``ts`` as int64,
+        ``role`` and ``tool`` as str with null as "") is 0 or "" where
+        absent. One gather at every index size: a searchsorted over
+        the row groups' first docids finds each docid's row group, whose
+        decoded columns come from the engine cache (``_row_group``);
+        delta rows then win over the tombstone-masked base rows."""
+        ids = np.asarray(ids, np.int64)
+        present = np.zeros(len(ids), bool)
+        out = [np.zeros(len(ids), np.int64 if f in ("doc_len", "ts") else object)
+               for f in fields]
+        for o in out:
+            if o.dtype == object:
+                o.fill("")  # (np.full costs several times more on k rows)
+
+        def gather(cols: dict, rows) -> None:  # rows: indices or a slice of ids
+            d, want = cols["docid"], ids[rows]
+            pos = np.searchsorted(d, want)
+            hit = d.take(pos, mode="clip") == want
+            if not hit.all():
+                rows, pos = np.arange(len(ids))[rows][hit], pos[hit]
+            present[rows] = True
+            for f, o in zip(fields, out):
+                o[rows] = cols[f][pos]
+
+        firsts, where = self._doc_groups()
+        gi = np.searchsorted(firsts, ids, "right") - 1
+        # slices of ids while they are kept whole and in row-group order
+        # (sorted docids), else index arrays grouped by row group
+        rows = np.flatnonzero(self._tomb_keep_mask(ids)) if self._has_deltas else None
+        gs = gi if rows is None else gi[rows]
+        if (gs[1:] < gs[:-1]).any():
+            order = np.argsort(gs, kind="stable")
+            rows, gs = (order if rows is None else rows[order]), gs[order]
+        cuts = ([] if not len(gs) or gs[0] == gs[-1]
+                else (np.flatnonzero(gs[1:] != gs[:-1]) + 1).tolist())
+        for s, e in zip([0, *cuts], [*cuts, len(gs)] if len(gs) and where else []):
+            gather(self._row_group("docs", *where[gs[s]], _DOC_COLUMNS, _decode_doc_group),
+                   slice(s, e) if rows is None else rows[s:e])
+        if self._has_deltas and len(self._delta_docs["docid"]):
+            gather(self._delta_docs, slice(None))
+        return (present, *out)
 
     def _cursor_docid(self, conv_id, turn_idx) -> int | None:
         """(conv_id, turn_idx) -> docid for the search_after cursor, or
         None when the conversation is unknown / turn_idx out of range.
-        Resolves the conv rank from the loaded forward index when
-        present, else the conv sidecar (rank order == sorted conv_id
-        order, so this is a binary-searchable list; at 10^12 docs the
-        lookup becomes a row-group-pruned read of the same sorted
-        sidecar instead of a full load — one string per conversation is
-        the documented small side everywhere else too)."""
+        Resolves the conv rank in the sorted conversation list
+        (``_conv_list``; rank order == sorted conv_id order, so at 10^12
+        docs the lookup becomes a row-group-pruned read of the same
+        sorted sidecar instead of a full load — one string per
+        conversation is the documented small side everywhere else
+        too)."""
         try:
             turn_idx = int(turn_idx)
         except (TypeError, ValueError):
             return None
         if not 0 <= turn_idx < (1 << TURN_BITS):
             return None
-        convs = (
-            self._fwd[3] if self._fwd is not None
-            else build_mod._load_sorted_convs(self.out_dir)
-        )
-        idx = pc.index(convs, pa.scalar(str(conv_id))).as_py()
+        idx = pc.index(self._conv_list(), pa.scalar(str(conv_id))).as_py()
         if idx < 0:
             return None
         return (idx << TURN_BITS) | turn_idx
@@ -3619,13 +3681,9 @@ class SearchEngine(Aggregations):
         loc = self._text_locs.get(path)
         if loc is not None:
             return loc
-        pf = pq.ParquetFile(path)
+        pf = self._parquet(path)
         t = pf.read(columns=["conv_id", "turn_idx"], use_threads=False)
-        convs = (
-            self._fwd[3] if self._fwd is not None
-            else build_mod._load_sorted_convs(self.out_dir)
-        )
-        rank = pc.fill_null(pc.index_in(t.column("conv_id"), value_set=convs), -1)
+        rank = pc.fill_null(pc.index_in(t.column("conv_id"), value_set=self._conv_list()), -1)
         rank = rank.to_numpy().astype(np.int64)
         turn = t.column("turn_idx").to_numpy().astype(np.int64)
         row = np.flatnonzero((rank >= 0) & (turn >= 0) & (turn < (1 << TURN_BITS)))
@@ -3678,19 +3736,11 @@ class SearchEngine(Aggregations):
         return out
 
     def _text_column(self, path: str, g: int) -> pa.Array:
-        """Row group ``g`` of text source file ``path`` (its locator
-        built): its decoded ``text`` column as one array, cached as
-        ``("text", path, g)`` — input files never change under an
-        engine. A miss decodes outside the cache lock; a column above a
-        quarter of the budget is returned uncached."""
-        key = ("text", path, g)
-        col = self._cache.peek(key)
-        if col is None:
-            col = self._text_locs[path][0].read_row_group(
-                g, columns=["text"], use_threads=False).column(0).combine_chunks()
-            if _nbytes(col) <= self._cache.max_bytes // 4:
-                self._cache.put(key, col)
-        return col
+        """Row group ``g`` of text source file ``path``: its decoded
+        ``text`` column (``_row_group``, cached as ``("text", path,
+        g)``)."""
+        return self._row_group("text", path, g, ("text",),
+                               lambda t: t.column(0).combine_chunks())
 
     MLT_MAX_TERMS = 25
 
@@ -3841,7 +3891,7 @@ class SearchEngine(Aggregations):
                 )
                 keep = self._tomb_keep_mask(t.column("docid").to_numpy())
                 dls = t.column("doc_len").to_numpy()[keep]
-                ddl = self._delta_docs["dl"]
+                ddl = self._delta_docs["doc_len"]
                 m = max(
                     int(dls.max()) if len(dls) else 0,
                     int(ddl.max()) if len(ddl) else 0,
@@ -4953,8 +5003,8 @@ class SearchEngine(Aggregations):
         kwargs dict with ``query`` plus any ``search()`` parameter; a
         line without ``query`` or with any other key is ``bad_request``.
         Batch amortization is structural: term block decodes (in the
-        engine cache), scope LUTs and the forward index are kept per
-        engine, so lemmas shared across the batch decode once while
+        engine cache, with the doc-store row groups), scope LUTs and the
+        conversation list are kept per engine, so lemmas shared across the batch decode once while
         they fit the cache budget."""
         allowed = {"query", *Query._fields[1:]}
         out = []
@@ -4966,116 +5016,12 @@ class SearchEngine(Aggregations):
             out.append(self.search(kw.pop("query"), **kw))
         return out
 
-    def _forward(self):
-        """Lazy forward index for J6 result enrichment: docid-sorted
-        (docid, role_code, tool_code, ts) arrays + the dictionary-encoded
-        role/tool values + the sorted conv_id list (docid's conv_rank
-        indexes it directly). A few bytes per doc driver-side at bench
-        scale; at 10^12 docs this becomes a pruned point-read of the
-        docid-sorted doc store (same data, same sort key)."""
-        if self._fwd is None:
-            t = pq.read_table(
-                build_mod.docs_dir(self.out_dir), columns=["docid", "role", "tool", "ts"]
-            )
-            role_dict = t.column("role").combine_chunks().dictionary_encode()
-            tool_dict = pc.fill_null(t.column("tool").combine_chunks(), "").dictionary_encode()
-            # rank -> conv_id via the compaction sidecar when present (a
-            # conv compacted away to zero turns keeps its rank; the doc
-            # store alone would shift every later rank down by one)
-            convs = build_mod._load_sorted_convs(self.out_dir)
-            docids = t.column("docid").to_numpy()
-            codes = role_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            tcodes = tool_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            ts = t.column("ts").combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-            role_values = role_dict.dictionary.to_pylist()
-            tool_values = tool_dict.dictionary.to_pylist()
-            if self._has_deltas:  # overlay: drop tombstoned, splice delta
-                keep = self._tomb_keep_mask(docids)
-                docids, codes, tcodes, ts = docids[keep], codes[keep], tcodes[keep], ts[keep]
-                dd = self._delta_docs
-
-                def splice_codes(values: list, items: list) -> np.ndarray:
-                    code_of = {r: i for i, r in enumerate(values)}
-                    out = np.empty(len(items), np.int64)
-                    for i, r in enumerate(items):
-                        r = r or ""
-                        c = code_of.get(r)
-                        if c is None:
-                            c = len(values)
-                            values.append(r)
-                            code_of[r] = c
-                        out[i] = c
-                    return out
-
-                d_codes = splice_codes(role_values, dd["role"])
-                d_tcodes = splice_codes(tool_values, dd["tool"])
-                docids = np.concatenate([docids, dd["docid"]])
-                codes = np.concatenate([codes, d_codes])
-                tcodes = np.concatenate([tcodes, d_tcodes])
-                ts = np.concatenate([ts, dd["ts"]])
-                order = np.argsort(docids, kind="stable")
-                docids, codes, tcodes, ts = (
-                    docids[order], codes[order], tcodes[order], ts[order]
-                )
-            self._fwd = (docids, codes, role_values, convs, tcodes, tool_values, ts)
-        return self._fwd
-
-    # above this corpus size the forward index is not preloaded: the k
-    # winners are fetched with a filtered point-read of the docid-sorted
-    # doc store instead (row-group stats on docid prune to a few groups)
-    _POINT_READ_MIN_DOCS = 2_000_000
-
-    def _lookup_rows_point(self, ids: np.ndarray):
-        """(conv_id, role, tool, ts) per winner docid via a pruned read
-        of the doc store + delta overlay — O(k) rows driver-side, never
-        the whole forward index. Rows are cached across queries (hot
-        winners recur)."""
-        rows = {int(d): self._cache.peek(("row", int(d))) for d in ids}
-        missing = [d for d, row in rows.items() if row is None]
-        if missing:
-            t = pq.read_table(
-                build_mod.docs_dir(self.out_dir),
-                columns=["docid", "conv_id", "role", "tool", "ts"],
-                filters=[("docid", "in", missing)],
-            )
-            fresh = {}
-            for d, c, r, to, ts in zip(
-                t.column("docid").to_pylist(),
-                t.column("conv_id").to_pylist(),
-                t.column("role").to_pylist(),
-                t.column("tool").to_pylist(),
-                t.column("ts").combine_chunks().cast(pa.int64()).to_pylist(),
-            ):
-                fresh[int(d)] = (c, r, to, ts)
-            if self._has_deltas:
-                dd = self._delta_docs
-                dmap = {int(d): i for i, d in enumerate(dd["docid"])}
-                ms = np.array(missing, np.int64)
-                tomb = ~self._tomb_keep_mask(ms)
-                for d, is_tomb in zip(missing, tomb):
-                    i = dmap.get(d)
-                    if i is not None:  # delta row wins over masked base
-                        fresh[d] = (
-                            dd["conv_id"][i], dd["role"][i], dd["tool"][i] or "", int(dd["ts"][i])
-                        )
-                    elif is_tomb:  # a tombstoned docid can never win
-                        fresh.pop(d, None)
-            for d, row in fresh.items():
-                rows[d] = self._cache.put(("row", d), row)
-        rows = [rows[int(d)] for d in ids]
-        return (
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] or "" for r in rows],
-            np.array([r[3] for r in rows], np.int64),
-        )
-
     def _enrich(self, ids: np.ndarray, scores: np.ndarray, terms,
                 with_snippets: bool | str) -> pa.Table:
-        """J6: broadcast-small-side join of the k winners back to the
-        doc store for (conv_id, role, tool, ts) — the analog of the
-        reference enriching every result with site url/name/title
-        (``SearchServiceImpl.java:117-133``). With snippets the winners'
+        """J6: the k winners' (conv_id, role, tool, ts) — one gather of
+        their doc rows (``_doc_rows``) and conv ranks (``_conv_list``),
+        the analog of the reference enriching every result with site
+        url/name/title (``SearchServiceImpl.java:117-133``). With snippets the winners'
         text is a docid point read of the transcripts parquet
         (``_texts``): the ``text`` column of each row group holding a
         winner, decoded once and then served from the engine cache.
@@ -5083,25 +5029,13 @@ class SearchEngine(Aggregations):
         per row with the index analyzer's token rules, each word's
         lemma computed once per call."""
         conv_rank, turn_idx = split_docids(ids)
-        if len(ids) and self.n_docs >= self._POINT_READ_MIN_DOCS:
-            conv_ids, roles, tools, tss = self._lookup_rows_point(ids)
-        elif len(ids):
-            docids, role_codes, role_values, convs, tool_codes, tool_values, ts_arr = (
-                self._forward()
-            )
-            pos = np.searchsorted(docids, ids)
-            conv_ids = convs.take(pa.array(conv_rank)).to_pylist()
-            roles = [role_values[role_codes[p]] for p in pos]
-            tools = [tool_values[tool_codes[p]] for p in pos]
-            tss = ts_arr[pos]
-        else:
-            conv_ids, roles, tools = [], [], []
-            tss = np.empty(0, np.int64)
+        _, roles, tools, tss = self._doc_rows(ids, ("role", "tool", "ts"))
+        conv_ids = self._conv_list().take(pa.array(conv_rank))
         cols = {
-            "conv_id": pa.array(conv_ids, pa.string()),
+            "conv_id": conv_ids,
             "turn_idx": pa.array(turn_idx, pa.int32()),
-            "role": pa.array(roles, pa.string()),
-            "tool": pa.array(tools, pa.string()),
+            "role": pa.array(roles.tolist(), pa.string()),
+            "tool": pa.array(tools.tolist(), pa.string()),
             "ts": pa.array(tss, pa.timestamp("us")),
             "score": pa.array(scores, pa.float64()),
         }
@@ -5113,7 +5047,7 @@ class SearchEngine(Aggregations):
             # highlighted — a pure per-word function, SQL-twin-able)
             from .functions.snippets import create_snippets, highlight_full
 
-            texts = [x or "" for x in self._texts(ids, conv_ids)]
+            texts = [x or "" for x in self._texts(ids, conv_ids.to_pylist())]
             lemmas = {t[0] for t in terms}
             rules = {"lemmatize": functools.lru_cache(None)(self._lemmatize_token),
                      "stopset": self._stopset, "min_len": self._min_token_len}

@@ -8,8 +8,11 @@ import pyarrow.compute as pc
 from search_engine_ray import analyzer as base
 
 ANALYZER_VERSION = "test-keep-stopwords-1"
-# no stopword filter: the engine's snippets and token-level surfaces read
-# this (a module without it gets the default module's stopwords)
+# the token-level rules the engine's snippets and expansion surfaces read
+# (protocols.Analyzer): the default module's, with no stopword filter
+normalize_text = base.normalize_text
+lemmatize_token = base.lemmatize_token
+MIN_TOKEN_LEN = base.MIN_TOKEN_LEN
 _STOPSET = frozenset()
 
 

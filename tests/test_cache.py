@@ -4,10 +4,12 @@ set changes what is resident, never an answer."""
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from search_engine_ray import analyzer, datagen
 from search_engine_ray.search import PayloadCache, SearchEngine, _nbytes
@@ -20,9 +22,47 @@ def _small(out: str, budget: int = BUDGET) -> SearchEngine:
     return type("SmallCache", (SearchEngine,), {"CACHE_MAX_BYTES": budget})(out)
 
 
-def _answer(eng: SearchEngine, q: str, **kw):
-    r = eng.search(q, **kw)
+def _answer(eng: SearchEngine, q, **kw):
+    """A search's answer, or a probe's: ``q`` may be a callable of the
+    engine."""
+    r = q(eng) if callable(q) else eng.search(q, **kw)
     return r["result"], r["count"], r["error"], r["data"].to_pylist()
+
+
+# rows per doc-store row group of a split copy: one decoded group (about
+# 40 B a row) then fits a quarter of BUDGET, so groups are cached,
+# evicted and re-read
+DOC_GROUP_ROWS = 32
+
+
+def _split_doc_groups(src: str, dest: str, rows: int = DOC_GROUP_ROWS) -> str:
+    """A copy of index ``src`` at ``dest`` whose doc store holds the
+    same rows in the same (docid) order, in row groups of ``rows`` rows
+    over two files. -> ``dest``."""
+    shutil.copytree(src, dest)
+    d = os.path.join(dest, "docs")
+    t = pq.read_table(d)
+    for f in os.listdir(d):
+        os.remove(os.path.join(d, f))
+    half = t.num_rows // 2
+    pq.write_table(t.slice(0, half), os.path.join(d, "a.parquet"), row_group_size=rows)
+    pq.write_table(t.slice(half), os.path.join(d, "b.parquet"), row_group_size=rows)
+    return dest
+
+
+def _count_doc_reads(monkeypatch) -> list:
+    """-> the list every doc-store row-group decode appends its
+    (file, row group) to."""
+    reads = []
+    real = pq.ParquetFile.read_row_group
+
+    def counted(self, i, columns=None, **kw):
+        if columns and "docid" in columns and "role" in columns:
+            reads.append((id(self), i))
+        return real(self, i, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", counted)
+    return reads
 
 
 # K distinct queries over every posting reader: block-max, the
@@ -38,6 +78,15 @@ QUERIES += [(f"{a} {b}", {"mode": m}) for a, b in ((S(0), S(1)), (S(1), S(2)), (
 # rare lemmas: payloads small enough to be cached, then evicted
 QUERIES += [(f"{S(i)} {S(i + 7)}", kw) for i in range(100, 400, 30)
             for kw in ({}, {"scope": "user"})]
+# the doc-row readers: ts order, decay, snippet enrichment, and mget /
+# explain probes over docs spread across the store
+DOC_PAIRS = [(f"conv-{c:08d}", t) for c in range(0, 400, 23) for t in (0, 3)]
+DOC_QUERIES = [(q, kw) for q in (S(0), f"{S(2)} {S(60)}", f"{S(9)} {S(300)}")
+               for kw in ({"order_by": "ts_desc", "limit": 30},
+                          {"decay": {"origin": "2026-01-02T00:00:00", "scale": 86_400.0}},
+                          {"with_snippets": True})]
+DOC_QUERIES += [(lambda e: e.mget(DOC_PAIRS), {})]
+DOC_QUERIES += [(lambda e, p=p: e.explain(S(0), *p), {}) for p in DOC_PAIRS[::3]]
 
 
 def _check_budget(ref: SearchEngine, small: SearchEngine, queries) -> None:
@@ -81,17 +130,21 @@ def test_lru_charges_arrow_and_string_payloads():
     assert ("text", "f", 1) not in c and ("text", "f", 0) in c
 
 
-def test_budget_bounds_memory_plain_index(tiny_index, monkeypatch):
+def test_budget_bounds_memory_plain_index(tiny_index, tmp_path, monkeypatch):
     """Every answer under a few-KiB budget equals the default-budget
     engine's, and the resident bytes never exceed the budget. A hot-hot
-    pair payload larger than the budget is served but not cached."""
+    pair payload larger than the budget is served but not cached; doc
+    row groups are cached, evicted and re-read."""
     monkeypatch.setattr(SearchEngine, "PAIR_CACHE_MIN_COST", 0)
-    out = tiny_index["out_dir"]
+    out = _split_doc_groups(tiny_index["out_dir"], str(tmp_path / "split"))
     ref, small = SearchEngine(out), _small(out)
-    _check_budget(ref, small, QUERIES)
-    _check_budget(ref, small, QUERIES[::-1])  # evicted payloads re-read
+    reads = _count_doc_reads(monkeypatch)
+    _check_budget(ref, small, QUERIES + DOC_QUERIES)
+    assert "docs" in small._cache.stats()
+    _check_budget(ref, small, (QUERIES + DOC_QUERIES)[::-1])  # evicted payloads re-read
     assert "pair" in ref._cache.stats()
     assert "pair" not in small._cache.stats()
+    assert len(set(reads)) < len(reads)  # a doc row group decoded again
 
 
 def test_budget_rebuilds_evicted_overlay_entry(tiny_index, tmp_path, monkeypatch):
@@ -102,8 +155,7 @@ def test_budget_rebuilds_evicted_overlay_entry(tiny_index, tmp_path, monkeypatch
     from tests.test_delta import _modify_corpus
 
     monkeypatch.setattr(SearchEngine, "PAIR_CACHE_MIN_COST", 0)
-    out = str(tmp_path / "overlaid")
-    shutil.copytree(tiny_index["out_dir"], out)
+    out = _split_doc_groups(tiny_index["out_dir"], str(tmp_path / "overlaid"))
     eng0 = SearchEngine(out)
     conv = eng0.search(f"{S(0)} {S(1)}", mode="phrase", limit=1)["data"].to_pylist()[0]["conv_id"]
     mod = _modify_corpus(
@@ -126,4 +178,11 @@ def test_budget_rebuilds_evicted_overlay_entry(tiny_index, tmp_path, monkeypatch
     n = built.count(lem)
     _check_budget(ref, small, probe)
     assert built.count(lem) > n  # rebuilt by the overlay
+    # the doc-row readers fold the overlay: the re-indexed conversation's
+    # rows come from the delta, the others from evicted and re-read
+    # doc row groups
+    reads = _count_doc_reads(monkeypatch)
+    turns = [(conv, 0), (conv, 1), (conv, 7)]
+    _check_budget(ref, small, DOC_QUERIES + [(lambda e: e.mget(turns), {})] + DOC_QUERIES)
+    assert len(set(reads)) < len(reads)
 

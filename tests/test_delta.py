@@ -273,8 +273,8 @@ def test_delta_grouped_surfaces_identical_to_rebuild(delta_env):
 
 def test_delta_metrics_identical_to_rebuild(delta_env):
     """The stats/percentiles aggregation folds through the overlay
-    exactly: _dl_of_ids splices delta doc rows over tombstone-masked
-    base rows, _ts_of_ids rides the overlay forward index — pinned
+    exactly: _dl_of_ids and _ts_of_ids gather through _doc_rows, where
+    delta doc rows win over tombstone-masked base rows — pinned
     identical to a fresh rebuild of the modified corpus."""
     overlay = SearchEngine(delta_env["base_out"])
     rebuilt = SearchEngine(delta_env["rebuilt_out"])

@@ -2,11 +2,16 @@
 custom Analyzer module flows through the build + query path, and a
 registered Scorer strategy dispatches from search(mode=...)."""
 
+import json
+import shutil
+import sys
+import types
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from search_engine_ray import analyzer, protocols
+from search_engine_ray import analyzer, datagen, protocols
 from search_engine_ray.config import BuildConfig
 from search_engine_ray.pipelines import build
 from search_engine_ray.search import SCORERS, SearchEngine, register_scorer
@@ -70,6 +75,31 @@ def test_custom_analyzer_build_and_query(tmp_path):
         assert all("<b>the</b>" in x or "<b>The</b>" in x for x in marked), marked
     # lineage records the custom module:version
     assert m["versions"]["analyzer"].startswith("tests.plugins")
+
+
+def test_incomplete_analyzer_module_refused(tiny_index, tmp_path, monkeypatch):
+    """An index bound to an analyzer module without the token rules the
+    engine reads is refused, naming what is missing — never served with
+    the default module's stopwords or lemmatizer."""
+    mod = types.ModuleType("tests_incomplete_analyzer")
+    for name in ("ANALYZER_VERSION", "analyze_batch", "analyze_query", "analyze",
+                 "normalize_text", "lemmatize_token"):
+        setattr(mod, name, getattr(analyzer, name))
+    assert not isinstance(mod, protocols.Analyzer)
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)
+    out = str(tmp_path / "idx")
+    shutil.copytree(tiny_index["out_dir"], out)
+    mp = build.build_manifest_path(out)
+    with open(mp) as f:
+        m = json.load(f)
+    m["config"]["analyzer_module"] = mod.__name__
+    with open(mp, "w") as f:
+        json.dump(m, f)
+    with pytest.raises(TypeError, match="_STOPSET, MIN_TOKEN_LEN"):
+        SearchEngine(out)
+    mod._STOPSET, mod.MIN_TOKEN_LEN = analyzer._STOPSET, analyzer.MIN_TOKEN_LEN
+    assert isinstance(mod, protocols.Analyzer)
+    assert SearchEngine(out).search(datagen.stem(0))["result"]
 
 
 def test_custom_scorer_registration(tiny_index):

@@ -1123,20 +1123,50 @@ def test_ts_range_semantics(engine):
     assert both["count"] <= win["count"]
 
 
-def test_ts_range_point_read_path_identical(tiny_index):
-    """Above the point-read threshold the ts filter switches to a
-    row-group-pruned (docid, ts) read of the doc store; pinned equal to
-    the preloaded-forward-index path."""
-    a = SearchEngine(tiny_index["out_dir"])
-    b = SearchEngine(tiny_index["out_dir"])
-    b._POINT_READ_MIN_DOCS = 0  # force the pruned-read path
-    for q in datagen.ts_range_queries():
-        ra = a.search(q["query_text"], scope=q["scope"], limit=q["k"],
-                      ts_min=q["ts_min"], ts_max=q["ts_max"])
-        rb = b.search(q["query_text"], scope=q["scope"], limit=q["k"],
-                      ts_min=q["ts_min"], ts_max=q["ts_max"])
-        assert ra["count"] == rb["count"], q["query_id"]
-        assert ra["data"].equals(rb["data"]), q["query_id"]
+def test_doc_store_row_groups_identical(tiny_index, tmp_path):
+    """Per-doc fields are gathers from the doc store's row groups at
+    every index size: a copy whose doc store holds the same rows in
+    many small row groups over two files answers every doc-row reader
+    as the one-row-group index does, at the default budget and at a
+    few-KiB one (groups cached, evicted and re-read)."""
+    import pyarrow.parquet as pq
+
+    from tests.test_cache import _small, _split_doc_groups
+
+    one = SearchEngine(tiny_index["out_dir"])
+    split = _split_doc_groups(tiny_index["out_dir"], str(tmp_path / "split"))
+    assert pq.ParquetFile(f"{split}/docs/a.parquet").num_row_groups > 10
+    hot, pair = datagen.stem(0), f"{datagen.stem(2)} {datagen.stem(60)}"
+    page = one.search(hot, limit=40)["data"].to_pylist()
+    docs = [(r["conv_id"], r["turn_idx"]) for r in page]
+    docs += [("conv-x", 0), (page[0]["conv_id"], 4000)]  # not docs
+    last = page[4]
+    calls = [
+        lambda e, q=q, kw=kw: e.search(q, **kw)
+        for q in (hot, pair)
+        for kw in ({"with_snippets": True}, {"with_snippets": "full"},
+                   {"order_by": "ts_desc", "limit": 25}, {"order_by": "rrf"},
+                   {"decay": {"origin": "2026-01-02T00:00:00", "scale": 86_400.0}},
+                   {"search_after": (last["score"], last["conv_id"], last["turn_idx"])})
+    ]
+    calls += [lambda e, q=q: e.search(q["query_text"], scope=q["scope"], limit=q["k"],
+                                      ts_min=q["ts_min"], ts_max=q["ts_max"])
+              for q in datagen.ts_range_queries()]
+    calls += [lambda e, q=q: e.metrics(q) for q in (hot, pair)]
+    calls += [lambda e, q=q: e.rank_eval(q) for q in (hot, pair)]
+    calls.append(lambda e: e.mget(docs))
+    for c, t in docs[::7] + docs[-2:]:
+        calls.append(lambda e, c=c, t=t: e.explain(pair, c, t))
+        calls.append(lambda e, c=c, t=t: e.termvectors(c, t))
+
+    def answer(r):
+        return {k: v.to_pylist() if hasattr(v, "to_pylist") else v for k, v in r.items()}
+
+    expect = [answer(c(one)) for c in calls]
+    for eng in (SearchEngine(split), _small(split)):
+        for _ in range(2):
+            assert [answer(c(eng)) for c in calls] == expect
+    assert "docs" in eng._cache.stats()
 
 
 def test_facets_compose_with_filters(engine):
