@@ -2,8 +2,32 @@ import pytest
 import ray
 
 
+def _let_stopped_data_tasks_finish():
+    """Keep Ray Data from cancelling its tasks when a dataset stops early.
+
+    Ray Data cancels every in-flight task when an execution ends before its
+    input does (``limit``, ``take``, and the ``limit(1)`` that
+    ``Dataset.schema()`` runs on an unexecuted plan). In Ray 2.49 a
+    ``ray.cancel`` that reaches a task in the instant it completes aborts
+    the calling process (``task_manager.cc: Check failed: ... Tried to
+    complete task that was not pending``, or ``reference_count.cc: Check
+    failed: ... submitted_task_ref_count > 0``); on a loaded one-core host
+    this killed the whole pytest process, without a summary, part way
+    through ``test_functions.py``. The cancel is dropped here instead: the
+    task runs to its end and its unreferenced outputs are freed, and an
+    actor pool still releases its actors.
+    """
+    from ray.data._internal.execution.interfaces import physical_operator
+
+    def _cancel(self, force):
+        pass
+
+    physical_operator.OpTask._cancel = _cancel
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
+    _let_stopped_data_tasks_finish()
     ray.init(
         address="local",
         num_cpus=4,
