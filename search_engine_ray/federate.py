@@ -25,9 +25,10 @@ posting:
 
 Everything else is the single-index code, fanned out and merged:
 
-- ``search`` scores each shard with its exhaustive scorer, filters and
-  rewrites the scores with the shard's own ``_filter_docs`` (a doc's
-  lemmas and ts live in the one shard that owns it), and merges the
+- ``search`` ranks each shard with its routed exact scorer
+  (``score_blockmax``); under a filter it scores exhaustively and
+  filters and rewrites the scores with the shard's own ``_filter_docs``
+  (a doc's lemmas and ts live in the one shard that owns it). It merges the
   per-shard top-(offset+limit) prefixes in the total order (score DESC,
   conv_id ASC, turn_idx ASC). Prefixes suffice because shards partition
   the docs. Arguments are validated by the single-index code.
@@ -83,10 +84,12 @@ class FederatedEngine(Aggregations):
         self.avgdl = (float(total_len) / self.n_docs) if self.n_docs else 1.0
         # every shard scores with the federation's N and avgdl (idf and
         # length normalization are global). Set once, never per query,
-        # so concurrent queries share no mutable scoring state. Shards
-        # score only through the exhaustive scorer: their stored
-        # block-max bounds assume their own avgdl.
+        # so concurrent queries share no mutable scoring state. A shard's
+        # stored block-max bounds assume its own avgdl: scaled by the
+        # avgdl growth they stay bounds (SearchEngine._load_deltas), so
+        # shards also take the routed exact scorer.
         for s in self.shards:
+            s._bmw_scale *= max(1.0, self.avgdl / s.avgdl)
             s.n_docs, s.avgdl = self.n_docs, self.avgdl
 
     def valid_scope(self, scope: str | None) -> bool:
@@ -147,10 +150,11 @@ class FederatedEngine(Aggregations):
         negative_boost: float = 0.5,
     ) -> dict:
         """Fan-out BM25 search, rank- and score-identical to one index
-        over the shards' combined corpus searched with
-        ``method='exhaustive'``. -> the single-index ``search()``
-        response; the arguments mean what they mean there and are
-        validated by the same code."""
+        over the shards' combined corpus: each shard ranks with the
+        routed exact scorer (``score_blockmax``), or exhaustively under
+        a filter. -> the single-index ``search()`` response; the
+        arguments mean what they mean there and are validated by the
+        same code."""
         err, q = self._search_params(Query(
             query_text, scope, offset, limit, exclude=exclude, ts_min=ts_min,
             ts_max=ts_max, decay=decay, negative=negative,
@@ -165,13 +169,18 @@ class FederatedEngine(Aggregations):
         for s, sterms in self._fan_out(terms, scope, conjunctive):
             if not sterms:
                 continue
-            ids, scores = s.score_exhaustive(sterms, scope, conjunctive)
-            keep, scores = s._filter_docs(ids, scores, q.exclude, q.ts_min, q.ts_max,
-                                          q.decay, q.negative, q.negative_boost)
-            ids = ids[keep]
-            count += len(ids)
-            if len(ids):
+            if q.filtered:
+                ids, scores = s.score_exhaustive(sterms, scope, conjunctive)
+                keep, scores = s._filter_docs(ids, scores, q.exclude, q.ts_min, q.ts_max,
+                                              q.decay, q.negative, q.negative_boost)
+                ids = ids[keep]
+                n = len(ids)
                 top_ids, top_scores = s._topk(ids, scores, offset + limit)
+            else:
+                top_ids, top_scores, n = s.score_blockmax(sterms, offset + limit, scope,
+                                                          conjunctive)
+            count += n
+            if len(top_ids):
                 pages.append(s._enrich(top_ids, top_scores, terms, with_snippets))
         if not pages:
             return self._resp(count=count)

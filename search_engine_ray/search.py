@@ -37,6 +37,7 @@ matching the reference's single-request query path.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -443,6 +444,15 @@ def register_scorer(name: str):
         return fn
 
     return deco
+
+
+def _in_ranges(x: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Bool mask over ``x``: which values fall in one of the sorted,
+    disjoint ``[starts[i], ends[i])`` ranges."""
+    if not len(starts):
+        return np.zeros(len(x), bool)
+    i = np.searchsorted(starts, x, side="right") - 1
+    return (i >= 0) & (x < ends[np.maximum(i, 0)])
 
 
 def _n_matching(parts) -> int:
@@ -1241,6 +1251,10 @@ class SearchEngine(Aggregations):
 
         gens = delta_mod.list_generations(self.out_dir)
         self._has_deltas = bool(gens)
+        # the factor that keeps stored block-max bounds bounds once the
+        # scoring avgdl exceeds the one they were built with (set at the
+        # end of this method, and by FederatedEngine)
+        self._bmw_scale = 1.0
         if not gens:
             return
         latest: dict[str, dict] = {}
@@ -1282,16 +1296,21 @@ class SearchEngine(Aggregations):
         # them (a pre-positions generation would leave holes)
         self._delta_positions_ok = bool(self.manifest["stats"].get("positions"))
         dd_docid, dd_role, dd_dl, dd_tool, dd_ts = [], [], [], [], []
-        for cid, info in latest.items():
+        by_gen: dict[str, list[tuple[int, int]]] = {}
+        for info in latest.values():
             lo, hi = info["range"]
             a, b = np.searchsorted(bdoc, lo), np.searchsorted(bdoc, hi)
             n_eff -= int(b - a)
             len_eff -= int(bdl[a:b].sum())
-            docs = pq.read_table(os.path.join(info["dir"], "docs.parquet"))
-            dmask = (docs.column("docid").to_numpy() >= lo) & (
-                docs.column("docid").to_numpy() < hi
-            )
-            docs = docs.filter(pa.array(dmask))
+            by_gen.setdefault(info["dir"], []).append((lo, hi))
+        # each live generation's two files are read once; its rows of
+        # the conversations it still serves are one range mask
+        for gdir, rngs in by_gen.items():
+            rngs.sort()
+            starts = np.array([r[0] for r in rngs], np.int64)
+            ends = np.array([r[1] for r in rngs], np.int64)
+            docs = pq.read_table(os.path.join(gdir, "docs.parquet"))
+            docs = docs.filter(pa.array(_in_ranges(docs.column("docid").to_numpy(), starts, ends)))
             n_eff += docs.num_rows
             len_eff += int(pc.sum(docs.column("doc_len")).as_py() or 0)
             dd_docid.append(docs.column("docid").to_numpy())
@@ -1301,11 +1320,8 @@ class SearchEngine(Aggregations):
             dd_ts.append(
                 docs.column("ts").combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
             )
-            posts = pq.read_table(os.path.join(info["dir"], "postings.parquet"))
-            pmask = (posts.column("docid").to_numpy() >= lo) & (
-                posts.column("docid").to_numpy() < hi
-            )
-            posts = posts.filter(pa.array(pmask))
+            posts = pq.read_table(os.path.join(gdir, "postings.parquet"))
+            posts = posts.filter(pa.array(_in_ranges(posts.column("docid").to_numpy(), starts, ends)))
             d_lemma.extend(posts.column("lemma").to_pylist())
             d_docid.append(posts.column("docid").to_numpy())
             d_tf.append(posts.column("tf").to_numpy(zero_copy_only=False))
@@ -1380,9 +1396,7 @@ class SearchEngine(Aggregations):
         self._bmw_scale = max(1.0, self.avgdl / avgdl_base) if avgdl_base else 1.0
 
     def _tomb_keep_mask(self, docid: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._tomb_starts, docid, side="right") - 1
-        idxc = np.clip(idx, 0, len(self._tomb_starts) - 1)
-        return ~((idx >= 0) & (docid < self._tomb_ends[idxc]))
+        return ~_in_ranges(docid, self._tomb_starts, self._tomb_ends)
 
     def _overlay_delta(self, lem: str, bl: dict, poss) -> dict:
         """Merge-on-read for one lemma's freshly read block entry ``bl``
@@ -1613,6 +1627,8 @@ class SearchEngine(Aggregations):
             "scps": binary_column_buffers(sub.column("scps")),
         }
         if not self._has_deltas:
+            if self._bmw_scale > 1.0:
+                entry["bmw"] = entry["bmw"] * self._bmw_scale
             return entry
         poss = sub.column("poss") if "poss" in sub.column_names else None
         return self._overlay_delta(
@@ -1920,17 +1936,42 @@ class SearchEngine(Aggregations):
             doc_parts, contrib_parts, conjunctive, len(terms), min_match=min_match
         )
 
-    _CAND_DRIVER_MAX = 4096  # max Σdf of candidate-driving terms
+    # The exact bm25 route (``score_blockmax``). The constants come from
+    # the per-shape timings in BENCH/BASELINE.md ("The exact bm25
+    # route"): candidate-driven MaxScore beats term-at-a-time once the
+    # other terms hold >= 16x the candidate terms' postings (it loses
+    # below 8x); the windowed evaluation beats it only on one term, once
+    # its df reaches ~1,024 postings per window of the first group (a
+    # scoped query also pays a full count pass, so it needs twice that).
+    _CAND_DRIVER_MAX = 32768  # max Σdf of candidate-driving terms
+    _CAND_REST_RATIO = 16  # min Σdf of the other terms / the candidate terms'
+    _WINDOWED_DF_PER_WINDOW = 1024
+    _WINDOW_GROUP_MIN = 16  # windows in the first group, at least k
+    _WINDOW_GROUP_MAX = 512  # windows per group, at most
+    # relative slack on a summed block-max bound before it is compared
+    # with a score: the bound and the score of one posting are computed
+    # in different operation orders and may differ in the last ulp
+    _UB_SLACK = 1.0 + 2.0 ** -40
+
+    def _scoring_inputs(self, terms, scope):
+        """([(idf, block entry)] in ``terms`` order, the scope LUT or
+        None): what the exact evaluators read."""
+        blocks = self._term_blocks([t[0] for t in terms])
+        term_list = [(self.idf(df), blocks[lem]) for lem, df in terms]
+        return term_list, (self._scope_lut(scope) if scope else None)
 
     def _contrib_at(self, bl: dict, cand: np.ndarray, idf: float):
         """Per-candidate BM25 contribution of ONE term: the block span
         holding the (sorted) candidates is read in one ``_decoded`` call
-        (cached chunks; the whole-term entry when the span is the whole
-        term), then candidates are matched by one binary search. -> (the
+        (the whole-term entry, zero-copy, once the span crosses decode
+        chunks: joining the chunks would copy nearly the whole term),
+        then candidates are matched by one binary search. -> (the
         candidates holding the term, their float64 contributions), in
         ``cand`` order."""
         lo = int(np.searchsorted(bl["last"], cand[0])) if len(cand) else 0
         hi = int(np.searchsorted(bl["first"], cand[-1], side="right")) if len(cand) else 0
+        if hi > lo and (hi - 1) // self._DECODE_CHUNK != lo // self._DECODE_CHUNK:
+            lo, hi = 0, None
         d, tf, dl, _sc = self._decoded(bl, lo, hi)
         if not len(d):
             return cand[:0], np.empty(0, np.float64)
@@ -1938,29 +1979,30 @@ class SearchEngine(Aggregations):
         hit = d[pos] == cand
         return cand[hit], self._bm25(idf, tf[pos[hit]], dl[pos[hit]])
 
-    def _score_candidate_driven(self, terms, term_list, k, lut, scope):
-        """MaxScore-style essential-terms evaluation: when the rare
+    def _score_candidate_driven(self, terms, term_list, k, lut):
+        """MaxScore-style essential-terms evaluation -> (ids, scores,
+        count), or None when it does not apply. When the rare
         (df-ascending prefix) terms' postings fit a small candidate set
         and the remaining terms' summed upper bound cannot reach the
         candidate top-k threshold, every result doc must contain a rare
         term — so scoring the candidates fully (sparse block lookups
         into the hot terms) IS the exact answer, and the hot posting
-        lists are never weight-decoded. Returns (ids, scores, count) or
-        None when the bound does not separate (windowed evaluation takes
-        over). The windowed decomposition cannot prune this query shape:
-        a rare term's single block spans nearly the whole docid space,
-        so every window's UB includes the rare upper bound."""
+        lists are never weight-decoded. The windowed evaluation cannot
+        prune this query shape: a rare term's single block spans nearly
+        the whole docid space, so every window's bound includes the rare
+        upper bound."""
+        total = sum(df for _, df in terms)
         n_drv, cum_df = 0, 0
-        for _, df in terms:
-            if cum_df + df > self._CAND_DRIVER_MAX:
+        for _, df in terms[:-1]:
+            c = cum_df + df
+            if c > self._CAND_DRIVER_MAX or total - c < self._CAND_REST_RATIO * c:
                 break
-            cum_df += df
-            n_drv += 1
-        if n_drv == 0 or n_drv == len(terms):
+            cum_df, n_drv = c, n_drv + 1
+        if n_drv == 0:
             return None
         k1 = self.k1
         rest = term_list[n_drv:]
-        bound_rest = sum(
+        bound_rest = self._UB_SLACK * sum(
             idf * (k1 + 1.0) * float(bl["bmw"].max(initial=0.0)) for idf, bl in rest
         )
         drv_ids = [self._scoped_docids(bl, lut) for _, bl in term_list[:n_drv]]
@@ -1986,81 +2028,69 @@ class SearchEngine(Aggregations):
         threshold = score[sel][-1]
         if bound_rest >= threshold:
             return None  # a rest-only doc could reach the top-k
-        # exact: count = |union| with the hot terms' gaps(+scps) decode
-        parts = [cand] + [self._scoped_docids(bl, lut) for _, bl in rest]
-        return cand[sel], score[sel], self._union_count(parts)
+        # exact count = |union| over the rest terms' docids (gaps, +scope
+        # codes when scoped); with one rest term that is |rest| + |cand|
+        # - |cand ∩ rest|, one binary search instead of a sort
+        parts = [self._scoped_docids(bl, lut) for _, bl in rest]
+        if len(parts) == 1:
+            r = parts[0]
+            pos = np.minimum(np.searchsorted(r, cand), max(len(r) - 1, 0))
+            common = int(np.count_nonzero(r[pos] == cand)) if len(r) else 0
+            return cand[sel], score[sel], len(r) + len(cand) - common
+        return cand[sel], score[sel], self._union_count([cand] + parts)
 
-    def score_blockmax(self, terms, k, scope=None, conjunctive=False):
-        """Windowed exact block-max evaluation -> (docids, scores, count).
+    def _blocks_of(self, bl: dict, blk: np.ndarray) -> tuple:
+        """(docid, tf, dl, scope code) of the sorted, distinct blocks
+        ``blk`` of one term, gathered from its cached whole-term decode."""
+        streams = self._decoded(bl)
+        cum = bl["cum_n"]
+        lo = cum[blk]
+        n = cum[blk + 1] - lo
+        if len(blk) == 1:
+            s = slice(int(lo[0]), int(lo[0] + n[0]))
+            return tuple(x[s] for x in streams)
+        idx = np.arange(int(n.sum()), dtype=np.int64) + np.repeat(lo - (np.cumsum(n) - n), n)
+        return tuple(x[idx] for x in streams)
 
-        Returns the top-k by (score DESC, docid ASC) plus the exact match
-        count (union of term postings [within scope]).
-        """
-        def exhaustive():
-            # term-at-a-time exhaustive scoring: identical results
-            ids, scores = self.score_exhaustive(terms, scope, conjunctive)
-            return *self._topk(ids, scores, k), len(ids)
-
-        blocks = self._term_blocks([t[0] for t in terms])
-        lut = self._scope_lut(scope) if scope else None
+    def _score_windowed(self, terms, term_list, k, lut, conjunctive):
+        """Windowed exact block-max evaluation -> (ids, scores, count), or
+        None when the threshold stops pruning (the caller then scores
+        term-at-a-time). Windows split the docid space at every block
+        start of every term, so within a window each term has at most one
+        block, and a window's bound is the sum of those blocks' bounds.
+        Windows are evaluated best bound first, in groups that double
+        from ``max(k, _WINDOW_GROUP_MIN)`` windows to
+        ``_WINDOW_GROUP_MAX``. A group reads only its windows' blocks
+        and masks them to its windows: every posting of a doc falls in
+        exactly one window, so group scores are complete doc scores.
+        Pruning is lossless: a group is entered only while its best
+        bound reaches the running k-th score, and within it only windows
+        whose bound reaches it are evaluated (ties included, so the
+        docid tie-break stays exact)."""
         k1 = self.k1
-        term_list = [(self.idf(df), blocks[lem]) for lem, df in terms]
-
-        if not conjunctive and len(terms) > 1 and k:
-            got = self._score_candidate_driven(terms, term_list, k, lut, scope)
-            if got is not None:
-                return got
-
-        if k == 0 or (len(terms) > 1 and min(df for _, df in terms) >= 0.05 * self.n_docs):
-            # every term is hot: every window keeps every term alive with
-            # near-uniform UBs, so the windowed evaluation cannot prune
-            # (the bail-out would fire after wasting several group scans
-            # — measured ~2x the query on two-hot terms). Term-at-a-time
-            # exhaustive scoring is the optimal exact plan here.
-            return exhaustive()
-
-        # window boundaries: every block first_docid of every term
         starts = np.unique(np.concatenate([bl["first"] for _, bl in term_list]))
         W = len(starts)
         ends = np.append(starts[1:], np.iinfo(np.int64).max)
-        # per-term upper bound per window
         wub = np.zeros(W, np.float64)
-        covers = []
+        covers = []  # per term: (its block index per window, alive mask)
         for idf, bl in term_list:
             j = np.searchsorted(bl["first"], starts, side="right") - 1
             j = np.clip(j, 0, len(bl["first"]) - 1)
             alive = (bl["first"][j] <= starts) & (bl["last"][j] >= starts)
-            ub = idf * (k1 + 1.0) * bl["bmw"][j]
-            wub += np.where(alive, ub, 0.0)
+            wub += np.where(alive, idf * (k1 + 1.0) * bl["bmw"][j], 0.0)
             covers.append((j, alive))
-
+        wub *= self._UB_SLACK
         order = np.argsort(-wub, kind="stable")
-        wub_desc = wub[order]  # descending — bail-out estimates below
-        top_ids = np.empty(0, np.int64)
-        top_scores = np.empty(0, np.float64)
+        neg_desc = -wub[order]  # ascending: binary-searchable bounds
+        top_ids, top_scores = np.empty(0, np.int64), np.empty(0, np.float64)
         threshold = -np.inf
-        count = 0
         count_ids: list[np.ndarray] = []
         processed_all = True
-        # j1 per (term, window): first block index with first_docid >= end
-        j1s = [
-            np.maximum(covers[t][0] + 1, np.searchsorted(term_list[t][1]["first"], ends))
-            for t in range(len(term_list))
-        ]
-        # windows are evaluated in groups of GROUP (descending UB):
-        # per group each term decodes ONE contiguous block span (cached
-        # chunks) and postings are masked to the union of the group's
-        # [start, end) intervals — every posting of a doc falls in
-        # exactly one window, so group scores are complete doc scores.
-        # Pruning stays lossless: the group is entered only while its
-        # best window UB >= threshold, and within a group only windows
-        # with UB >= threshold are evaluated (ties still processed, so
-        # the (score DESC, docid ASC) tie-break is exact).
-        GROUP = 512
-        g0 = 0
+        g0, size = 0, max(k, self._WINDOW_GROUP_MIN)
         while g0 < W:
-            grp = order[g0 : g0 + GROUP]
-            g0 += GROUP
+            grp = order[g0 : g0 + size]
+            g0 += len(grp)
+            size = min(2 * size, self._WINDOW_GROUP_MAX)
             if len(top_scores) >= k:
                 if wub[grp[0]] < threshold:
                     processed_all = False
@@ -2069,59 +2099,80 @@ class SearchEngine(Aggregations):
                 if len(kept) < len(grp):
                     processed_all = False
                 grp = kept
-                # adaptive bail-out (the WAND worst case: near-uniform
-                # UBs across high-df terms -> the threshold prunes
-                # almost nothing and every UB-ordered group re-scans
-                # nearly the full decoded span). Expected pruning is a
-                # binary search away because windows are UB-desc sorted:
-                # `alive` = remaining windows the threshold cannot skip.
-                # Term-at-a-time exhaustive scoring is strictly cheaper
-                # when almost everything stays alive, and produces
-                # identical results (the window decomposition is exact,
-                # so full scores match window-sum scores).
+                # the WAND worst case: near-uniform bounds, so the
+                # threshold skips almost nothing and every group re-reads
+                # most of the postings — scoring term-at-a-time is
+                # cheaper. Windows are bound-sorted, so the windows the
+                # threshold cannot skip are one binary search away.
                 remaining = W - g0
-                alive = (
-                    int(np.searchsorted(-wub_desc, -threshold, side="right")) - g0
-                )
-                if remaining > GROUP and alive > 0.9 * remaining:
-                    return exhaustive()
-            s_arr, e_arr = starts[grp], ends[grp]
-            o2 = np.argsort(s_arr)
-            s_sorted, e_sorted = s_arr[o2], e_arr[o2]
+                alive = int(np.searchsorted(neg_desc, -threshold, side="right")) - g0
+                if remaining > self._WINDOW_GROUP_MAX and alive > 0.9 * remaining:
+                    return None
+            gs = np.sort(grp)  # window order == docid order
+            s_sorted, e_sorted = starts[gs], ends[gs]
             term_data = []
-            for t, ((idf, bl), (jarr, alive)) in enumerate(zip(term_list, covers)):
-                aw = alive[grp]
-                if not aw.any():
+            for (idf, bl), (jarr, alive) in zip(term_list, covers):
+                blk = np.unique(jarr[gs][alive[gs]])
+                if not len(blk):
                     continue
-                j0 = int(jarr[grp][aw].min())
-                j1 = int(j1s[t][grp][aw].max())
-                docid, tf, dl, sc = self._decoded(bl, j0, j1)
-                # mask to the union of the group's windows
-                idx = np.searchsorted(s_sorted, docid, side="right") - 1
-                idx_c = np.clip(idx, 0, len(s_sorted) - 1)
-                m = (idx >= 0) & (docid < e_sorted[idx_c])
+                docid, tf, dl, sc = self._blocks_of(bl, blk)
+                m = _in_ranges(docid, s_sorted, e_sorted)  # the group's windows
                 term_data.append((idf, (docid[m], tf[m], dl[m], sc[m])))
             doc_parts, contrib_parts = [], []
             for docid, contrib in self._contributions(term_data, lut):
                 doc_parts.append(docid)
                 contrib_parts.append(contrib)
-            ids, scores = self._aggregate(
-                doc_parts, contrib_parts, conjunctive, len(terms)
-            )
+            ids, scores = self._aggregate(doc_parts, contrib_parts, conjunctive, len(terms))
             count_ids.append(ids)
-            # merge into running top-k with (score DESC, docid ASC)
-            all_ids = np.concatenate([top_ids, ids])
-            all_scores = np.concatenate([top_scores, scores])
-            top_ids, top_scores = self._topk(all_ids, all_scores, k)
+            # merge into the running top-k by (score DESC, docid ASC)
+            top_ids, top_scores = self._topk(np.concatenate([top_ids, ids]),
+                                             np.concatenate([top_scores, scores]), k)
             if len(top_scores) >= k:
                 threshold = top_scores[-1]
         if len(terms) == 1 and lut is None and not conjunctive:
-            count = terms[0][1]  # single unscoped term: count == df, no decode
+            # one unscoped term: its live postings, no decode (not the
+            # planned df, which a federation sums over its shards)
+            count = int(term_list[0][1]["cum_n"][-1])
         elif processed_all:
             count = self._union_count(count_ids)
         else:
             count = self._exact_count(term_list, lut, conjunctive)
         return top_ids, top_scores, count
+
+    def score_blockmax(self, terms, k, scope=None, conjunctive=False):
+        """The exact bm25 top-k -> (docids, scores, count): the top-k by
+        (score DESC, docid ASC) and the exact match count (the union of
+        the term postings within scope; their intersection when
+        ``conjunctive``). One rule picks the evaluator from the query's
+        shape. Every evaluator sums a doc's term weights in the same
+        fixed df-ascending term order (``_aggregate``), so all return
+        the same page, float64 scores and count:
+
+        1. candidate-driven MaxScore (``_score_candidate_driven``): the
+           rarest terms drive (Σdf <= ``_CAND_DRIVER_MAX``, the other
+           terms holding >= ``_CAND_REST_RATIO`` times their postings)
+           and the other terms' summed bound stays below the
+           candidates' k-th score;
+        2. windowed block-max (``_score_windowed``): one term whose df
+           reaches ``_WINDOWED_DF_PER_WINDOW`` per window of the first
+           group (twice that when scoped), where the block bounds skip
+           all but a few blocks;
+        3. term-at-a-time ``score_exhaustive`` + ``_topk``: every other
+           shape, and whenever an evaluator above declines (its bound
+           does not separate, or the threshold stops pruning).
+        """
+        term_list, lut = self._scoring_inputs(terms, scope)
+        if k and not conjunctive and len(terms) > 1:
+            got = self._score_candidate_driven(terms, term_list, k, lut)
+            if got is not None:
+                return got
+        per_window = self._WINDOWED_DF_PER_WINDOW * (1 if lut is None else 2)
+        if k and len(terms) == 1 and terms[0][1] >= per_window * max(k, self._WINDOW_GROUP_MIN):
+            got = self._score_windowed(terms, term_list, k, lut, conjunctive)
+            if got is not None:
+                return got
+        ids, scores = self.score_exhaustive(terms, scope, conjunctive)
+        return *self._topk(ids, scores, k), len(ids)
 
     def _exact_count(self, term_list, lut, conjunctive) -> int:
         """Exact result count (G6) via a gaps(+scps when scoped) union
@@ -3664,10 +3715,14 @@ class SearchEngine(Aggregations):
             return None
         if not 0 <= turn_idx < (1 << TURN_BITS):
             return None
-        idx = pc.index(self._conv_list(), pa.scalar(str(conv_id))).as_py()
-        if idx < 0:
+        convs = self._conv_list()
+        conv_id = str(conv_id)
+        # binary search over the sorted list (UTF-8 byte order == code
+        # point order, so str comparison agrees with the sort)
+        lo = bisect.bisect_left(convs, conv_id, key=lambda v: v.as_py())
+        if lo == len(convs) or convs[lo].as_py() != conv_id:
             return None
-        return (idx << TURN_BITS) | turn_idx
+        return (lo << TURN_BITS) | turn_idx
 
     def _text_locator(self, path: str) -> tuple:
         """(open ParquetFile, docids, row groups, rows) for one text source
@@ -4710,8 +4765,10 @@ class SearchEngine(Aggregations):
              (the reference engine's relevance).
            Any query lemma absent from the corpus means no results.
         3. **Rank.** A term set with no doc-level filter takes the
-           block-max route (``method='exhaustive'``: the exhaustive
-           scorer); ``min_match`` (at least M distinct lemmas) and
+           exact routed scorer, ``score_blockmax``: candidate-driven
+           MaxScore, windowed block-max or term-at-a-time, whichever the
+           query's shape favours, all with the same page and scores
+           (``method='exhaustive'`` forces term-at-a-time); ``min_match`` (at least M distinct lemmas) and
            ``boosts`` ({word: factor} scaling idf) are bm25 term-route
            options that score exhaustively. A registered scorer
            (``register_scorer``) and ``rescore`` rank their own top-k.
@@ -4909,7 +4966,7 @@ class SearchEngine(Aggregations):
     def _rank(self, q: Query, terms, full, k: int):
         """Step 3 of ``search`` -> (error, top-k ids, scores, count).
         ``full`` None: ``terms`` are a term set, ranked by a registered
-        scorer, the rescore, or — with no filter — the block-max route;
+        scorer, the rescore, or — with no filter — ``score_blockmax``;
         otherwise the exhaustive scorer makes them a full set. A full set
         runs the one tail: filter mask and score rewrites, collapse,
         cursor, order, top-k."""
@@ -4972,7 +5029,7 @@ class SearchEngine(Aggregations):
 
     def _rescored(self, q: Query, terms, k: int):
         """Two-phase rescore -> (top-k ids, scores, count). Phase one is
-        block-max BM25's top-``window`` (the full count rides along);
+        ``score_blockmax``'s top-``window`` (the full count rides along);
         phase two adds ``rw`` × the rescore phrase's BM25 at the window
         docs holding the phrase (one searchsorted into its match set) to
         ``qw`` × the phase-one score. Nothing beyond the window is

@@ -201,7 +201,8 @@ ENDPOINTS = (
     E("search", "/api/search", "search", QUERY, SCOPE, *PAGE,
       P("mode", help="bm25 | reference | phrase | phrase_prefix | near | prefix"
         " | wildcard | regexp | fuzzy | auto"),
-      P("method", help="blockmax | exhaustive"), CONJ, SNIPPETS,
+      P("method", help="blockmax (the exact scorer the query's shape favours)"
+        " | exhaustive (term-at-a-time)"), CONJ, SNIPPETS,
       P("with_snippets", (), "--highlight", lambda v: "full", flag=True,
         help="the whole cleaned text with query words in <b></b>"),
       P("near_window", "window", conv=int, help="near mode: token-window width"),

@@ -72,3 +72,38 @@ def duck():
     con = duckdb.connect()
     yield con
     con.close()
+
+
+@pytest.fixture
+def evaluators_agree(monkeypatch):
+    """``check(engine, text, scope, k, conjunctive=False)``: runs the
+    windowed and the candidate-driven exact evaluators directly (outside
+    ``score_blockmax``'s route rule; the candidate-driven one with its
+    df-ratio gate off, so it answers small corpora too), asserts
+    that each one that answers returns the exhaustive scorer's top-k
+    ids, float64 scores and count bit for bit, and returns the names of
+    the evaluators that answered."""
+    import numpy as np
+
+    def check(engine, text, scope, k, conjunctive=False):
+        monkeypatch.setattr(engine, "_CAND_REST_RATIO", 0)
+        terms, err = engine.plan(text)
+        if err or not k:
+            return set()
+        ids, scores = engine.score_exhaustive(terms, scope, conjunctive)
+        want_ids, want_scores = engine._topk(ids, scores, k)
+        term_list, lut = engine._scoring_inputs(terms, scope)
+        got = {"windowed": engine._score_windowed(terms, term_list, k, lut, conjunctive)}
+        if not conjunctive and len(terms) > 1:
+            got["candidate_driven"] = engine._score_candidate_driven(terms, term_list, k, lut)
+        answered = set()
+        for name, g in got.items():
+            if g is None:
+                continue
+            assert np.array_equal(g[0], want_ids), (name, text)
+            assert np.array_equal(g[1], want_scores), (name, text)  # exact float64
+            assert g[2] == len(ids), (name, text)
+            answered.add(name)
+        return answered
+
+    return check

@@ -665,3 +665,33 @@ def test_delta_novel_scope_values(delta_env, tiny_corpus, tmp_path):
         rb = rebuilt.search(hot, scope=scope, limit=10)
         assert ra["count"] == rb["count"], scope
         assert ra["data"].equals(rb["data"]), scope
+
+
+def test_open_reads_each_generation_file_once(tiny_corpus, tmp_path, monkeypatch):
+    """Opening an engine reads each live generation's docs and postings
+    file once, however many conversations the generation re-indexed.
+    Two generations re-index six conversations with unchanged text (one
+    in both, so the later one wins it); the overlay answers exactly as
+    the base it replaces."""
+    base_out = str(tmp_path / "base")
+    build.build_index(
+        BuildConfig(input_paths=tiny_corpus, out_dir=base_out, n_partitions=2, concurrency=2)
+    )
+    plain = SearchEngine(base_out)
+    convs = plain._conv_list().to_pylist()[::97][:6]
+    assert delta.reindex_conversations(base_out, convs[:4], input_paths=tiny_corpus)["result"]
+    assert delta.reindex_conversations(base_out, convs[3:], input_paths=tiny_corpus)["result"]
+    gens = delta.list_generations(base_out)
+    assert len(gens) == 2
+    reads = []
+    real = pq.read_table
+    monkeypatch.setattr(pq, "read_table", lambda src, *a, **kw: (
+        reads.append(str(src)), real(src, *a, **kw))[1])
+    overlay = SearchEngine(base_out)
+    gen_files = [p for p in reads if os.path.basename(p) in ("docs.parquet", "postings.parquet")]
+    assert sorted(gen_files) == sorted(
+        os.path.join(g["_dir"], f) for g in gens for f in ("docs.parquet", "postings.parquet")
+    )
+    monkeypatch.undo()
+    assert overlay._has_deltas and overlay.n_docs == plain.n_docs
+    _compare_engines(overlay, plain)

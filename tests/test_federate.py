@@ -77,6 +77,26 @@ def test_federated_rank_and_score_identical(fed_env):
         assert rf["data"].equals(rm["data"]), q["query_id"]
 
 
+def test_federated_exact_evaluators_identical(fed_env, monkeypatch):
+    """Shards rank through ``score_blockmax`` under the federation's
+    avgdl; their stored block-max bounds, scaled by the avgdl growth,
+    stay bounds. With the windowed and candidate-driven gates opened to
+    this small corpus, federated pages and counts still equal the
+    monolithic exhaustive ones bit for bit."""
+    mono, fed = fed_env["mono"], fed_env["fed"]
+    assert max(s._bmw_scale for s in fed.shards) > 1.0  # a shard's avgdl grew
+    for s in fed.shards:
+        monkeypatch.setattr(s, "_WINDOWED_DF_PER_WINDOW", 1)
+        monkeypatch.setattr(s, "_CAND_REST_RATIO", 0)
+    queries = [(q["query_text"], q["scope"], q["k"]) for q in QUERIES]
+    queries += [(datagen.stem(i), scope, k) for i in (0, 1, 2, 5, 40, 120)
+                for scope, k in ((None, 10), ("user", 3))]
+    for text, scope, k in queries:
+        rm = mono.search(text, scope=scope, limit=k, method="exhaustive")
+        rf = fed.search(text, scope=scope, limit=k)
+        assert rf["count"] == rm["count"] and rf["data"].equals(rm["data"]), text
+
+
 def test_federated_decay_identical_to_monolithic(fed_env):
     """Function-score decay is a per-doc multiply with GLOBAL constants,
     so the per-shard application merges bit-identically to the

@@ -111,15 +111,18 @@ def test_query_mirrors_search_signature():
                for p in params)
 
 
-def test_blockmax_equals_exhaustive_on_many_term_queries(engine):
-    """Block-max and the exhaustive scorer sum each doc's term weights in
-    one order, so pages and float64 scores agree bit for bit at 2-5
-    terms too (cursor paging crosses the two routes)."""
+def test_blockmax_equals_exhaustive_on_many_term_queries(engine, evaluators_agree):
+    """Every exact evaluator and the exhaustive scorer sum each doc's
+    term weights in one order, so pages and float64 scores agree bit for
+    bit at 2-5 terms too (cursor paging crosses the routes)."""
     rng = np.random.default_rng(1)
     pool = np.r_[0:12, 100:140, 400:420]
+    answered = set()
     for _ in range(60):
         q = " ".join(S(int(i)) for i in rng.choice(pool, size=rng.integers(2, 6), replace=False))
         for k in (10, 30):
+            answered |= evaluators_agree(engine, q, None, k)
             bm = engine.search(q, limit=k)
             ex = engine.search(q, limit=k, method="exhaustive")
             assert bm["count"] == ex["count"] and bm["data"].equals(ex["data"]), q
+    assert answered == {"windowed", "candidate_driven"}

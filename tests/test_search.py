@@ -31,7 +31,8 @@ def bm25_oracle(duck):
 
 
 @pytest.mark.parametrize("q", QUERIES, ids=[q["query_id"] for q in QUERIES])
-def test_blockmax_pruning_is_lossless(engine, q):
+def test_blockmax_pruning_is_lossless(engine, q, evaluators_agree):
+    evaluators_agree(engine, q["query_text"], q["scope"], q["k"])
     bm = engine.search(q["query_text"], scope=q["scope"], limit=q["k"], method="blockmax")
     ex = engine.search(q["query_text"], scope=q["scope"], limit=q["k"], method="exhaustive")
     assert bm["count"] == ex["count"]
@@ -182,15 +183,16 @@ def test_deterministic_tiebreak_total_order(engine):
     assert keys == sorted(keys)
 
 
-def test_random_queries_blockmax_equals_exhaustive(engine):
+def test_random_queries_blockmax_equals_exhaustive(engine, evaluators_agree):
     """Randomized (seeded) multi-term queries over the real vocabulary:
-    every evaluation path the planner can take (windowed block-max,
-    candidate-driven MaxScore, all-hot direct exhaustive, bail-out) must
-    be rank-identical to the exhaustive scorer — same docids, exact
+    the routed default and each exact evaluator called directly
+    (windowed block-max, candidate-driven MaxScore) must be
+    rank-identical to the exhaustive scorer — same docids, exact
     float64 score equality, same exact counts."""
     import numpy as np
 
     rng = np.random.default_rng(123)
+    answered = set()
     for _ in range(40):
         n_terms = int(rng.integers(1, 4))
         stems = [datagen.stem(int(rng.integers(0, 8000))) for _ in range(n_terms)]
@@ -200,6 +202,7 @@ def test_random_queries_blockmax_equals_exhaustive(engine):
         scope = None if rng.random() < 0.7 else ["user", "assistant"][int(rng.integers(0, 2))]
         conj = bool(rng.random() < 0.2)
         k = int(rng.integers(1, 25))
+        answered |= evaluators_agree(engine, q, scope, k, conj)
         bm = engine.search(q, scope=scope, limit=k, method="blockmax", conjunctive=conj)
         ex = engine.search(q, scope=scope, limit=k, method="exhaustive", conjunctive=conj)
         assert bm["count"] == ex["count"], q
@@ -208,6 +211,67 @@ def test_random_queries_blockmax_equals_exhaustive(engine):
         for ra, rb in zip(a, b):
             assert (ra["conv_id"], ra["turn_idx"]) == (rb["conv_id"], rb["turn_idx"]), q
             assert ra["score"] == rb["score"], q
+    assert answered == {"windowed", "candidate_driven"}
+
+
+def test_bm25_route_rule(tiny_index, monkeypatch):
+    """score_blockmax's rule: one rare term is scored term-at-a-time, a
+    hot + rare pair by the candidate-driven evaluator, one hot term by
+    the windowed evaluator once its df reaches the per-window constant
+    (lowered here to the small corpus) — each with the exhaustive
+    scorer's page and count."""
+    eng = SearchEngine(tiny_index["out_dir"])
+    calls = []
+    for name in ("_score_candidate_driven", "_score_windowed", "score_exhaustive"):
+        real = getattr(eng, name)
+        monkeypatch.setattr(eng, name, lambda *a, _n=name, _f=real, **kw: (
+            calls.append(_n), _f(*a, **kw))[1])
+
+    def route(text):
+        calls.clear()
+        got = eng.search(text, limit=10)
+        taken = list(calls)
+        want = eng.search(text, limit=10, method="exhaustive")
+        assert got["count"] == want["count"] and got["data"].equals(want["data"]), text
+        return taken
+
+    rare = next(datagen.stem(i) for i in range(400, 8000)
+                if 10 <= (eng._df_of(datagen.stem(i)) or 0) <= 100)
+    hot = datagen.stem(0)
+    assert route(rare) == ["score_exhaustive"]
+    assert route(f"{hot} {rare}") == ["_score_candidate_driven"]
+    assert route(hot) == ["score_exhaustive"]  # df below the windowed bar
+    monkeypatch.setattr(eng, "_WINDOWED_DF_PER_WINDOW", 1)
+    assert route(hot) == ["_score_windowed"]
+
+
+def test_cursor_docid_first_last_unknown(engine):
+    """The cursor's conversation lookup (a binary search over the sorted
+    conversation list): the first and the last conversations map to
+    their ranks, unknown ids (before, between and after the list) to
+    None, and a cursor in the last conversation's rows pages like
+    offset pagination."""
+    from search_engine_ray.search import TURN_BITS
+
+    convs = engine._conv_list().to_pylist()
+    first, last = convs[0], convs[-1]
+    assert engine._cursor_docid(first, 0) == 0
+    assert engine._cursor_docid(last, 3) == ((len(convs) - 1) << TURN_BITS) | 3
+    for i in range(0, len(convs), max(1, len(convs) // 40)):
+        assert engine._cursor_docid(convs[i], 1) == (i << TURN_BITS) | 1
+    for unknown in ("", first[:-1], first + "0", last + "0", "~"):
+        assert unknown not in convs
+        assert engine._cursor_docid(unknown, 0) is None
+    q = datagen.stem(0)
+    full = engine.search(q, limit=400)["data"].to_pylist()
+    for conv in (first, last):
+        at = next((i for i, r in enumerate(full) if r["conv_id"] == conv), None)
+        if at is None:
+            continue
+        row = full[at]
+        cur = (row["score"], row["conv_id"], row["turn_idx"])
+        walked = engine.search(q, limit=7, search_after=cur)["data"]
+        assert walked.equals(engine.search(q, offset=at + 1, limit=7)["data"])
 
 
 def test_df_point_read_path_identical(engine, tiny_index, monkeypatch):
