@@ -4,7 +4,9 @@ analog): search, statistics, indexPage (live reload), stopIndexing."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +14,7 @@ import logging
 
 import pytest
 
-from search_engine_ray import datagen
+from search_engine_ray import datagen, server
 from search_engine_ray.search import SearchEngine
 from search_engine_ray.server import make_server
 
@@ -163,6 +165,121 @@ def test_bad_parameter_is_400_and_server_fault_is_500(served, monkeypatch, caplo
         assert _err(f"{base}/api/facets?query={hot}") == (500, "internal_error")
     assert any(r.exc_info and "engine fault" in str(r.exc_info[1])
                for r in caplog.records)
+
+
+def _addr(base: str) -> tuple[str, int]:
+    host, port = base.rsplit("/", 1)[1].split(":")
+    return host, int(port)
+
+
+def _exchange(base: str, data: bytes) -> tuple[int, bytes]:
+    """Send ``data`` on a fresh connection and read until the server
+    closes it; -> (status, body)."""
+    with socket.create_connection(_addr(base), timeout=10) as s:
+        s.sendall(data)
+        got = b""
+        while chunk := s.recv(65536):
+            got += chunk
+    head, _, body = got.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def _workers(port: int) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == f"search_engine_ray.server:{port}"]
+
+
+def test_malformed_requests_answer_and_close(served):
+    """A request refused before routing still gets a JSON answer, and the
+    connection closes: a malformed request line 400, a request head past
+    the bound 431, a method the server does not serve 501."""
+    base, _ = served
+    for data, want in (
+        (b"NONSENSE\r\n\r\n", (400, "bad_request")),
+        (b"GET /api/search?query=x HTTP/9.9\r\n\r\n", (400, "bad_request")),
+        (b"GET /api/search?query=x HTTP/1.0\r\nX-Pad: " + b"a" * (server.HEAD_MAX + 10)
+         + b"\r\n\r\n", (431, "headers_too_large")),
+        (b"DELETE /api/search?query=x HTTP/1.0\r\n\r\n", (501, "unsupported_method")),
+        (b"HEAD / HTTP/1.1\r\nHost: x\r\n\r\n", (501, "unsupported_method")),
+    ):
+        code, body = _exchange(base, data)
+        assert (code, json.loads(body)["error"]) == want, data[:40]
+    # a bare-LF request head is read like a CRLF one
+    code, body = _exchange(base, b"GET /api/statistics HTTP/1.0\n\n")
+    assert code == 200 and json.loads(body)["total"]["docs"] > 0
+
+
+def test_msearch_invalid_content_length_is_bad_request(served):
+    base, _ = served
+    for length in (b"ten", b"-2"):
+        code, body = _exchange(
+            base, b"POST /api/msearch HTTP/1.0\r\nContent-Length: " + length + b"\r\n\r\n[]")
+        assert (code, json.loads(body)["error"]) == (400, "bad_request"), length
+    # a body split from its head across writes is read in full
+    req = json.dumps([{"query": datagen.stem(0), "limit": 1}]).encode()
+    with socket.create_connection(_addr(base), timeout=10) as s:
+        s.sendall(b"POST /api/msearch HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(req))
+        time.sleep(0.05)
+        s.sendall(req)
+        got = b""
+        while chunk := s.recv(65536):
+            got += chunk
+    assert json.loads(got.partition(b"\r\n\r\n")[2])["responses"][0]["count"] > 0
+
+
+def test_client_disconnect_frees_its_worker(served):
+    """50 clients that leave mid-request (half of them with a reset) each
+    free their worker: a normal query still answers, and the pool
+    settles back to at most IDLE_WORKERS waiting workers."""
+    base, _ = served
+    for i in range(50):
+        s = socket.create_connection(_addr(base), timeout=10)
+        s.sendall(b"GET /api/search?query=x HTTP/1.0\r\nHost: ")
+        if i % 2:
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, b"\x01\0\0\0\0\0\0\0")
+        s.close()
+    code, got = _get(f"{base}/api/search?query={datagen.stem(0)}&limit=3")
+    assert code == 200 and got["count"] > 0
+    deadline = time.monotonic() + 10
+    while len(_workers(_addr(base)[1])) > server.IDLE_WORKERS and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert 0 < len(_workers(_addr(base)[1])) <= server.IDLE_WORKERS
+
+
+def test_idle_connections_do_not_stall_a_search(served):
+    """Clients that connect and send nothing each hold a worker; the pool
+    grows past them, so another client's search answers at once."""
+    base, _ = served
+    held = [socket.create_connection(_addr(base), timeout=10)
+            for _ in range(server.IDLE_WORKERS + 2)]
+    try:
+        held[0].sendall(b"GET /api/search?query=")  # part of a request line
+        with urllib.request.urlopen(
+                f"{base}/api/search?query={datagen.stem(0)}&limit=3", timeout=10) as r:
+            assert r.status == 200 and json.loads(r.read())["count"] > 0
+    finally:
+        for s in held:
+            s.close()
+
+
+def test_access_log_line_per_request(served, caplog):
+    """One JSON line per request on search_engine_ray.server.access when
+    INFO is on: path, status, latency, count and error."""
+    base, _ = served
+    hot = datagen.stem(0)
+    name = "search_engine_ray.server.access"
+    with caplog.at_level(logging.INFO, logger=name):
+        ok = _exchange(base, f"GET /api/search?query={hot}&limit=2 HTTP/1.0\r\n\r\n".encode())
+        bad = _exchange(base, b"GET /api/search?query= HTTP/1.0\r\n\r\n")
+    lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == name]
+    assert [(x["path"], x["status"], x["error"]) for x in lines] == [
+        ("/api/search", 200, None), ("/api/search", 400, "empty_query")]
+    assert lines[0]["count"] == json.loads(ok[1])["count"] > 0
+    assert lines[1]["count"] is None and bad[0] == 400
+    assert all(x["latency_ms"] >= 0 for x in lines)
+    # off (the default level): no line
+    caplog.clear()
+    _exchange(base, f"GET /api/search?query={hot} HTTP/1.0\r\n\r\n".encode())
+    assert not [r for r in caplog.records if r.name == name]
 
 
 def test_statistics_endpoint(served):
@@ -612,3 +729,107 @@ def test_concurrent_queries_match_serial(tiny_index, monkeypatch):
     assert len(got) == 8 * rounds * len(paths)
     assert [p for p, h in got if h != want[p]] == []
     print(f"serial {serial_qps:.0f} q/s (warm), 8 threads {conc_qps:.0f} q/s")
+
+
+def test_worker_that_started_ray_stays(monkeypatch):
+    """Ray's node processes die with the thread that started them, so the
+    worker whose request brought Ray up stays when the pool shrinks: here
+    it finishes last, while IDLE_WORKERS others already wait, which makes
+    any other worker exit."""
+    up, slow_threads = [], []
+    monkeypatch.setattr(server, "_ray_up", lambda: bool(up))
+    release, release_last = threading.Event(), threading.Event()
+
+    def handle(req):
+        me = threading.current_thread()
+        if req.url.path == "/init":
+            up.append(me)
+        else:
+            slow_threads.append(me)
+            (release_last if up and me is up[0] else release).wait(10)
+        return 200, b"application/json", b"{}", None
+
+    srv = server.Server(("127.0.0.1", 0), handle)
+    port = srv.server_address[1]
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{port}"
+    try:
+        assert _exchange(base, b"GET /init HTTP/1.0\r\n\r\n")[0] == 200
+        flood = [threading.Thread(target=_exchange, args=(base, b"GET /slow HTTP/1.0\r\n\r\n"))
+                 for _ in range(server.IDLE_WORKERS + 4)]
+        for t in flood:
+            t.start()
+        deadline = time.monotonic() + 10
+        while len(slow_threads) < len(flood) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert up[0] in slow_threads  # every idle worker took a slow request
+        release.set()
+        while len(_workers(port)) > server.IDLE_WORKERS + 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release_last.set()
+        for t in flood:
+            t.join(timeout=10)
+        time.sleep(0.3)
+        assert up[0].is_alive()
+    finally:
+        release.set()
+        release_last.set()
+        srv.shutdown()
+        srv.server_close()
+    assert not up[0].is_alive()
+
+
+def test_worker_pool_under_load_then_shutdown_frees_the_port(tiny_index):
+    """16 clients race the worker pool (a short switch interval forces
+    interleavings): every request answers, and afterwards the idle count
+    equals the live workers, at most IDLE_WORKERS. shutdown() then
+    returns with workers waiting in accept() and one held in a request
+    read; no worker thread is left and the port binds again."""
+    import sys
+
+    srv = make_server(tiny_index["out_dir"], port=0)
+    port = srv.server_address[1]
+    th = threading.Thread(target=srv.serve_forever, daemon=True)
+    th.start()
+    base = f"http://127.0.0.1:{port}"
+    codes, errors = [], []
+
+    def client():
+        try:
+            for _ in range(25):
+                codes.append(_exchange(base, b"GET /api/search?query= HTTP/1.0\r\n\r\n")[0])
+        except Exception as e:  # noqa: BLE001 — reported below
+            errors.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(16)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in clients), errors
+    assert codes == [400] * 16 * 25
+    deadline = time.monotonic() + 10
+    while len(_workers(port)) != srv._idle and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert 0 < len(_workers(port)) == srv._idle <= server.IDLE_WORKERS
+
+    held = socket.create_connection(("127.0.0.1", port), timeout=10)
+    try:
+        code, got = _get(f"{base}/api/search?query={datagen.stem(0)}&limit=1")
+        assert code == 200 and got["count"] > 0
+        stopper = threading.Thread(target=srv.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive(), "shutdown() did not return"
+        th.join(timeout=10)
+        assert not th.is_alive()
+        srv.server_close()
+        assert _workers(port) == []
+    finally:
+        held.close()
+    socket.create_server(("127.0.0.1", port)).close()
