@@ -1379,7 +1379,7 @@ def incremental_dedup(
 
     def bucket(b: pa.Table) -> pa.Table:
         return b.append_column(
-            "kb", pa.array(_md5_bucket_local(b.column("h"), 1024), pa.int64())
+            "kb", pa.array(_md5_bucket(b.column("h"), 1024), pa.int64())
         )
 
     return (
@@ -1389,9 +1389,9 @@ def incremental_dedup(
     )
 
 
-def _md5_bucket_local(h: pa.Array, nb: int) -> np.ndarray:
-    """Bucket from md5 hex digests (the text_analysis._md5_bucket
-    device, local copy to keep dedup import-free of that module)."""
+def _md5_bucket(h: pa.Array, nb: int) -> np.ndarray:
+    """Vectorized bucket from md5 hex digests (``_md5_col``): fixed
+    32-char rows -> (n, 32) byte view, first 8 nibbles to an int, mod nb."""
     hh = h.combine_chunks() if isinstance(h, pa.ChunkedArray) else h
     raw = np.frombuffer(hh.buffers()[2], np.uint8)
     mat = raw[: 32 * len(hh)].reshape(-1, 32)[:, :8].astype(np.int64)

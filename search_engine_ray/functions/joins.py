@@ -440,9 +440,8 @@ JOIN (SELECT * FROM {src} WHERE event_type = '{right_type}') r
 # Generic equi-join (broadcast hash join / partitioned shuffle join)
 # ---------------------------------------------------------------------------
 
-# Same scale bound the query planner enforces for its dictionary preload
-# (search.py DICT_PRELOAD_MAX_TERMS rationale): a side above this never
-# returns to the driver.
+# The scale bound of a side collected in the calling process: a side
+# above this is never collected there.
 BROADCAST_MAX_ROWS = 2_000_000
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 

@@ -845,10 +845,9 @@ def hll_estimate(registers: pa.Table, p: int = HLL_P) -> float:
 # ---------------------------------------------------------------------------
 
 KEYWORDS_K = 5
-# Max vocabulary the df table may broadcast through the driver — the
-# SAME bound the query planner enforces for its lemma-dictionary preload
-# (search.py _DF_PRELOAD_MAX_LEMMAS); above it tfidf_keywords switches
-# to the term-keyed join path (no driver-sized object anywhere).
+# Max vocabulary the df table may broadcast from the calling process;
+# above it tfidf_keywords switches to the term-keyed join path (no
+# vocabulary-sized object in one process anywhere).
 TFIDF_BROADCAST_MAX_TERMS = 2_000_000
 
 
@@ -864,8 +863,7 @@ def tfidf_keywords(ds, k: int = KEYWORDS_K, id_col: str = "doc_id",
     (doc, term) rows into the df groupby. The df table is
     vocabulary-sized, orders of magnitude below the corpus (Heaps'
     law), so below ``broadcast_max_terms`` it returns to the driver and
-    broadcasts — the same ENFORCED threshold as the query planner's
-    dictionary preload (search.py). Pass 2 then RECOMPUTES tf inside
+    broadcasts (an ENFORCED threshold). Pass 2 then RECOMPUTES tf inside
     the map and selects each doc's top-k in the same invocation —
     re-tokenizing is one vectorized pass, and it buys boundary-safety:
     a doc's rows can never straddle blocks (no reliance on Ray's
@@ -2729,16 +2727,6 @@ LINE_DEDUP_MIN_CHARS = 15
 _LINE_KEY_BITS = 32
 
 
-def _md5_bucket(h: pa.Array, nb: int) -> np.ndarray:
-    """Vectorized bucket from md5 hex digests: fixed 32-char rows ->
-    (n, 32) byte view, first 8 nibbles to an int, mod nb."""
-    hh = h.combine_chunks() if isinstance(h, pa.ChunkedArray) else h
-    raw = np.frombuffer(hh.buffers()[2], np.uint8)
-    mat = raw[: 32 * len(hh)].reshape(-1, 32)[:, :8].astype(np.int64)
-    nib = np.where(mat >= 97, mat - 87, mat - 48)
-    return (nib @ (16 ** np.arange(7, -1, -1, dtype=np.int64))) % nb
-
-
 def line_dedup(
     ds,
     min_chars: int = LINE_DEDUP_MIN_CHARS,
@@ -2770,7 +2758,7 @@ def line_dedup(
     doc rewrites by masking its dropped line indices (one split + join
     per doc — per-doc sequential string work, the BPE-encode note).
     Nothing corpus-sized ever sits on the driver."""
-    from .dedup import _md5_col
+    from .dedup import _md5_bucket, _md5_col
 
     nb = 1024
     mc = int(min_chars)
@@ -3013,7 +3001,7 @@ def span_dedup(
     corpus-sized ever sits on the driver.  This is the transform
     sibling of :func:`dup_window_ratio` (the per-doc signal) and
     :func:`line_dedup` (the line-granular rewrite)."""
-    from .dedup import _md5_col
+    from .dedup import _md5_bucket, _md5_col
 
     w_ = int(window)
     if w_ < 2:

@@ -69,6 +69,14 @@ _VERSIONS = {"analyzer": ANALYZER_VERSION, "codec": CODEC_VERSION}
 
 ANALYSIS_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
+# rows per parquet row group of each key-sorted store, written the same by
+# the build and by compaction. The query engine reads every store one row
+# group at a time, located by the groups' footer key bounds
+# (SearchEngine._groups), so a row group is the unit of a cold read.
+INDEX_ROW_GROUP_ROWS = 16_384  # index block rows (~0.5 KB of payload each)
+DOCS_ROW_GROUP_ROWS = 65_536   # doc-store rows, docid-sorted
+DICT_ROW_GROUP_ROWS = 65_536   # lemma-dictionary rows, lemma-sorted
+
 
 def stage_a_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "stageA")
@@ -720,7 +728,8 @@ def build_index(
             # from the row groups that hold them, located by the docid
             # sort key's footer stats (SearchEngine._doc_rows)
             pq.write_table(
-                tD, os.path.join(docs_d, "docs.parquet"), row_group_size=65_536
+                tD, os.path.join(docs_d, "docs.parquet"),
+                row_group_size=DOCS_ROW_GROUP_ROWS,
             )
             _inject("b_mid")
             tracker_s.mark(
@@ -795,7 +804,7 @@ def build_index(
         docs_in = _sized(docs_with_ids.materialize(), ncpu)
         timings["b_mat_s"] = round(time.monotonic() - tm, 3)
         ts_ = time.monotonic()
-        docs_in.sort("docid").write_parquet(d, row_group_size=65_536)
+        docs_in.sort("docid").write_parquet(d, row_group_size=DOCS_ROW_GROUP_ROWS)
         timings["b_sort_s"] = round(time.monotonic() - ts_, 3)
         ta_ = time.monotonic()
         agg = rd.read_parquet(d, columns=["doc_len"]).aggregate(
@@ -1038,7 +1047,7 @@ def build_index(
             # stats — default ~1M-row groups make a hot-term lookup
             # decode the whole file (measured 13 s cold at sf1); 16k-row
             # groups give ~8 MB pruning granularity
-            .write_parquet(d, row_group_size=16_384)
+            .write_parquet(d, row_group_size=INDEX_ROW_GROUP_ROWS)
         )
         timings["c_sort_enc_s"] = round(time.monotonic() - ts_, 3)
         _inject("c_mid")
@@ -1100,10 +1109,11 @@ def write_lemma_dict(index_d: str, dict_path: str) -> tuple[int, int]:
     """Stage D: lemma dictionary from block-level partial aggregates —
     a column-pruned scan of index-block metadata (block_size x smaller
     than the postings); vocabulary ≪ corpus, so the dense sorted
-    lemma_id is assigned driver-side — this table is the query planner's
-    broadcast side. At ≫10^8 vocab switch to the block-offset dense-rank
-    described in docid.py. Shared by the full build and delta-generation
-    compaction. Returns (n_lemmas, n_postings)."""
+    lemma_id is assigned in the calling process. The query engine
+    reads it one lemma-sorted row group at a time. At ≫10^8 vocab
+    switch to the block-offset dense-rank described in docid.py. Shared
+    by the full build and delta-generation compaction. Returns
+    (n_lemmas, n_postings)."""
     meta = pq.read_table(index_d, columns=["lemma", "n", "block_cf", "block_max_tf"])
     tbl = pa.TableGroupBy(meta, "lemma").aggregate(
         [("n", "sum"), ("block_cf", "sum"), ("block_max_tf", "max")]
@@ -1114,10 +1124,11 @@ def write_lemma_dict(index_d: str, dict_path: str) -> tuple[int, int]:
     tbl = tbl.set_column(3, "max_tf", tbl.column("max_tf").cast(pa.int32()))
     tbl = tbl.append_column("lemma_id", pa.array(np.arange(tbl.num_rows), pa.int64()))
     os.makedirs(os.path.dirname(dict_path), exist_ok=True)
-    # small row groups: the query planner's above-threshold path
-    # point-reads per-lemma df rows via row-group stats on the
-    # lemma-sorted dictionary
-    pq.write_table(tbl, dict_path, row_group_size=65_536)
+    # bounded row groups: the query engine reads the lemma-sorted
+    # dictionary one row group at a time — a df lookup decodes the one
+    # group whose lemma bounds hold the lemma, a prefix or pattern the
+    # groups of its literal-prefix range (SearchEngine._dict_groups)
+    pq.write_table(tbl, dict_path, row_group_size=DICT_ROW_GROUP_ROWS)
     return tbl.num_rows, int(pc.sum(tbl.column("df")).as_py() or 0)
 
 

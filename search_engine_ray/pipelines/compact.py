@@ -305,7 +305,7 @@ def _merge_docs_segments(
             d = d.take(pc.sort_indices(d.column("docid")))
             pq.write_table(
                 d, os.path.join(docs_tmp, "docs-00000.parquet"),
-                row_group_size=65_536,
+                row_group_size=build_mod.DOCS_ROW_GROUP_ROWS,
             )
         else:  # degenerate: no surviving docs at all — keep schema
             pq.write_table(
@@ -353,7 +353,7 @@ def _merge_docs_segments(
 
     rd.from_items(items, override_num_blocks=max(1, len(items))).map_batches(
         merge_one, batch_format="pyarrow", batch_size=None
-    ).write_parquet(docs_tmp, row_group_size=65_536)
+    ).write_parquet(docs_tmp, row_group_size=build_mod.DOCS_ROW_GROUP_ROWS)
 
 
 def _merge_index_segments(
@@ -446,11 +446,12 @@ def _merge_index_segments(
         # degenerate empty base: the whole new index is the delta
         os.makedirs(index_tmp, exist_ok=True)
         t = encode(delta_flat) if delta_flat is not None else INDEX_SCHEMA.empty_table()
-        pq.write_table(t, os.path.join(index_tmp, "part-0.parquet"), row_group_size=16_384)
+        pq.write_table(t, os.path.join(index_tmp, "part-0.parquet"),
+                       row_group_size=build_mod.INDEX_ROW_GROUP_ROWS)
         return
     rd.from_items(items, override_num_blocks=len(items)).map_batches(
         merge_one, batch_format="pyarrow", batch_size=None
-    ).write_parquet(index_tmp, row_group_size=16_384)
+    ).write_parquet(index_tmp, row_group_size=build_mod.INDEX_ROW_GROUP_ROWS)
 
 
 def _swap_in(out_dir: str, entries: list[dict]) -> None:
@@ -574,7 +575,8 @@ def compact(out_dir: str, *, resume: bool = False, mode: str = "minor") -> dict:
         )
         if delta_docs is not None:
             docs_ds = docs_ds.union(rd.from_arrow(delta_docs.select(doc_cols)))
-        docs_ds.sort("docid").write_parquet(docs_tmp, row_group_size=65_536)
+        docs_ds.sort("docid").write_parquet(
+            docs_tmp, row_group_size=build_mod.DOCS_ROW_GROUP_ROWS)
 
     # merged stats from the new doc store (same derivation as a rebuild).
     # n_docs comes from parquet footers (no data read); below the dl
@@ -783,7 +785,7 @@ def compact(out_dir: str, *, resume: bool = False, mode: str = "minor") -> dict:
             batch_format="pyarrow",
             batch_size=None,
         )
-        .write_parquet(index_tmp, row_group_size=16_384)
+        .write_parquet(index_tmp, row_group_size=build_mod.INDEX_ROW_GROUP_ROWS)
     )
 
     return _finish(

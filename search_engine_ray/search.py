@@ -29,10 +29,12 @@ Reference semantics preserved:
 - ``mode='reference'`` additionally drops df >= 250 lemmas and
   intersects candidates conjunctively rarest-first (:155-178).
 
-Everything in this module is driver-side: the index is partition-pruned
-Parquet (footer min/max on the sorted ``lemma`` column), so a query
-reads only the row groups covering its lemmas — no cluster round-trip,
-matching the reference's single-request query path.
+Everything in this module runs in the calling process: the lemma
+dictionary, the index and the doc store are key-sorted Parquet, read
+through one row-group directory per store (footer min/max of each row
+group's key), so a query reads only the row groups covering its lemmas
+and docs — no cluster round-trip, matching the reference's
+single-request query path.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ import functools
 import math
 import os
 import re
+import sys
 import threading
 from collections import Counter, OrderedDict
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from . import analyzer
@@ -212,8 +214,8 @@ def _lev(a: str, b: str) -> int:
 
 
 def _suggest_scan(tok: str, vocab_items, max_dist: int) -> list[tuple[str, int, int]]:
-    """(lemma, df, dist) rows within max_dist of tok — the shared sweep
-    of both suggest paths (in-memory dict / distributed parquet scan)."""
+    """(lemma, df, dist) rows within max_dist of tok — ``suggest``'s
+    sweep over one dictionary row group's items."""
     out = []
     lt = len(tok)
     for lemma, df in vocab_items:
@@ -275,11 +277,25 @@ def _pair_adjacency(
     )
 
 
+class _Vocab(dict):
+    """One decoded lemma-dictionary row group: lemma -> df, in lemma
+    order. ``nbytes`` is what it holds resident: its hash table, its
+    key strings and the df ints CPython does not share (it caches
+    -5..256)."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, t: pa.Table):
+        super().__init__(zip(t.column("lemma").to_pylist(), t.column("df").to_pylist()))
+        self.nbytes = (sys.getsizeof(self) + sum(map(sys.getsizeof, self))
+                       + sum(sys.getsizeof(v) for v in self.values() if v > 256))
+
+
 def _nbytes(x) -> int:
     """Resident size of a cache payload: its arrays' bytes (a numpy view
-    counts its span, an Arrow array its buffers), a string's length, 8
-    per other scalar."""
-    if isinstance(x, np.ndarray):
+    counts its span, an Arrow array its buffers), a dictionary group's
+    ``nbytes``, a string's length, 8 per other scalar."""
+    if isinstance(x, (np.ndarray, _Vocab)):
         return x.nbytes
     if isinstance(x, (pa.Array, pa.ChunkedArray)):
         return x.get_total_buffer_size()
@@ -346,6 +362,24 @@ class PayloadCache:
                 e, b = out.get(key[0], (0, 0))
                 out[key[0]] = (e + 1, b + n)
         return out
+
+
+# the key-sorted parquet stores an engine reads by row group, located by
+# their footers' key bounds (SearchEngine._groups): store -> (the files'
+# directory, or the one file, under the index directory; the sort key)
+_STORES = {
+    "docs": (build_mod.docs_dir, "docid"),
+    "dict": (build_mod.lemma_dict_path, "lemma"),
+    "index": (build_mod.index_dir, "lemma_h"),
+}
+
+
+def _store_files(out_dir: str, store: str) -> list[str]:
+    """The parquet files of ``store`` (``_STORES``) under ``out_dir``."""
+    path = _STORES[store][0](out_dir)
+    if path.endswith(".parquet"):
+        return [path]
+    return [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
 
 
 # the doc-store columns the per-doc reader (SearchEngine._doc_rows) decodes
@@ -1111,32 +1145,21 @@ class SearchEngine(Aggregations):
         )
         # text source file -> its docid locator (_text_locator)
         self._text_locs: dict[str, tuple] = {}
-        # open parquet files of the doc store and text sources (_parquet),
-        # the doc store's row-group docid bounds (_doc_groups) and the
-        # sorted conversation list (_conv_list), each loaded on first use
+        # open parquet files of every store and text source (_parquet),
+        # the row-group directory of each key-sorted store (_groups) and
+        # the sorted conversation list (_conv_list), each loaded on first
+        # use
         self._pfs: dict[str, pq.ParquetFile] = {}
-        self._doc_rgs: tuple | None = None
+        self._dirs: dict[str, tuple] = {}
         self._convs: pa.Array | None = None
-        # the term dictionary (J2): lemma -> df. Preloaded as a dict only
-        # while the vocabulary is small; above the threshold each query
-        # point-reads its lemmas via row-group stats on the lemma-sorted
-        # dictionary parquet (cached — no vocab-sized driver state at
-        # 10^8+ terms).
-        if m["stats"].get("n_lemmas", 0) <= self._DF_PRELOAD_MAX_LEMMAS:
-            t = pq.read_table(build_mod.lemma_dict_path(out_dir), columns=["lemma", "df"])
-            self._df = dict(
-                zip(t.column("lemma").to_pylist(), t.column("df").to_pylist())
-            )
-        else:
-            self._df = None
         # every payload read or decoded per query — block entries, poss
         # buffers, decoded chunks and positions, aux and on-demand pair
-        # lists, df point reads, decoded doc-store and text row groups —
-        # lives here, byte-bounded
+        # lists, decoded lemma-dictionary, doc-store and text row
+        # groups — lives here, byte-bounded
         self._cache = PayloadCache(self.CACHE_MAX_BYTES)
-        self._index = pads.dataset(build_mod.index_dir(out_dir))
-        self._poss_in_schema = "poss" in self._index.schema.names
-        self._intervals: list[tuple[int, int, str]] | None = None
+        index_files = _store_files(out_dir, "index")
+        self._poss_in_schema = bool(index_files) and (
+            "poss" in self._parquet(index_files[0]).schema_arrow.names)
         # scope filtering is per-posting: every block carries a scope-code
         # stream (doc-level (role, tool) -> dense code, a pure function of
         # the manifest's roles/tools lists) — no driver-side scope docid
@@ -1484,24 +1507,10 @@ class SearchEngine(Aggregations):
 
     # ---------------- planning (J2/T1) --------------------------------
 
-    _DF_PRELOAD_MAX_LEMMAS = 2_000_000
-
     def _df_of(self, lem: str) -> int | None:
-        """df of one lemma (None = absent). Dict hit below the preload
-        threshold; pruned parquet point-read (lemma-sorted row-group
-        stats) above it, held in the engine cache."""
-        if self._df is not None:
-            return self._df.get(lem)
-
-        def read():
-            t = pq.read_table(
-                build_mod.lemma_dict_path(self.out_dir),
-                columns=["lemma", "df"],
-                filters=[("lemma", "==", lem)],
-            )
-            return int(t.column("df")[0].as_py()) if t.num_rows else None
-
-        return self._cache.get(("df", lem), read)
+        """df of one lemma (None = absent), from the one dictionary row
+        group whose lemma bounds can hold it."""
+        return next((d[lem] for d in self._vocab(lem, lem) if lem in d), None)
 
     def idf(self, df: int) -> float:
         return math.log1p((self.n_docs - df + 0.5) / (df + 0.5))
@@ -1546,36 +1555,6 @@ class SearchEngine(Aggregations):
 
     # ---------------- posting access (J3, partition-pruned) -----------
 
-    def _file_intervals(self) -> list[tuple[int, int, str]]:
-        """(min_lemma_h, max_lemma_h, path) per index file, from parquet
-        footer stats — read once (~ms for hundreds of files). The index
-        is lemma_h-sorted, so intervals are tight and a term maps to one
-        or two files; pyarrow's dataset scan does NOT do this pruning
-        (measured: full 64-file scan 140ms vs pruned read 5ms)."""
-        if self._intervals is None:
-            ivs = []
-            for frag in self._index.get_fragments():
-                md = frag.metadata
-                mn = mx = None
-                for g in range(md.num_row_groups):
-                    rg = md.row_group(g)
-                    idx = next(
-                        i for i in range(rg.num_columns)
-                        if rg.column(i).path_in_schema == "lemma_h"
-                    )
-                    s = rg.column(idx).statistics
-                    if s is None or s.min is None:
-                        mn = None
-                        break
-                    mn = s.min if mn is None else min(mn, s.min)
-                    mx = s.max if mx is None else max(mx, s.max)
-                if mn is None:  # no stats -> never prune this file
-                    ivs.append((-(1 << 63), (1 << 63) - 1, frag.path))
-                else:
-                    ivs.append((mn, mx, frag.path))
-            self._intervals = ivs
-        return self._intervals
-
     _BLOCK_META_COLS = [
         "lemma", "lemma_h", "first_docid", "last_docid", "n", "bmw",
         "block_cf", "block_max_tf", "gaps", "tfs", "dls", "scps",
@@ -1583,18 +1562,20 @@ class SearchEngine(Aggregations):
 
     def _read_index(self, lemmas: list[str], cols: list[str]) -> dict:
         """lemma -> its index rows (``cols``), first_docid-ascending, for
-        every lemma in ``lemmas`` (no rows = an empty table): footer-stats
-        file pruning on the integer cluster key, then row-group filters
-        inside the chosen file(s), exact string match last."""
-        hs = [analyzer.lemma_hash64(l) for l in lemmas]
-        paths = sorted(
-            {p for mn, mx, p in self._file_intervals() if any(mn <= h <= mx for h in hs)}
-        )
-        if paths:
-            tbl = pq.read_table(
-                paths, columns=cols,
-                filters=[("lemma_h", "in", hs), ("lemma", "in", lemmas)],
-            )
+        every lemma in ``lemmas`` (no rows = an empty table): the index
+        row groups whose ``lemma_h`` bounds hold a lemma's hash, read
+        with one ``read_row_groups`` per file, then exact string match
+        (hashes may collide)."""
+        by_file: dict[str, set[int]] = {}
+        for lem in lemmas:
+            h = analyzer.lemma_hash64(lem)
+            for p, g in self._groups_meeting("index", h, h):
+                by_file.setdefault(p, set()).add(g)
+        tbls = [self._parquet(p).read_row_groups(sorted(gs), columns=cols)
+                for p, gs in sorted(by_file.items())]
+        if tbls:
+            tbl = pa.concat_tables(tbls)
+            tbl = tbl.filter(pc.is_in(tbl.column("lemma"), pa.array(lemmas, pa.string())))
         else:
             from .stages.encode import INDEX_SCHEMA
 
@@ -3607,8 +3588,8 @@ class SearchEngine(Aggregations):
         return self._convs
 
     def _parquet(self, path: str) -> pq.ParquetFile:
-        """One open ParquetFile per doc-store or text source file (its
-        footer parsed once)."""
+        """One open ParquetFile per store or text source file (its footer
+        parsed once)."""
         pf = self._pfs.get(path)
         if pf is None:
             pf = self._pfs[path] = pq.ParquetFile(path)
@@ -3617,10 +3598,11 @@ class SearchEngine(Aggregations):
     def _row_group(self, kind: str, path: str, g: int, columns, decode):
         """Row group ``g`` of parquet file ``path``, its ``columns`` read
         and shaped by ``decode(table)``, cached as ``(kind, path, g)``
-        (``docs`` for the doc store, ``text`` for text sources): neither
-        changes under an engine, so a delta generation's files get
-        their own keys. A miss decodes outside the cache lock; a row
-        group above a quarter of the budget is returned uncached."""
+        (``dict`` for the lemma dictionary, ``docs`` for the doc store,
+        ``text`` for text sources): none changes under an engine, so a
+        delta generation's files get their own keys. A miss decodes
+        outside the cache lock; a row group above a quarter of the
+        budget is returned uncached."""
         key = (kind, path, g)
         got = self._cache.peek(key)
         if got is None:
@@ -3630,29 +3612,42 @@ class SearchEngine(Aggregations):
                 self._cache.put(key, got)
         return got
 
-    def _doc_groups(self) -> tuple:
-        """(first docids, [(path, row group)]) of the doc store's row
-        groups, docid-ascending, from footer stats — read once. The
-        store is docid-sorted and written by pyarrow with statistics
-        (build and compaction), so each row group holds one docid
-        interval. The first bound is lowered to the int64 minimum:
-        every docid then maps to the one row group that may hold it."""
-        if self._doc_rgs is None:
-            d = build_mod.docs_dir(self.out_dir)
+    def _groups(self, store: str) -> tuple[list, list, list]:
+        """The row-group directory of one key-sorted store (``_STORES``):
+        ``(lo, hi, where)``, the min and max key and the ``(path, row
+        group)`` of each non-empty row group, ascending by min key —
+        read once per engine from the footers' statistics (every store
+        is written by pyarrow, which records them)."""
+        got = self._dirs.get(store)
+        if got is None:
+            key = _STORES[store][1]
             rgs = []
-            for f in sorted(os.listdir(d)):
-                if not f.endswith(".parquet"):
-                    continue
-                p = os.path.join(d, f)
+            for p in _store_files(self.out_dir, store):
                 md = self._parquet(p).metadata
-                ci = md.schema.to_arrow_schema().get_field_index("docid")
-                rgs += [(int(md.row_group(g).column(ci).statistics.min), p, g)
-                        for g in range(md.num_row_groups) if md.row_group(g).num_rows]
+                ci = md.schema.to_arrow_schema().get_field_index(key)
+                for g in range(md.num_row_groups):
+                    if md.row_group(g).num_rows:
+                        st = md.row_group(g).column(ci).statistics
+                        rgs.append((st.min, st.max, p, g))
             rgs.sort()
-            firsts = np.array([r[0] for r in rgs], np.int64)
-            firsts[:1] = np.iinfo(np.int64).min
-            self._doc_rgs = (firsts, [r[1:] for r in rgs])
-        return self._doc_rgs
+            got = self._dirs[store] = ([r[0] for r in rgs], [r[1] for r in rgs],
+                                       [r[2:] for r in rgs])
+        return got
+
+    def _groups_meeting(self, store: str, lo, hi) -> list[tuple[str, int]]:
+        """``(path, row group)`` of each row group of ``store`` whose key
+        bounds meet the key range ``[lo, hi]``, in directory order."""
+        los, his, where = self._groups(store)
+        n = bisect.bisect_right(los, hi)
+        return [w for h, w in zip(his[:n], where) if h >= lo]
+
+    def _vocab(self, lo: str | None = None, hi: str | None = None) -> Iterator[_Vocab]:
+        """The decoded lemma-dictionary row groups (lemma -> df, in lemma
+        order) whose lemma bounds meet ``[lo, hi]``, every group when
+        ``lo`` is None — one at a time, so a sweep holds one group that
+        the cache cannot."""
+        where = self._groups("dict")[2] if lo is None else self._groups_meeting("dict", lo, hi)
+        return (self._row_group("dict", p, g, ("lemma", "df"), _Vocab) for p, g in where)
 
     def _doc_rows(self, ids: np.ndarray, fields=()) -> tuple:
         """Per-doc fields of any docids, in their order: ``(present,
@@ -3682,8 +3677,10 @@ class SearchEngine(Aggregations):
             for f, o in zip(fields, out):
                 o[rows] = cols[f][pos]
 
-        firsts, where = self._doc_groups()
-        gi = np.searchsorted(firsts, ids, "right") - 1
+        firsts, _, where = self._groups("docs")
+        # a docid below the first group's min maps to that group, which
+        # does not hold it
+        gi = np.maximum(np.searchsorted(firsts, ids, "right") - 1, 0)
         # slices of ids while they are kept whole and in row-group order
         # (sorted docids), else index arrays grouped by row group
         rows = np.flatnonzero(self._tomb_keep_mask(ids)) if self._has_deltas else None
@@ -3989,31 +3986,13 @@ class SearchEngine(Aggregations):
     def expand_prefix(self, prefix: str, max_expansion: int = PREFIX_MAX_EXPANSION):
         """Vocabulary lemmas starting with ``prefix`` (analyzer-folded),
         capped at ``max_expansion`` by (df DESC, lemma ASC) — the
-        wildcard-query expansion step. Below the preload threshold this
-        scans the in-memory dict; above it the LEMMA-SORTED dictionary
-        parquet makes the prefix a contiguous row-group range —
-        ``filters=[('lemma','>=',p),('lemma','<',p+chr(0x10FFFF))]``
-        prunes to the matching groups (no vocabulary-sized driver
-        state). Returns [(lemma, df), ...]."""
+        wildcard-query expansion step. The lemma-sorted dictionary makes
+        the prefix a contiguous key range: only the row groups it meets
+        are scanned (``_expand``). Returns [(lemma, df), ...]."""
         toks = self._norm_text(prefix or "").split()
         if not toks or len(toks[0]) < self.PREFIX_MIN_LEN:
             return []
-        p = toks[0]
-        if self._df is not None:
-            hits = [(l, int(d)) for l, d in self._df.items() if l.startswith(p)]
-        else:
-            t = pq.read_table(
-                build_mod.lemma_dict_path(self.out_dir),
-                columns=["lemma", "df"],
-                filters=[("lemma", ">=", p), ("lemma", "<", p + chr(0x10FFFF))],
-            )
-            hits = [
-                (l, int(d))
-                for l, d in zip(t.column("lemma").to_pylist(), t.column("df").to_pylist())
-                if l.startswith(p)
-            ]
-        hits.sort(key=lambda r: (-r[1], r[0]))
-        return hits[:max_expansion]
+        return self._expand(toks[0], None, max_expansion)
 
     WILDCARD_MAX_EXPANSION = 32
 
@@ -4022,40 +4001,13 @@ class SearchEngine(Aggregations):
         """Vocabulary lemmas matching a Lucene-style wildcard pattern
         (``*`` any run, ``?`` one char; anchored over the whole lemma),
         capped at ``max_expansion`` by (df DESC, lemma ASC) — the same
-        rewrite cap rule as ``expand_prefix``. Below the preload
-        threshold the match is one vectorized RE2 pass over the
-        in-memory vocabulary (pyarrow ``match_substring_regex`` with
-        explicit anchors); above it the lemma-sorted dictionary parquet
-        is range-pruned to the pattern's literal prefix (a leading
-        wildcard scans the whole dictionary — bounded by the dictionary,
-        never the corpus) and the same kernel filters the pruned read.
+        rewrite cap rule as ``expand_prefix``, over the dictionary row
+        groups of the pattern's literal prefix (a leading wildcard scans
+        every group — bounded by the dictionary, never the corpus).
         Returns ``[(lemma, df), ...]``, or None for an unparseable /
         under-literal pattern (``analyzer.wildcard_parse``'s guard)."""
         parsed = analyzer.wildcard_parse(pattern)
-        if parsed is None:
-            return None
-        rx, lit = parsed
-        anchored = "^(?:" + rx + ")$"
-        if self._df is not None:
-            keys = pa.array(list(self._df.keys()), pa.string())
-            mask = pc.match_substring_regex(keys, anchored)
-            hits = [(l, int(self._df[l]))
-                    for l in pc.filter(keys, mask).to_pylist()]
-        else:
-            filters = None
-            if lit:
-                filters = [("lemma", ">=", lit),
-                           ("lemma", "<", lit + chr(0x10FFFF))]
-            t = pq.read_table(
-                build_mod.lemma_dict_path(self.out_dir),
-                columns=["lemma", "df"], filters=filters,
-            )
-            t = t.filter(pc.match_substring_regex(t.column("lemma"), anchored))
-            hits = [(l, int(d))
-                    for l, d in zip(t.column("lemma").to_pylist(),
-                                    t.column("df").to_pylist())]
-        hits.sort(key=lambda r: (-r[1], r[0]))
-        return hits[:max_expansion]
+        return None if parsed is None else self._expand(parsed[1], parsed[0], max_expansion)
 
     REGEXP_MAX_EXPANSION = 32
 
@@ -4063,38 +4015,27 @@ class SearchEngine(Aggregations):
                       max_expansion: int = REGEXP_MAX_EXPANSION):
         """Vocabulary lemmas matching a Lucene-RegexpQuery-style
         pattern (anchored over the whole lemma), capped at
-        ``max_expansion`` by (df DESC, lemma ASC) — the same rewrite
-        cap rule as ``expand_wildcard``, and the same two dictionary
-        regimes: one vectorized RE2 pass over the in-memory vocabulary
-        below the preload threshold, a literal-prefix range-pruned
-        scan of the lemma-sorted dictionary parquet above it (a
-        pattern opening with syntax scans the whole dictionary —
-        bounded by the dictionary, never the corpus). Returns
-        ``[(lemma, df), ...]``, or None for an invalid pattern
-        (``analyzer.regexp_parse``'s charset/RE2-compile guard)."""
+        ``max_expansion`` by (df DESC, lemma ASC) — ``expand_wildcard``
+        with another parser (a pattern opening with syntax scans every
+        dictionary group). Returns ``[(lemma, df), ...]``, or None for
+        an invalid pattern (``analyzer.regexp_parse``'s charset/RE2-
+        compile guard)."""
         parsed = analyzer.regexp_parse(pattern)
-        if parsed is None:
-            return None
-        rx, lit = parsed
-        anchored = "^(?:" + rx + ")$"
-        if self._df is not None:
-            keys = pa.array(list(self._df.keys()), pa.string())
-            mask = pc.match_substring_regex(keys, anchored)
-            hits = [(l, int(self._df[l]))
-                    for l in pc.filter(keys, mask).to_pylist()]
-        else:
-            filters = None
-            if lit:
-                filters = [("lemma", ">=", lit),
-                           ("lemma", "<", lit + chr(0x10FFFF))]
-            t = pq.read_table(
-                build_mod.lemma_dict_path(self.out_dir),
-                columns=["lemma", "df"], filters=filters,
-            )
-            t = t.filter(pc.match_substring_regex(t.column("lemma"), anchored))
-            hits = [(l, int(d))
-                    for l, d in zip(t.column("lemma").to_pylist(),
-                                    t.column("df").to_pylist())]
+        return None if parsed is None else self._expand(parsed[1], parsed[0], max_expansion)
+
+    def _expand(self, lit: str, rx: str | None, max_expansion: int) -> list[tuple[str, int]]:
+        """(lemma, df) of the dictionary lemmas that start with ``lit``
+        and, when ``rx`` is given, match it over the whole lemma (one
+        vectorized RE2 pass per row group), capped at ``max_expansion``
+        by (df DESC, lemma ASC). Only the row groups of ``lit``'s key
+        range are read; every group when ``lit`` is empty."""
+        hits = []
+        for d in self._vocab(lit, lit + chr(0x10FFFF)) if lit else self._vocab():
+            keys = [l for l in d if l.startswith(lit)]
+            if rx is not None and keys:
+                arr = pa.array(keys, pa.string())
+                keys = pc.filter(arr, pc.match_substring_regex(arr, "^(?:" + rx + ")$")).to_pylist()
+            hits += [(l, d[l]) for l in keys]
         hits.sort(key=lambda r: (-r[1], r[0]))
         return hits[:max_expansion]
 
@@ -4103,8 +4044,8 @@ class SearchEngine(Aggregations):
         shape, df-weighted): the top-``k`` vocabulary lemmas starting
         with the analyzer-folded prefix, ranked (df DESC, lemma ASC) —
         a public surface over ``expand_prefix``'s contiguous
-        lemma-sorted dictionary range (row-group-pruned above the
-        preload threshold, nothing vocabulary-sized on the driver).
+        lemma-sorted dictionary range (only the row groups it meets are
+        read).
         -> {'result', 'count' (matches before the cap), 'data':
         pa.Table(lemma, df), 'error'}"""
         empty = COMPLETE_SCHEMA.empty_table()
@@ -4130,13 +4071,10 @@ class SearchEngine(Aggregations):
         """Vocabulary terms within ``max_dist`` edits of ``term`` (after
         the analyzer's charset fold), ranked (distance ASC, df DESC,
         lemma ASC), top-``k`` — the did-you-mean primitive the reference
-        lacks entirely. Below the dictionary-preload threshold the sweep
-        runs over the in-memory lemma->df dict (banded Levenshtein with
-        a length prefilter — |len diff| > max_dist can never match);
-        above it the SAME per-batch function maps over the
-        lemma-dictionary parquet as a distributed scan with per-block
-        partial top-k (nothing vocabulary-sized on the driver). Both
-        paths are pinned equal by test at a forced low threshold.
+        lacks entirely. One in-process sweep over every dictionary row
+        group (banded Levenshtein with a length prefilter — |len diff|
+        > max_dist can never match), each group decoded once per engine
+        while the cache holds it.
 
         Returns ``(suggestion, df, dist)``. Suggestions reflect the BASE
         dictionary: delta-only lemmas join at the next compaction, and a
@@ -4145,55 +4083,15 @@ class SearchEngine(Aggregations):
         hint, not a result set — searching it simply returns 0 docs;
         drift is bounded by the delta volume)."""
         toks = self._norm_text(term or "").split()
-        if not toks:
-            return pa.table(
-                {"suggestion": pa.array([], pa.string()),
-                 "df": pa.array([], pa.int64()),
-                 "dist": pa.array([], pa.int32())}
-            )
-        tok = toks[0]
-        if self._df is not None:
-            rows = _suggest_scan(tok, self._df.items(), max_dist)
-            rows.sort(key=lambda r: (r[2], -r[1], r[0]))
-            rows = rows[:k]
-        else:  # distributed dictionary sweep (vocab > preload threshold)
-            import ray.data as _rd
-
-            def part(batch: pa.Table) -> pa.Table:
-                got = _suggest_scan(
-                    tok,
-                    zip(batch.column("lemma").to_pylist(),
-                        batch.column("df").to_pylist()),
-                    max_dist,
-                )
-                got.sort(key=lambda r: (r[2], -r[1], r[0]))
-                got = got[:k]
-                return pa.table(
-                    {"suggestion": pa.array([g[0] for g in got], pa.string()),
-                     "df": pa.array([g[1] for g in got], pa.int64()),
-                     "dist": pa.array([g[2] for g in got], pa.int32())}
-                )
-
-            parts = _rd.read_parquet(
-                build_mod.lemma_dict_path(self.out_dir), columns=["lemma", "df"]
-            ).map_batches(part, batch_format="pyarrow")
-            import ray as _ray
-
-            tabs = [t for t in _ray.get(parts.materialize().to_arrow_refs()) if t.num_rows]
-            rows = []
-            for t in tabs:
-                rows.extend(
-                    zip(t.column("suggestion").to_pylist(),
-                        t.column("df").to_pylist(),
-                        t.column("dist").to_pylist())
-                )
-            rows.sort(key=lambda r: (r[2], -r[1], r[0]))
-            rows = rows[:k]
+        rows = ([r for d in self._vocab() for r in _suggest_scan(toks[0], d.items(), max_dist)]
+                if toks else [])
+        rows.sort(key=lambda r: (r[2], -r[1], r[0]))
+        rows = rows[:k]
         return pa.table(
             {
                 "suggestion": pa.array([r[0] for r in rows], pa.string()),
-                "df": pa.array([int(r[1]) for r in rows], pa.int64()),
-                "dist": pa.array([int(r[2]) for r in rows], pa.int32()),
+                "df": pa.array([r[1] for r in rows], pa.int64()),
+                "dist": pa.array([r[2] for r in rows], pa.int32()),
             }
         )
 

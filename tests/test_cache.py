@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
+import tracemalloc
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from search_engine_ray import analyzer, datagen
-from search_engine_ray.search import PayloadCache, SearchEngine, _nbytes
+from search_engine_ray.pipelines import build
+from search_engine_ray.search import PayloadCache, SearchEngine, _nbytes, _Vocab
 
 S = datagen.stem
 BUDGET = 6 << 10  # a few KiB: far below one query's working set
@@ -47,6 +50,31 @@ def _split_doc_groups(src: str, dest: str, rows: int = DOC_GROUP_ROWS) -> str:
     half = t.num_rows // 2
     pq.write_table(t.slice(0, half), os.path.join(d, "a.parquet"), row_group_size=rows)
     pq.write_table(t.slice(half), os.path.join(d, "b.parquet"), row_group_size=rows)
+    return dest
+
+
+# rows per row group of a split copy's lemma dictionary and index: a
+# prefix range and a hot lemma's blocks then cross row-group bounds
+DICT_GROUP_ROWS = 50
+INDEX_GROUP_ROWS = 64
+
+
+def _split_layout(src: str, dest: str) -> str:
+    """``_split_doc_groups``, with the copy's lemma dictionary in row
+    groups of ``DICT_GROUP_ROWS`` lemmas and its index, in the same
+    (lemma_h, first_docid) order, in row groups of ``INDEX_GROUP_ROWS``
+    block rows over three files. -> ``dest``."""
+    _split_doc_groups(src, dest)
+    dp = build.lemma_dict_path(dest)
+    pq.write_table(pq.read_table(dp), dp, row_group_size=DICT_GROUP_ROWS)
+    d = build.index_dir(dest)
+    t = pq.read_table(d).sort_by([("lemma_h", "ascending"), ("first_docid", "ascending")])
+    for f in os.listdir(d):
+        os.remove(os.path.join(d, f))
+    cuts = [0, t.num_rows // 3, 2 * t.num_rows // 3, t.num_rows]
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        pq.write_table(t.slice(a, b - a), os.path.join(d, f"part-{i}.parquet"),
+                       row_group_size=INDEX_GROUP_ROWS)
     return dest
 
 
@@ -128,6 +156,73 @@ def test_lru_charges_arrow_and_string_payloads():
     assert ("row", 1) not in c  # evicted: 44 B + the column's buffers > 100
     c.put(("text", "f", 1), pa.array(["z" * 200]))     # over budget: not cached
     assert ("text", "f", 1) not in c and ("text", "f", 0) in c
+    # a decoded dictionary group costs its Python objects, keys included:
+    # what tracemalloc sees it allocate, far above its strings' length
+    t = pa.table({"lemma": [f"w{i:06d}" for i in range(2000)],
+                  "df": pa.array(np.arange(2000) * 7, pa.int64())})
+    tracemalloc.start()
+    try:
+        v = _Vocab(t)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert v["w000003"] == 21 and list(v)[:2] == ["w000000", "w000001"]
+    assert _nbytes(v) >= sys.getsizeof(v) + sum(map(sys.getsizeof, v)) > 5 * 7 * 2000
+    assert 0.9 * resident <= _nbytes(v) <= 1.1 * resident
+    c = PayloadCache(_nbytes(v) + 100)
+    c.put(("dict", "f", 0), v)
+    assert c.stats() == {"dict": (1, _nbytes(v))}
+
+
+def test_first_touch_reads_only_holding_groups(tiny_index, tmp_path, monkeypatch):
+    """A lemma's first touch reads only the index row groups whose
+    ``lemma_h`` footer bounds hold its hash (taken here from the footers,
+    apart from the engine's directory), and each dictionary row group
+    is decoded once per engine however many lookups, expansions and
+    suggestion sweeps read it."""
+    out = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+    bounds = []
+    for f in sorted(os.listdir(build.index_dir(out))):
+        md = pq.ParquetFile(os.path.join(build.index_dir(out), f)).metadata
+        ci = md.schema.to_arrow_schema().get_field_index("lemma_h")
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(ci).statistics
+            bounds.append((os.path.join(build.index_dir(out), f), g, st.min, st.max))
+    reads = []
+    real_one, real_many = pq.ParquetFile.read_row_group, pq.ParquetFile.read_row_groups
+
+    def one(self, i, columns=None, **kw):
+        reads.append((id(self), "dict" if "df" in (columns or ()) else "other", [i]))
+        return real_one(self, i, columns=columns, **kw)
+
+    def many(self, gs, columns=None, **kw):
+        reads.append((id(self), "index", list(gs)))
+        return real_many(self, gs, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", one)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", many)
+    # a lemma whose blocks cross a row-group bound
+    lems = pq.read_table(bounds[0][0], columns=["lemma"]).column("lemma").to_pylist()
+    crossing = next(lems[i] for i in range(INDEX_GROUP_ROWS, len(lems), INDEX_GROUP_ROWS)
+                    if lems[i] == lems[i - 1])
+    eng = SearchEngine(out)
+    for lem in (S(0), S(5), S(300), S(4000), f"{S(7)} {S(900)}", crossing):
+        start = len(reads)
+        assert eng.search(lem, limit=5)["count"] > 0
+        hs = [analyzer.lemma_hash64(x) for x in lem.split()]
+        want = sorted((p, g) for p, g, lo, hi in bounds if any(lo <= h <= hi for h in hs))
+        path = {id(pf): p for p, pf in eng._pfs.items()}
+        got = sorted((path[f], g) for f, kind, gs in reads[start:] if kind == "index"
+                     for g in gs)
+        assert got == want, lem
+    assert len(want) >= 2  # the crossing lemma's
+    for q in (S(0), S(11), S(4000)[:-1], S(0)[:3]):
+        eng.suggest(q)
+        eng.complete(q)
+        eng.search(q, mode="fuzzy")
+        eng.search(q + "*", mode="wildcard")
+    n_dict = len(eng._groups("dict")[2])
+    assert sum(kind == "dict" for _, kind, _ in reads) == n_dict > 10
 
 
 def test_budget_bounds_memory_plain_index(tiny_index, tmp_path, monkeypatch):

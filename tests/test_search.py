@@ -3,6 +3,8 @@ is lossless vs the exhaustive scorer (exact float64 equality), both
 match the independent DuckDB BM25 oracle, and the reference's error /
 scope / pagination semantics hold."""
 
+import os
+
 import numpy as np
 import pyarrow.dataset as pads
 import pytest
@@ -274,26 +276,9 @@ def test_cursor_docid_first_last_unknown(engine):
         assert walked.equals(engine.search(q, offset=at + 1, limit=7)["data"])
 
 
-def test_df_point_read_path_identical(engine, tiny_index, monkeypatch):
-    """Above the vocab preload threshold the planner point-reads per-lemma
-    df rows instead of holding the whole dictionary driver-side; results
-    must be identical to the preloaded-dict path."""
-    monkeypatch.setattr(SearchEngine, "_DF_PRELOAD_MAX_LEMMAS", 0)
-    lazy = SearchEngine(tiny_index["out_dir"])
-    assert lazy._df is None
-    for q, scope in [("wbababa", None), ("wbababa wdadada", "user"), ("zzz-absent", None)]:
-        a = engine.search(q, scope=scope, limit=10)
-        b = lazy.search(q, scope=scope, limit=10)
-        assert a["count"] == b["count"] and a["error"] == b["error"]
-        assert a["data"].equals(b["data"]), q
-    # cached: second plan of the same lemma hits the cache
-    assert ("df", "wbababa") in lazy._cache
-
-
 def test_suggest_semantics_and_scale_path(tiny_index):
     """Did-you-mean: exact match ranks first at dist 0; ranking is
-    (dist, df DESC, lemma); the distributed dictionary-scan path (vocab
-    above the preload threshold) returns the identical table."""
+    (dist, df DESC, lemma); a far probe suggests nothing."""
     from search_engine_ray import datagen
     from search_engine_ray.search import SearchEngine
 
@@ -307,11 +292,6 @@ def test_suggest_semantics_and_scale_path(tiny_index):
     assert eng.suggest(hot.upper() + "!", max_dist=1).equals(t)
     # garbage far from the vocabulary -> empty
     assert eng.suggest("zzzzzzzzzz", max_dist=2).num_rows == 0
-    # scale path: force the engine above the preload threshold
-    eng2 = SearchEngine(tiny_index["out_dir"])
-    eng2._df = None
-    for q in (hot, datagen.stem(4000)[:-1], "wqxqzq"):
-        assert eng.suggest(q).equals(eng2.suggest(q))
 
 
 def test_min_match_semantics(tiny_index):
@@ -340,8 +320,7 @@ def test_min_match_semantics(tiny_index):
 
 def test_prefix_mode_semantics(tiny_index):
     """Prefix expansion: full-lemma prefix ⊇ exact-term results; the cap
-    orders by (df DESC, lemma); the above-threshold dictionary
-    range-read path equals the dict path; short/no-match prefixes."""
+    orders by (df DESC, lemma); short/no-match prefixes."""
     from search_engine_ray import datagen
     from search_engine_ray.search import SearchEngine
 
@@ -355,13 +334,6 @@ def test_prefix_mode_semantics(tiny_index):
     exp = eng.expand_prefix(hot[:4])
     assert exp and exp == sorted(exp, key=lambda t: (-t[1], t[0]))
     assert all(l.startswith(hot[:4]) for l, _ in exp)
-    # scale path (lemma-sorted dictionary range read) pinned equal
-    eng2 = SearchEngine(tiny_index["out_dir"])
-    eng2._df = None
-    assert eng2.expand_prefix(hot[:4]) == exp
-    r2 = eng2.search(hot[:4], mode="prefix", limit=20)
-    r1 = eng.search(hot[:4], mode="prefix", limit=20)
-    assert r1["count"] == r2["count"] and r1["data"].equals(r2["data"])
     # no match / too short
     assert eng.search("zz", mode="prefix")["count"] == 0
     assert eng.search("z", mode="prefix")["error"] == "empty_query"
@@ -370,7 +342,6 @@ def test_prefix_mode_semantics(tiny_index):
 def test_fuzzy_mode_semantics(tiny_index):
     """Fuzzy expansion: dist-0 on a self-lemma stem == plain bm25; a
     typo probe's matching set ⊇ the intended lemma's exact results;
-    the distributed-dictionary scale path equals the dict path;
     garbage/budget/empty edge semantics."""
     from search_engine_ray import datagen
     from search_engine_ray.search import SearchEngine
@@ -388,12 +359,6 @@ def test_fuzzy_mode_semantics(tiny_index):
     ids_e = {(r["conv_id"], r["turn_idx"]) for r in ef["data"].to_pylist()}
     ids_f = {(r["conv_id"], r["turn_idx"]) for r in ff["data"].to_pylist()}
     assert ids_e <= ids_f and ff["count"] >= ef["count"]
-    # distributed-dictionary path (suggest's parquet sweep) pinned equal
-    eng2 = SearchEngine(tiny_index["out_dir"])
-    eng2._df = None
-    r2 = eng2.search(typo, mode="fuzzy", fuzzy_dist=1, limit=20)
-    r1 = eng.search(typo, mode="fuzzy", fuzzy_dist=1, limit=20)
-    assert r1["count"] == r2["count"] and r1["data"].equals(r2["data"])
     # far-from-vocabulary probe: empty result set, not an error
     g = eng.search("zzqqxx", mode="fuzzy", fuzzy_dist=1)
     assert g["result"] and g["count"] == 0
@@ -434,8 +399,7 @@ def test_wildcard_mode_semantics(tiny_index):
     """Wildcard expansion: a metachar-free pattern == plain bm25 on
     that term; a trailing star == prefix mode on the same literal; the
     (df DESC, lemma) cap rule; leading-wildcard and ``?`` matching;
-    the above-threshold dictionary range-read path equals the dict
-    path; bad-pattern / no-match guards."""
+    bad-pattern / no-match guards."""
     from search_engine_ray import datagen
     from search_engine_ray.search import SearchEngine
 
@@ -459,13 +423,6 @@ def test_wildcard_mode_semantics(tiny_index):
     assert all(len(l) == len(hot) and l[:3] == hot[:3] and l[4:] == hot[4:]
                for l, _ in hole)
     assert any(l == hot for l, _ in hole) or eng._df_of(hot) is None
-    # scale path (literal-prefix range read + RE2 filter) pinned equal
-    eng2 = SearchEngine(tiny_index["out_dir"])
-    eng2._df = None
-    assert eng2.expand_wildcard(hot[:4] + "*") == eng.expand_wildcard(hot[:4] + "*")
-    assert eng2.expand_wildcard("*" + hot[-2:]) == exp  # leading: full-dict scan
-    r2 = eng2.search(hot[:4] + "*", mode="wildcard", limit=20)
-    assert r2["count"] == star["count"]
     # guards: under-literal / unparseable / no-match
     assert eng.search("a*", mode="wildcard")["error"] == "bad_pattern"
     assert eng.search("*", mode="wildcard")["error"] == "bad_pattern"
@@ -504,9 +461,7 @@ def test_regexp_mode_semantics(tiny_index):
     """Regexp expansion (Lucene RegexpQuery rewrite): a syntax-free
     pattern == plain bm25 on that term; ``lit.*`` == wildcard
     ``lit*``; char-class / alternation / quantifier matching against
-    the stem vocabulary; the above-threshold literal-prefix
-    range-read path pinned equal to the dict path; invalid-pattern /
-    no-match guards."""
+    the stem vocabulary; invalid-pattern / no-match guards."""
     from search_engine_ray import datagen
     from search_engine_ray.search import SearchEngine
 
@@ -532,12 +487,6 @@ def test_regexp_mode_semantics(tiny_index):
     other = datagen.stem(777)
     alt = eng.expand_regexp("(" + hot + "|" + other + ")")
     assert {l for l, _ in alt} >= {hot, other}
-    # scale path (literal-prefix range read + RE2 filter) pinned equal
-    eng2 = SearchEngine(tiny_index["out_dir"])
-    eng2._df = None
-    pat = hot[:4] + "[a-z]+"
-    assert eng2.expand_regexp(pat) == eng.expand_regexp(pat)
-    assert eng2.expand_regexp(".*" + hot[-2:]) == eng.expand_regexp(".*" + hot[-2:])
     # guards: RE2-invalid / charset-violating / empty / no-match
     assert eng.search("w[ab", mode="regexp")["error"] == "bad_pattern"
     assert eng.search("a b", mode="regexp")["error"] == "bad_pattern"
@@ -1231,6 +1180,51 @@ def test_doc_store_row_groups_identical(tiny_index, tmp_path):
         for _ in range(2):
             assert [answer(c(eng)) for c in calls] == expect
     assert "docs" in eng._cache.stats()
+
+
+def test_split_layout_answers_identical(tiny_index, tmp_path):
+    """Every vocabulary reader runs over the dictionary's row groups and
+    every posting read over the index's, at every layout: a copy whose
+    dictionary sits in 50-lemma row groups and whose index sits in
+    64-row groups over three files answers each search mode,
+    ``complete``, ``suggest`` and ``suggest_query`` as the one-group
+    index does, at the default budget and at a few-KiB one."""
+    from tests.test_cache import _small, _split_layout
+
+    one = SearchEngine(tiny_index["out_dir"])
+    split = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+    eng = SearchEngine(split)
+    los, his, where = eng._groups("dict")
+    assert len(where) > 10 and len({p for p, _ in eng._groups("index")[2]}) >= 2
+    # a prefix whose lemmas cross a dictionary row-group bound
+    pre = max((os.path.commonprefix([h, lo]) for h, lo in zip(his, los[1:])), key=len)
+    assert len(pre) >= 3 and len(eng._groups_meeting("dict", pre, pre + chr(0x10FFFF))) >= 2
+    s = datagen.stem
+    typo = s(4000)[:-1]
+    texts = {
+        "bm25": [s(0), f"{s(0)} {s(700)}", f"{s(2)} {s(60)}", s(4000), "wqxqzq"],
+        "prefix": [pre, s(0)[:4]],
+        "wildcard": [pre + "*", "*" + s(0)[-2:], s(5)[:3] + "?" + s(5)[4:]],
+        "regexp": [pre + "[a-z]+", ".*" + s(0)[-2:]],
+        "fuzzy": [typo, s(50)],
+    }
+    calls = [lambda e, q=q, m=m: e.search(q, mode=m, limit=20)
+             for m, qs in texts.items() for q in qs]
+    calls += [lambda e: e.search(typo, mode="fuzzy", fuzzy_dist=2, scope="user", limit=20),
+              lambda e: e.search(f"{s(2)} {s(60)}", scope="user", limit=20)]
+    calls += [lambda e, p=p: e.complete(p, k=7) for p in (pre, s(0)[:3])]
+    calls += [lambda e, q=q: e.suggest(q) for q in (s(0), typo, "wqxqzq", "zzzzzzzz")]
+    calls += [lambda e: e.suggest_query(f"{typo} {s(0)} qqzzx")]
+
+    def answer(r):
+        if hasattr(r, "to_pylist"):
+            return r.to_pylist()
+        return {k: v.to_pylist() if hasattr(v, "to_pylist") else v for k, v in r.items()}
+
+    expect = [answer(c(one)) for c in calls]
+    for e in (eng, _small(split)):
+        for _ in range(2):
+            assert [answer(c(e)) for c in calls] == expect
 
 
 def test_facets_compose_with_filters(engine):

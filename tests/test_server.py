@@ -667,10 +667,11 @@ def test_dis_max_endpoint(served):
 
 def test_concurrent_queries_match_serial(tiny_index, monkeypatch):
     """Eight client threads against one server share one engine and its
-    cache: every response — bm25, scoped, ts/exclude-filtered and phrase
-    queries, with the on-demand pair path on — is byte-identical to a
-    serial pass over a separate server. Both servers start cold, so the
-    threads race on cache misses, inserts and evictions."""
+    cache: every response — bm25, scoped, ts/exclude-filtered, phrase,
+    prefix and fuzzy queries, with the on-demand pair path on — is
+    byte-identical to a serial pass over a separate server. Both servers
+    start cold, so the threads race on cache misses, inserts and
+    evictions, and on reads through shared ParquetFile handles."""
     import hashlib
     import random
     import time
@@ -681,7 +682,9 @@ def test_concurrent_queries_match_serial(tiny_index, monkeypatch):
     for i in (0, 1, 2, 3, 7, 40, 300, 2000):
         paths += [f"query={s(i)}&limit=10", f"query={s(i)}+{s(i + 1)}&limit=5&scope=user",
                   f"query={s(i)}&ts_min=2024-01-10T00:00:00&limit=5",
-                  f"query={s(i)}+{s(3)}&exclude={s(1)}&limit=5"]
+                  f"query={s(i)}+{s(3)}&exclude={s(1)}&limit=5",
+                  f"query={s(i)[:4]}&mode=prefix&limit=5",
+                  f"query={s(i)[:-1]}&mode=fuzzy&limit=5"]
     for a, b in ((0, 1), (1, 2), (0, 2), (2, 5), (3, 4)):
         paths += [f"query={s(a)}+{s(b)}&mode=phrase&limit=10",
                   f"query={s(a)}+{s(b)}&mode=phrase&limit=5&scope=user",

@@ -7,7 +7,13 @@ with one command on each:
   search body with snippets off, ``1`` (best-window snippets) and
   ``full`` (the whole field highlighted);
 - ``mget``: the pages' winners plus unknown docs, in batches;
-- ``termvectors``: each pool query's top hit, plus an unknown doc.
+- ``termvectors``: each pool query's top hit, plus an unknown doc;
+- ``vocabulary``: the dictionary readers over the pool's lemmas —
+  ``expand_prefix``, ``expand_wildcard`` (a leading ``*`` too),
+  ``expand_regexp``, ``complete`` and prefix/wildcard/regexp search
+  bodies for every lemma, ``suggest``, ``suggest_query`` and fuzzy
+  search bodies for every ``FUZZY_EVERY``-th (a suggestion sweep reads
+  the whole dictionary). No perfbench workload drives these paths.
 
 A body is the JSON the HTTP server sends for the response
 (``json.dumps(..., default=str)`` of the encoded payload), so equal
@@ -42,11 +48,34 @@ import inputs  # noqa: E402
 
 MGET_BATCH = 500
 UNKNOWN = ("conv-unknown", 0)
+FUZZY_EVERY = 8
 
 
-def body(resp: dict) -> bytes:
-    return json.dumps({k: v.to_pylist() if k == "data" else v for k, v in resp.items()},
-                      default=str).encode()
+def body(resp) -> bytes:
+    if isinstance(resp, dict):
+        resp = {k: v.to_pylist() if k == "data" else v for k, v in resp.items()}
+    elif hasattr(resp, "to_pylist"):
+        resp = resp.to_pylist()
+    return json.dumps(resp, default=str).encode()
+
+
+def vocabulary(eng, pool):
+    """The bodies of the dictionary readers over the pool's lemmas."""
+    lemmas = sorted({lem for q in pool for lem in eng._analyzer.analyze_query(q["query_text"])})
+    for i, lem in enumerate(lemmas):
+        pre, typo = lem[:4], lem[:-1]
+        yield from (body(eng.expand_prefix(pre)), body(eng.expand_prefix(typo)),
+                    body(eng.expand_wildcard(pre + "*")),
+                    body(eng.expand_wildcard("*" + lem[-3:])),
+                    body(eng.expand_wildcard(lem[:2] + "?" + lem[3:])),
+                    body(eng.expand_regexp(pre + "[a-z]+")),
+                    body(eng.expand_regexp(".*" + lem[-2:])),
+                    body(eng.complete(pre, k=10)))
+        for q, mode in ((pre, "prefix"), (pre + "*", "wildcard"), (pre + ".+", "regexp")):
+            yield body(eng.search(q, mode=mode, limit=10))
+        if i % FUZZY_EVERY == 0:
+            yield from (body(eng.suggest(typo)), body(eng.suggest_query(f"{typo} {lem}")),
+                        body(eng.search(typo, mode="fuzzy", limit=10)))
 
 
 def digest(bodies) -> str:
@@ -80,6 +109,7 @@ def main() -> None:
     out["termvectors"] = digest(
         body(eng.termvectors(c, t))
         for c, t in [(r["conv_id"], r["turn_idx"]) for r in tops] + [UNKNOWN])
+    out["vocabulary"] = digest(vocabulary(eng, pool))
     for name, d in out.items():
         print(f"{name:16} {d}")
 
