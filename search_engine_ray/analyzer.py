@@ -166,9 +166,10 @@ def regexp_parse(pattern: str) -> tuple[str, str] | None:
     ``literal_prefix`` is the leading run of plain ``[a-z0-9]`` chars
     not modified by a following quantifier — the lemma-sorted
     dictionary range prune (empty when the pattern starts with
-    syntax). Returns None (the engine's ``bad_pattern``) when the
-    charset check or the RE2 compile fails, or when the pattern is
-    empty. Lucene's ``a*``-style full-dictionary scans are allowed —
+    syntax, or holds a ``|``, which may alternate the whole pattern:
+    ``ab|cd`` matches ``cd``). Returns None (the engine's
+    ``bad_pattern``) when the charset check or the RE2 compile fails,
+    or when the pattern is empty. Lucene's ``a*``-style full-dictionary scans are allowed —
     the scan is bounded by the dictionary, never the corpus — matching
     RegexpQuery, which has no MIN_PREFIX guard."""
     p = (pattern or "").lower()
@@ -189,7 +190,7 @@ def regexp_parse(pattern: str) -> tuple[str, str] | None:
         if i + 1 < len(p) and p[i + 1] in "*+?{":
             break
         i += 1
-    return p, p[:i]
+    return p, ("" if "|" in p else p[:i])
 
 
 def analyze(text: str) -> dict[str, int]:

@@ -736,10 +736,11 @@ def regexp_queries() -> list[dict]:
     """Regexp query set over the stem syllable structure: a char-class
     pattern (several sibling stems), an alternation, a ``{n}``
     quantifier repeat, dot holes, a syntax-leading pattern (no
-    literal-prefix prune — full-dictionary scan), a scoped probe, and
-    a no-match pattern. The INVALID pattern (unbalanced class) is
-    exercised by pytest's bad_pattern test, not here — the oracle
-    skips it by construction so it would pin nothing."""
+    literal-prefix prune — full-dictionary scan), a scoped probe, a
+    no-match pattern, and an alternation of the whole pattern (whose
+    leading literal must not prune). The INVALID pattern (unbalanced
+    class) is exercised by pytest's bad_pattern test, not here — the
+    oracle skips it by construction so it would pin nothing."""
     s0, s777, s4000 = stem(0), stem(777), stem(4000)
     q = [
         (s0[:5] + "[bl][ae]", None),            # char class: stems 0/1/10/11...
@@ -749,6 +750,7 @@ def regexp_queries() -> list[dict]:
         (".*" + stem(6500)[-3:], None),          # syntax-leading, suffix class
         (s777[:4] + ".la", "user"),              # scoped dot hole
         ("zz+q", None),                          # no vocabulary match -> empty
+        (f"{s0}|{s777}", None),                  # alternation of the whole pattern
     ]
     return [
         {"query_id": f"rx-{i:04d}", "query_text": t, "scope": s, "k": 10}

@@ -1127,7 +1127,8 @@ def write_lemma_dict(index_d: str, dict_path: str) -> tuple[int, int]:
     # bounded row groups: the query engine reads the lemma-sorted
     # dictionary one row group at a time — a df lookup decodes the one
     # group whose lemma bounds hold the lemma, a prefix or pattern the
-    # groups of its literal-prefix range (SearchEngine._dict_groups)
+    # groups of its literal-prefix range (SearchEngine._groups("dict"),
+    # read by SearchEngine._vocab)
     pq.write_table(tbl, dict_path, row_group_size=DICT_ROW_GROUP_ROWS)
     return tbl.num_rows, int(pc.sum(tbl.column("df")).as_py() or 0)
 

@@ -286,9 +286,12 @@ class _Vocab(dict):
     __slots__ = ("nbytes",)
 
     def __init__(self, t: pa.Table):
-        super().__init__(zip(t.column("lemma").to_pylist(), t.column("df").to_pylist()))
+        # (numpy's tolist makes the Python objects several times faster
+        # than Arrow's to_pylist)
+        df = t.column("df").to_numpy()
+        super().__init__(zip(t.column("lemma").to_numpy().tolist(), df.tolist()))
         self.nbytes = (sys.getsizeof(self) + sum(map(sys.getsizeof, self))
-                       + sum(sys.getsizeof(v) for v in self.values() if v > 256))
+                       + sum(map(sys.getsizeof, df[df > 256].tolist())))
 
 
 def _nbytes(x) -> int:
@@ -3616,19 +3619,26 @@ class SearchEngine(Aggregations):
         """The row-group directory of one key-sorted store (``_STORES``):
         ``(lo, hi, where)``, the min and max key and the ``(path, row
         group)`` of each non-empty row group, ascending by min key —
-        read once per engine from the footers' statistics (every store
-        is written by pyarrow, which records them)."""
+        read once per engine from the footers' statistics. A writer
+        drops a string bound longer than its statistics size (4 KiB in
+        parquet-cpp), which pyarrow then reads as None or "": such a
+        group's bounds come from its key column instead."""
         got = self._dirs.get(store)
         if got is None:
             key = _STORES[store][1]
             rgs = []
             for p in _store_files(self.out_dir, store):
-                md = self._parquet(p).metadata
-                ci = md.schema.to_arrow_schema().get_field_index(key)
-                for g in range(md.num_row_groups):
-                    if md.row_group(g).num_rows:
-                        st = md.row_group(g).column(ci).statistics
-                        rgs.append((st.min, st.max, p, g))
+                pf = self._parquet(p)
+                ci = pf.schema_arrow.get_field_index(key)
+                for g in range(pf.metadata.num_row_groups):
+                    if pf.metadata.row_group(g).num_rows:
+                        st = pf.metadata.row_group(g).column(ci).statistics
+                        if st is None or not st.has_min_max or "" in (st.min, st.max):
+                            mm = pc.min_max(pf.read_row_group(g, columns=[key]).column(0))
+                            lo, hi = mm["min"].as_py(), mm["max"].as_py()
+                        else:
+                            lo, hi = st.min, st.max
+                        rgs.append((lo, hi, p, g))
             rgs.sort()
             got = self._dirs[store] = ([r[0] for r in rgs], [r[1] for r in rgs],
                                        [r[2:] for r in rgs])
@@ -4016,8 +4026,8 @@ class SearchEngine(Aggregations):
         """Vocabulary lemmas matching a Lucene-RegexpQuery-style
         pattern (anchored over the whole lemma), capped at
         ``max_expansion`` by (df DESC, lemma ASC) — ``expand_wildcard``
-        with another parser (a pattern opening with syntax scans every
-        dictionary group). Returns ``[(lemma, df), ...]``, or None for
+        with another parser (a pattern opening with syntax or holding a
+        ``|`` scans every dictionary group). Returns ``[(lemma, df), ...]``, or None for
         an invalid pattern (``analyzer.regexp_parse``'s charset/RE2-
         compile guard)."""
         parsed = analyzer.regexp_parse(pattern)

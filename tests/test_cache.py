@@ -225,6 +225,41 @@ def test_first_touch_reads_only_holding_groups(tiny_index, tmp_path, monkeypatch
     assert sum(kind == "dict" for _, kind, _ in reads) == n_dict > 10
 
 
+def test_directory_bounds_without_footer_statistics(tiny_index, tmp_path):
+    """A parquet writer drops a string bound longer than its statistics
+    size (4 KiB), so a dictionary row group whose first or last lemma is
+    that long has one bound or none in its footer. The directory then
+    takes the group's bounds from its lemma column: every lemma's df, a
+    prefix range over the long lemmas and a search stay right."""
+    out = shutil.copytree(tiny_index["out_dir"], str(tmp_path / "long"))
+    dp = build.lemma_dict_path(out)
+    t = pq.read_table(dp)
+    # long lemma -> its place in its row group
+    edge = {S(3) + "x" * 5000: "last", S(9) + "y" * 5000: "first",
+            S(20) + "m" * 5000: "first", S(20) + "n" * 5000: "last"}
+    n = len(edge)
+    t = pa.concat_tables([t, pa.table({
+        "lemma": list(edge), "df": [1] * n, "cf": [1] * n,
+        "max_tf": pa.array([1] * n, pa.int32()),
+        "lemma_id": range(t.num_rows, t.num_rows + n)})]).sort_by("lemma")
+    lemmas = t.column("lemma").to_pylist()
+    cuts = {*range(0, t.num_rows, DICT_GROUP_ROWS), t.num_rows}
+    cuts |= {i + (edge[l] == "last") for i, l in enumerate(lemmas) if l in edge}
+    cuts = sorted(cuts)
+    with pq.ParquetWriter(dp, t.schema) as w:
+        for a, b in zip(cuts, cuts[1:]):
+            w.write_table(t.slice(a, b - a))
+    md = pq.ParquetFile(dp).metadata
+    sts = [md.row_group(g).column(0).statistics for g in range(md.num_row_groups)]
+    assert any(not st.has_min_max for st in sts)
+    assert any(st.has_min_max and "" in (st.min, st.max) for st in sts)
+    eng = SearchEngine(out)
+    assert [eng._df_of(l) for l in lemmas] == t.column("df").to_pylist()
+    for l in edge:
+        assert (l, 1) in eng.expand_prefix(l[:9], max_expansion=1 << 30)
+    assert _answer(eng, S(3)) == _answer(SearchEngine(tiny_index["out_dir"]), S(3))
+
+
 def test_budget_bounds_memory_plain_index(tiny_index, tmp_path, monkeypatch):
     """Every answer under a few-KiB budget equals the default-budget
     engine's, and the resident bytes never exceed the budget. A hot-hot

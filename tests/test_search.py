@@ -487,6 +487,9 @@ def test_regexp_mode_semantics(tiny_index):
     other = datagen.stem(777)
     alt = eng.expand_regexp("(" + hot + "|" + other + ")")
     assert {l for l, _ in alt} >= {hot, other}
+    # a top-level alternation too: its leading literal prunes nothing
+    alt = eng.expand_regexp(hot + "|" + other)
+    assert {l for l, _ in alt} >= {hot, other}
     # guards: RE2-invalid / charset-violating / empty / no-match
     assert eng.search("w[ab", mode="regexp")["error"] == "bad_pattern"
     assert eng.search("a b", mode="regexp")["error"] == "bad_pattern"

@@ -10,7 +10,8 @@ with one command on each:
 - ``termvectors``: each pool query's top hit, plus an unknown doc;
 - ``vocabulary``: the dictionary readers over the pool's lemmas —
   ``expand_prefix``, ``expand_wildcard`` (a leading ``*`` too),
-  ``expand_regexp``, ``complete`` and prefix/wildcard/regexp search
+  ``expand_regexp`` (an alternation of the whole pattern too),
+  ``complete`` and prefix/wildcard/regexp search
   bodies for every lemma, ``suggest``, ``suggest_query`` and fuzzy
   search bodies for every ``FUZZY_EVERY``-th (a suggestion sweep reads
   the whole dictionary). No perfbench workload drives these paths.
@@ -70,6 +71,7 @@ def vocabulary(eng, pool):
                     body(eng.expand_wildcard(lem[:2] + "?" + lem[3:])),
                     body(eng.expand_regexp(pre + "[a-z]+")),
                     body(eng.expand_regexp(".*" + lem[-2:])),
+                    body(eng.expand_regexp(f"{lem}|{typo}[a-z]")),
                     body(eng.complete(pre, k=10)))
         for q, mode in ((pre, "prefix"), (pre + "*", "wildcard"), (pre + ".+", "regexp")):
             yield body(eng.search(q, mode=mode, limit=10))
