@@ -313,15 +313,17 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(reindex_conversations(
                 a.out, list(a.conv), input_paths=a.input)))
     elif a.cmd in ("delete", "update"):
-        from .pipelines import delta, shard
-
         rewrite = (a.pattern, a.replacement) if a.cmd == "update" else ()
         kw = {"scope": a.scope, "conjunctive": a.conjunctive}
         if a.shards > 1:
+            from .pipelines import shard
+
             fn = (shard.update_by_query_sharded if rewrite
                   else shard.delete_by_query_sharded)
             print(json.dumps(fn(a.out, a.shards, a.query, *rewrite, **kw)))
         else:
+            from .pipelines import delta
+
             fn = delta.update_by_query if rewrite else delta.delete_by_query
             print(json.dumps(fn(a.out, a.query, *rewrite, **kw)))
     elif a.cmd == "compact":
@@ -368,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(reindex_by_query(
             paths, a.query, a.dest, scope=a.scope, n_partitions=a.partitions)))
     elif a.cmd == "stop":
-        from .pipelines.build import request_stop
+        from .state.layout import request_stop
 
         print(json.dumps(request_stop(a.out)))
     elif a.cmd == "serve":

@@ -63,6 +63,18 @@ from ..state.manifest import (
     load_json,
     write_json_atomic,
 )
+# the on-disk layout lives in a Ray-free module so the query side can
+# read an index without importing Ray; re-exported for build callers
+from ..state.layout import (  # noqa: F401
+    _load_sorted_convs,
+    build_manifest_path,
+    docs_dir,
+    index_dir,
+    lemma_dict_path,
+    request_stop,
+    stage_a_dir,
+    stop_flag_path,
+)
 
 CODEC_VERSION = "7"  # 7: per-posting token-position stream (poss) in index blocks
 _VERSIONS = {"analyzer": ANALYZER_VERSION, "codec": CODEC_VERSION}
@@ -76,26 +88,6 @@ ANALYSIS_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 INDEX_ROW_GROUP_ROWS = 16_384  # index block rows (~0.5 KB of payload each)
 DOCS_ROW_GROUP_ROWS = 65_536   # doc-store rows, docid-sorted
 DICT_ROW_GROUP_ROWS = 65_536   # lemma-dictionary rows, lemma-sorted
-
-
-def stage_a_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "stageA")
-
-
-def docs_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "docs")
-
-
-def lemma_dict_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "lemma_dict", "lemma_dict.parquet")
-
-
-def index_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "index")
-
-
-def build_manifest_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "build.json")
 
 
 def partition_input_files(paths: list[str], n_partitions: int | None) -> list[list[str]]:
@@ -115,23 +107,6 @@ class BuildStopped(RuntimeError):
     cleanly with ``resume=True`` (the reference's ``stopIndexing``
     semantics, ``IndexationServiceImpl.java:52-63`` — a flag checked
     cooperatively, not a kill)."""
-
-
-def stop_flag_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "stop.flag")
-
-
-def request_stop(out_dir: str) -> dict:
-    """Ask a running build on ``out_dir`` to stop at the next
-    cooperative checkpoint (between analyzer batches / partitions /
-    stages). The flag lives under the index out_dir, which is shared
-    storage on a real cluster — every analyzer actor sees it. Returns a
-    reference-style response dict."""
-    if not os.path.isdir(out_dir):
-        return {"result": False, "error": f"no index dir at {out_dir}"}
-    with open(stop_flag_path(out_dir), "w") as f:
-        f.write("stop")
-    return {"result": True, "error": None}
 
 
 def clear_stop(out_dir: str) -> None:
@@ -1131,15 +1106,3 @@ def write_lemma_dict(index_d: str, dict_path: str) -> tuple[int, int]:
     # read by SearchEngine._vocab)
     pq.write_table(tbl, dict_path, row_group_size=DICT_ROW_GROUP_ROWS)
     return tbl.num_rows, int(pc.sum(tbl.column("df")).as_py() or 0)
-
-
-def _load_sorted_convs(out_dir: str) -> pa.Array:
-    """conv rank map: the compaction-written sidecar when present (ranks
-    must outlive doc rows — a conv re-indexed to zero turns keeps its
-    rank), else derived from the written doc store (docs/ is
-    docid-sorted, so unique conv_ids in order ARE the rank order)."""
-    sidecar = os.path.join(out_dir, "convs.parquet")
-    if os.path.exists(sidecar):
-        return pq.read_table(sidecar).column("conv_id").combine_chunks()
-    t = pq.read_table(docs_dir(out_dir), columns=["conv_id"])
-    return pc.unique(t.column("conv_id").combine_chunks())

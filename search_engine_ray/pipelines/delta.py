@@ -49,26 +49,9 @@ import pyarrow.parquet as pq
 from .. import analyzer
 from ..config import TURN_BITS
 from ..docid import make_docids
+from ..state import layout
+from ..state.layout import delta_dir, list_generations  # noqa: F401
 from ..state.manifest import load_json, write_json_atomic
-from . import build as build_mod
-
-
-def delta_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "delta")
-
-
-def list_generations(out_dir: str) -> list[dict]:
-    """Delta generation manifests, ascending generation order."""
-    d = delta_dir(out_dir)
-    if not os.path.isdir(d):
-        return []
-    out = []
-    for name in sorted(os.listdir(d)):
-        m = load_json(os.path.join(d, name, "manifest.json"))
-        if m and m.get("state") == "DONE":
-            m["_dir"] = os.path.join(d, name)
-            out.append(m)
-    return sorted(out, key=lambda m: m["generation"])
 
 
 def _base_old_counts(out_dir: str, ranges: list[tuple[int, int]]) -> tuple[int, int]:
@@ -77,7 +60,7 @@ def _base_old_counts(out_dir: str, ranges: list[tuple[int, int]]) -> tuple[int, 
     here). Informational lineage — the overlay and compaction both
     recompute exact stats from base + winning-generation docs."""
     dtab = pq.read_table(
-        build_mod.docs_dir(out_dir),
+        layout.docs_dir(out_dir),
         columns=["docid", "doc_len"],
         # row-group-pruned to the tombstoned ranges (docid-sorted
         # store); full-column fallback past 1024 ranges — the
@@ -243,12 +226,12 @@ def reindex_conversations(
     inputs) and append one delta generation. Returns a reference-style
     response dict: ``{"result": bool, "error": str|None, "generation":
     int|None}``."""
-    m = load_json(build_mod.build_manifest_path(out_dir))
+    m = load_json(layout.build_manifest_path(out_dir))
     if not m:
         return {"result": False, "error": "no build manifest", "generation": None}
     paths = input_paths or m["config"]["input_paths"]
 
-    convs = build_mod._load_sorted_convs(out_dir)
+    convs = layout._load_sorted_convs(out_dir)
     convs_np = np.asarray(convs.to_pylist(), dtype=object)
     ranks = np.searchsorted(convs_np, np.asarray(conv_ids, dtype=object))
     for cid, r in zip(conv_ids, ranks):
@@ -291,7 +274,7 @@ def _resolve_matches(
     no conjunctive match, so it no-ops."""
     from ..search import SearchEngine
 
-    if not load_json(build_mod.build_manifest_path(out_dir)):
+    if not load_json(layout.build_manifest_path(out_dir)):
         return {"result": False, "error": "no build manifest"}, None
     eng = SearchEngine(out_dir)
     if not eng.valid_scope(scope):
@@ -323,7 +306,7 @@ def _resolve_matches(
         return {"result": True, "error": None}, None
     matched = np.sort(matched.astype(np.int64))
 
-    convs_np = np.asarray(build_mod._load_sorted_convs(out_dir).to_pylist(), dtype=object)
+    convs_np = np.asarray(layout._load_sorted_convs(out_dir).to_pylist(), dtype=object)
     ranks = np.unique(matched >> TURN_BITS).astype(np.int64)
     conv_ids = [str(convs_np[int(r)]) for r in ranks]
     rank_of = {c: int(r) for c, r in zip(conv_ids, ranks)}
@@ -337,9 +320,9 @@ def _resolve_matches(
             latest[cid] = {"range": tuple(rng), "dir": g["_dir"],
                            "input_paths": g.get("input_paths")}
     base_ids = pq.read_table(
-        build_mod.docs_dir(out_dir), columns=["docid"]
+        layout.docs_dir(out_dir), columns=["docid"]
     ).column("docid").to_numpy()
-    m = load_json(build_mod.build_manifest_path(out_dir))
+    m = load_json(layout.build_manifest_path(out_dir))
     default_paths = tuple(m["config"]["input_paths"])
 
     # one generation per distinct text source (a generation's

@@ -40,12 +40,12 @@ active, composed per pair with the overlay
 adjacency appended — exact, pinned against the no-aux path by test);
 compaction rebuilds the aux at its previous budget automatically
 (override-aware, see :func:`build_phrase_aux`).
+
+The engine's reader (``load_aux``, ``read_pair``) and the aux paths
+live in the Ray-free ``state/layout.py``, re-exported here.
 """
 
 from __future__ import annotations
-
-import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -57,11 +57,18 @@ from ray.data.aggregate import Sum
 
 from ..docid import make_docid_attacher
 from ..state import codec
+from ..state.layout import (  # noqa: F401
+    AUX_VERSION,
+    _build_json_md5,
+    aux_dir,
+    aux_manifest_path,
+    load_aux,
+    read_pair,
+)
 from ..state.manifest import write_json_atomic
 from ..stages.encode import _binary_cells, binary_column_buffers, decode_poss_range
 from . import build as build_mod
 
-AUX_VERSION = "1"
 AUX_BLOCK_DOCS = 128
 
 AUX_SCHEMA = pa.schema(
@@ -75,21 +82,6 @@ AUX_SCHEMA = pa.schema(
         ("starts", pa.binary()),     # per-doc delta-varint start positions
     ]
 )
-
-
-def aux_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "phrase_aux")
-
-
-def aux_manifest_path(out_dir: str) -> str:
-    # sibling of the parquet dir (a JSON inside it would break the
-    # pyarrow dataset reads in read_pair)
-    return os.path.join(out_dir, "phrase_aux.json")
-
-
-def _build_json_md5(out_dir: str) -> str:
-    with open(build_mod.build_manifest_path(out_dir), "rb") as f:
-        return hashlib.md5(f.read()).hexdigest()
 
 
 def _hot_terms(out_dir: str, top_terms: int) -> list[str]:
@@ -443,54 +435,3 @@ def _override_pairs(
         if t.num_rows:
             parts.append(t)
     return pa.concat_tables(parts) if parts else _PAIRS_EMPTY
-
-
-def load_aux(out_dir: str) -> dict | None:
-    """Engine-side loader: the aux index, or None when absent or STALE
-    (build.json rewritten since the aux build — compact, rebuild)."""
-    mp = aux_manifest_path(out_dir)
-    m = build_mod.load_json(mp)
-    if not m or m.get("version") != AUX_VERSION:
-        return None
-    try:
-        if m["build_json_md5"] != _build_json_md5(out_dir):
-            return None
-    except OSError:
-        return None
-    return m
-
-
-def read_pair(out_dir: str, pair_id: int):
-    """Point-read + decode one pair's full adjacency list ->
-    ``(docids, cnts, starts)`` (entry i owns ``starts[cum(cnts)[i]:
-    cum(cnts)[i+1]]``; docids may repeat across fragmented block rows —
-    each cell is self-contained)."""
-    t = pq.read_table(aux_dir(out_dir), filters=[("pair_id", "=", pair_id)])
-    order = pc.sort_indices(t.column("first_docid"))
-    t = t.take(order).combine_chunks()
-    n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-    cum_n = np.concatenate(([0], np.cumsum(n)))
-    gd, go = binary_column_buffers(t.column("gaps"))
-    docids = np.empty(int(cum_n[-1]), np.int64)
-    # decode per block: gaps reset at block starts
-    all_gaps = codec.varint_decode(gd[go[0] : go[-1]], int(cum_n[-1])) if len(n) else np.empty(0, np.uint64)
-    cum = np.cumsum(all_gaps, dtype=np.uint64).view(np.int64)
-    seg = cum_n[:-1]
-    if len(n):
-        corr = cum[seg] - all_gaps[seg].astype(np.int64)
-        docids = cum - np.repeat(corr, n)
-    cd, co = binary_column_buffers(t.column("cnts"))
-    cnts = codec.varint_decode(cd[co[0] : co[-1]], int(cum_n[-1])).view(np.int64) if len(n) else np.empty(0, np.int64)
-    # starts: per-DOC cells concatenated per block; decode the whole
-    # stream with per-doc segments (cnts), absolute-first per doc
-    sdta, so = binary_column_buffers(t.column("starts"))
-    total = int(cnts.sum())
-    raw = codec.varint_decode(sdta[so[0] : so[-1]], total) if total else np.empty(0, np.uint64)
-    cum_s = np.cumsum(raw, dtype=np.uint64).view(np.int64)
-    seg_start = np.concatenate(([0], np.cumsum(cnts)))[:-1]
-    if total:
-        corr = cum_s[seg_start] - raw[seg_start].astype(np.int64)
-        starts = cum_s - np.repeat(corr, cnts)
-    else:
-        starts = np.empty(0, np.int64)
-    return docids, cnts, starts

@@ -61,7 +61,6 @@ from .config import DEFAULT_PAGE_SIZE, REFERENCE_DF_CUTOFF, TURN_BITS
 # from Cormack/Clarke/Büttcher (2009), the Elasticsearch default
 RRF_K = 60
 from .docid import make_docid_attacher, split_docids
-from .pipelines import build as build_mod
 from .stages.encode import (
     binary_column_buffers,
     decode_block_range,
@@ -70,6 +69,7 @@ from .stages.encode import (
     decode_scps_range,
     scope_code_space,
 )
+from .state import layout
 from .state.manifest import load_json
 
 
@@ -279,19 +279,26 @@ def _pair_adjacency(
 
 class _Vocab(dict):
     """One decoded lemma-dictionary row group: lemma -> df, in lemma
-    order. ``nbytes`` is what it holds resident: its hash table, its
-    key strings and the df ints CPython does not share (it caches
-    -5..256)."""
+    order, for point lookups; beside it the group's sorted columns for
+    range scans: ``lemmas`` (the same key strings in an object array,
+    which ``np.searchsorted`` bisects), ``arrow`` (the Arrow ``lemma``
+    column, for vectorized pattern passes) and ``df``. ``nbytes`` is
+    what it holds resident: its hash table, its key strings, the df
+    ints CPython does not share (it caches -5..256) and the columns."""
 
-    __slots__ = ("nbytes",)
+    __slots__ = ("nbytes", "lemmas", "arrow", "df")
 
     def __init__(self, t: pa.Table):
         # (numpy's tolist makes the Python objects several times faster
-        # than Arrow's to_pylist)
-        df = t.column("df").to_numpy()
-        super().__init__(zip(t.column("lemma").to_numpy().tolist(), df.tolist()))
+        # than Arrow's to_pylist, and shares them with ``lemmas``)
+        self.arrow = t.column("lemma").combine_chunks()
+        self.lemmas = self.arrow.to_numpy(zero_copy_only=False)
+        self.df = df = t.column("df").to_numpy()
+        super().__init__(zip(self.lemmas.tolist(), df.tolist()))
         self.nbytes = (sys.getsizeof(self) + sum(map(sys.getsizeof, self))
-                       + sum(map(sys.getsizeof, df[df > 256].tolist())))
+                       + sum(map(sys.getsizeof, df[df > 256].tolist()))
+                       + self.lemmas.nbytes + self.arrow.get_total_buffer_size()
+                       + df.nbytes)
 
 
 def _nbytes(x) -> int:
@@ -371,9 +378,9 @@ class PayloadCache:
 # their footers' key bounds (SearchEngine._groups): store -> (the files'
 # directory, or the one file, under the index directory; the sort key)
 _STORES = {
-    "docs": (build_mod.docs_dir, "docid"),
-    "dict": (build_mod.lemma_dict_path, "lemma"),
-    "index": (build_mod.index_dir, "lemma_h"),
+    "docs": (layout.docs_dir, "docid"),
+    "dict": (layout.lemma_dict_path, "lemma"),
+    "index": (layout.index_dir, "lemma_h"),
 }
 
 
@@ -1106,7 +1113,7 @@ class SearchEngine(Aggregations):
                 f"index at {out_dir} has a half-swapped compaction; run "
                 "pipelines.compact.compact(out_dir, resume=True) first"
             )
-        m = load_json(build_mod.build_manifest_path(out_dir))
+        m = load_json(layout.build_manifest_path(out_dir))
         if not m:
             raise FileNotFoundError(f"no build manifest under {out_dir}")
         self.manifest = m
@@ -1175,9 +1182,7 @@ class SearchEngine(Aggregations):
         # lists; empty when absent or stale (build.json md5 mismatch)
         self._aux_pairs: dict[tuple[str, str], int] = {}
         try:
-            from .pipelines import phrase_aux as _aux_mod
-
-            _am = _aux_mod.load_aux(out_dir)
+            _am = layout.load_aux(out_dir)
             if _am:
                 self._aux_pairs = {
                     (p["a"], p["b"]): int(p["pair_id"]) for p in _am["pairs"]
@@ -1216,9 +1221,7 @@ class SearchEngine(Aggregations):
         """One aux pair's (docids, cnts, starts), composed with the delta
         overlay when generations are live."""
         def read():
-            from .pipelines import phrase_aux as _aux_mod
-
-            got = _aux_mod.read_pair(self.out_dir, self._aux_pairs[pr])
+            got = layout.read_pair(self.out_dir, self._aux_pairs[pr])
             return self._aux_overlay(pr, got) if self._has_deltas else got
 
         return self._cache.get(("aux", pr), read)
@@ -1273,9 +1276,7 @@ class SearchEngine(Aggregations):
         by tombstoned docid ranges, and affected lemmas merge base+delta
         postings at block load — so search over base+delta is
         rank-identical to a full rebuild of the modified corpus."""
-        from .pipelines import delta as delta_mod
-
-        gens = delta_mod.list_generations(self.out_dir)
+        gens = layout.list_generations(self.out_dir)
         self._has_deltas = bool(gens)
         # the factor that keeps stored block-max bounds bounds once the
         # scoring avgdl exceeds the one they were built with (set at the
@@ -1303,7 +1304,7 @@ class SearchEngine(Aggregations):
         # deltas means a compaction is overdue anyway).
         rngs = [info["range"] for info in latest.values()]
         base = pq.read_table(
-            build_mod.docs_dir(self.out_dir),
+            layout.docs_dir(self.out_dir),
             columns=["docid", "doc_len"],
             **(
                 {"filters": [
@@ -3288,7 +3289,7 @@ class SearchEngine(Aggregations):
 
         ds = (
             rd.read_parquet(
-                build_mod.index_dir(self.out_dir), columns=["lemma", "n", "gaps"]
+                layout.index_dir(self.out_dir), columns=["lemma", "n", "gaps"]
             )
             .map_batches(fg_partials, batch_format="pyarrow")
             .groupby("lemma")
@@ -3584,10 +3585,10 @@ class SearchEngine(Aggregations):
 
     def _conv_list(self) -> pa.Array:
         """The sorted conversation list — a docid's conv rank indexes it
-        (the compaction sidecar when present, build._load_sorted_convs)
+        (the compaction sidecar when present, layout._load_sorted_convs)
         — loaded once per engine."""
         if self._convs is None:
-            self._convs = build_mod._load_sorted_convs(self.out_dir)
+            self._convs = layout._load_sorted_convs(self.out_dir)
         return self._convs
 
     def _parquet(self, path: str) -> pq.ParquetFile:
@@ -3949,7 +3950,7 @@ class SearchEngine(Aggregations):
         if self._ref_max_relevance is None:
             if self._has_deltas:
                 t = pq.read_table(
-                    build_mod.docs_dir(self.out_dir), columns=["docid", "doc_len"]
+                    layout.docs_dir(self.out_dir), columns=["docid", "doc_len"]
                 )
                 keep = self._tomb_keep_mask(t.column("docid").to_numpy())
                 dls = t.column("doc_len").to_numpy()[keep]
@@ -3962,7 +3963,7 @@ class SearchEngine(Aggregations):
                 # max(doc_len) from parquet ROW-GROUP STATISTICS — zero
                 # data read (exact for int columns written by arrow); a
                 # full doc_len column pull is corpus-sized at scale
-                d = build_mod.docs_dir(self.out_dir)
+                d = layout.docs_dir(self.out_dir)
 
                 def _stats_max() -> int | None:
                     mx = 0
@@ -4038,14 +4039,17 @@ class SearchEngine(Aggregations):
         and, when ``rx`` is given, match it over the whole lemma (one
         vectorized RE2 pass per row group), capped at ``max_expansion``
         by (df DESC, lemma ASC). Only the row groups of ``lit``'s key
-        range are read; every group when ``lit`` is empty."""
+        range are read, and in each only the sorted slice of that range;
+        every lemma of every group when ``lit`` is empty."""
+        hi = lit + chr(0x10FFFF)
         hits = []
-        for d in self._vocab(lit, lit + chr(0x10FFFF)) if lit else self._vocab():
-            keys = [l for l in d if l.startswith(lit)]
-            if rx is not None and keys:
-                arr = pa.array(keys, pa.string())
-                keys = pc.filter(arr, pc.match_substring_regex(arr, "^(?:" + rx + ")$")).to_pylist()
-            hits += [(l, d[l]) for l in keys]
+        for d in self._vocab(lit, hi) if lit else self._vocab():
+            a, b = np.searchsorted(d.lemmas, [lit, hi]) if lit else (0, len(d))
+            idx = np.arange(a, b)
+            if rx is not None and b > a:
+                m = pc.match_substring_regex(d.arrow.slice(a, b - a), "^(?:" + rx + ")$")
+                idx = a + np.flatnonzero(m.to_numpy(zero_copy_only=False))
+            hits += zip(d.lemmas[idx].tolist(), d.df[idx].tolist())
         hits.sort(key=lambda r: (-r[1], r[0]))
         return hits[:max_expansion]
 

@@ -68,12 +68,15 @@ Access log: with INFO enabled on ``search_engine_ray.server.access``
 JSON line ``{"path", "status", "latency_ms", "count", "error"}``; off,
 it costs one ``isEnabledFor`` check.
 
-The server owns no Ray session; ``SearchEngine`` reads parquet footers
-and decodes blocks in-process (the Ray Data scans of ``/api/export``,
-``/api/significant`` and ``/api/rareTerms`` auto-initialise Ray on first
-use). Worker threads share one engine: its post-init state is
-read-mostly, and the engine swap after a mutation is a single attribute
-store.
+The server owns no Ray session and imports no Ray: ``SearchEngine``
+reads parquet footers and decodes blocks in-process, the index layout
+comes from ``state/layout.py``, and the delta writes behind the POST
+routes run driver-side, so serving, the CLI reads and the delta writes
+never load Ray. Only the Ray Data scans of ``/api/export``,
+``/api/significant`` and ``/api/rareTerms`` import Ray, and
+auto-initialise it, on first use. Worker threads share one engine: its
+post-init state is read-mostly, and the engine swap after a mutation is
+a single attribute store.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ from urllib.parse import parse_qs, urlparse
 
 from . import surface
 from .search import SearchEngine
+from .state import layout
 from .stats import statistics
 
 log = logging.getLogger(__name__)
@@ -482,9 +486,7 @@ def make_server(out_dir: str, host: str = "127.0.0.1", port: int = 8080) -> Serv
         if verb == "GET" and path == "/api/statistics":
             return 200, statistics(out_dir)
         if verb == "GET" and path == "/api/stopIndexing":
-            from .pipelines import build as build_mod
-
-            return 200, build_mod.request_stop(out_dir)
+            return 200, layout.request_stop(out_dir)
         if verb == "POST" and path in _MUTATIONS:
             from .pipelines import delta as delta_mod
 

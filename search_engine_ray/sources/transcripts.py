@@ -17,7 +17,7 @@ import ray.data
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # columns the analysis stage reads (doc rows carry tool/ts into the doc
-# store for result enrichment) — keep in sync with pipelines.build
+# store for result enrichment) — keep in sync with pipelines.build.ANALYSIS_COLUMNS
 ANALYSIS_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
 TRANSCRIPT_SCHEMA = pa.schema(

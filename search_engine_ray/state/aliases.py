@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 
+from .layout import build_manifest_path
+
 
 def _path(registry: str) -> str:
     return os.path.join(registry, "aliases.json")
@@ -43,11 +45,9 @@ def alias_set(registry: str, alias: str, out_dir: str) -> dict:
     target must look like an index (its manifest must exist) — a swap
     to a half-built dir is exactly the failure aliases exist to
     prevent."""
-    from ..pipelines import build as build_mod
-
     if not alias or "/" in alias:
         return {"result": False, "error": "bad_alias"}
-    if not os.path.exists(build_mod.build_manifest_path(out_dir)):
+    if not os.path.exists(build_manifest_path(out_dir)):
         return {"result": False, "error": "no_index"}
     aliases = _load(registry)
     prev = aliases.get(alias)

@@ -12,7 +12,7 @@ import os
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .pipelines import build as build_mod
+from .state import layout
 from .state.manifest import PartitionTracker, load_json
 
 
@@ -23,19 +23,17 @@ def statistics(out_dir: str) -> dict:
     shape; at corpus scale serve role counts from the DISTRIBUTED twin
     (``functions.aggregates`` / the ``role_stats`` registry query)
     instead and keep this endpoint for the bounded dashboards."""
-    m = load_json(build_mod.build_manifest_path(out_dir)) or {}
+    m = load_json(layout.build_manifest_path(out_dir)) or {}
     stats = m.get("stats", {})
     t = pq.read_table(
-        build_mod.docs_dir(out_dir), columns=["role"], read_dictionary=["role"]
+        layout.docs_dir(out_dir), columns=["role"], read_dictionary=["role"]
     )
     per_role = (
         t.group_by("role").aggregate([([], "count_all")]).to_pylist()
     )
-    from .pipelines import delta as delta_mod
-
-    gens = delta_mod.list_generations(out_dir)
+    gens = layout.list_generations(out_dir)
     tracker = PartitionTracker(
-        os.path.join(build_mod.stage_a_dir(out_dir), "_manifests"), build_id="A"
+        os.path.join(layout.stage_a_dir(out_dir), "_manifests"), build_id="A"
     )
     parts = tracker.all_manifests()
     return {

@@ -156,17 +156,23 @@ def test_lru_charges_arrow_and_string_payloads():
     assert ("row", 1) not in c  # evicted: 44 B + the column's buffers > 100
     c.put(("text", "f", 1), pa.array(["z" * 200]))     # over budget: not cached
     assert ("text", "f", 1) not in c and ("text", "f", 0) in c
-    # a decoded dictionary group costs its Python objects, keys included:
-    # what tracemalloc sees it allocate, far above its strings' length
+    # a decoded dictionary group costs its Python objects, keys included
+    # (what tracemalloc sees it allocate, far above its strings' length),
+    # plus the sorted Arrow columns it keeps for range scans (what stays
+    # in Arrow's pool once the row group it was decoded from is gone)
+    arrow0 = pa.total_allocated_bytes()
     t = pa.table({"lemma": [f"w{i:06d}" for i in range(2000)],
-                  "df": pa.array(np.arange(2000) * 7, pa.int64())})
+                  "df": pa.array([i * 7 for i in range(2000)], pa.int64())})
     tracemalloc.start()
     try:
         v = _Vocab(t)
         resident = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    del t
+    resident += pa.total_allocated_bytes() - arrow0
     assert v["w000003"] == 21 and list(v)[:2] == ["w000000", "w000001"]
+    assert v.lemmas[3] == "w000003" and v.df[3] == 21 and len(v.arrow) == 2000
     assert _nbytes(v) >= sys.getsizeof(v) + sum(map(sys.getsizeof, v)) > 5 * 7 * 2000
     assert 0.9 * resident <= _nbytes(v) <= 1.1 * resident
     c = PayloadCache(_nbytes(v) + 100)
