@@ -62,6 +62,7 @@ from .config import DEFAULT_PAGE_SIZE, REFERENCE_DF_CUTOFF, TURN_BITS
 RRF_K = 60
 from .docid import make_docid_attacher, split_docids
 from .stages.encode import (
+    INDEX_SCHEMA,
     binary_column_buffers,
     decode_block_range,
     decode_gaps_range,
@@ -70,6 +71,7 @@ from .stages.encode import (
     scope_code_space,
 )
 from .state import layout
+from .state.columns import empty_table, to_arrow, to_numpy
 from .state.manifest import load_json
 
 
@@ -289,11 +291,10 @@ class _Vocab(dict):
     __slots__ = ("nbytes", "lemmas", "arrow", "df")
 
     def __init__(self, t: pa.Table):
-        # (numpy's tolist makes the Python objects several times faster
-        # than Arrow's to_pylist, and shares them with ``lemmas``)
+        # (the dict shares its key strings with ``lemmas``)
         self.arrow = t.column("lemma").combine_chunks()
-        self.lemmas = self.arrow.to_numpy(zero_copy_only=False)
-        self.df = df = t.column("df").to_numpy()
+        self.lemmas = to_numpy(self.arrow)
+        self.df = df = to_numpy(t.column("df"))
         super().__init__(zip(self.lemmas.tolist(), df.tolist()))
         self.nbytes = (sys.getsizeof(self) + sum(map(sys.getsizeof, self))
                        + sum(map(sys.getsizeof, df[df > 256].tolist()))
@@ -400,13 +401,64 @@ def _decode_doc_group(t: pa.Table) -> dict:
     """One doc-store row group as gather-ready arrays: ``docid``,
     ``doc_len`` and epoch-µs ``ts`` as int64; ``role`` and ``tool`` as
     str object arrays (null as ""), gathered by numpy indexing."""
-    out = {c: t.column(c).combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-           for c in ("docid", "doc_len", "ts")}
+    out = {c: to_numpy(t.column(c).cast(pa.int64())) for c in ("docid", "doc_len", "ts")}
     for c in ("role", "tool"):
-        d = pc.fill_null(t.column(c).combine_chunks(), "").dictionary_encode()
-        out[c] = np.array(d.dictionary.to_pylist(), object)[
-            d.indices.to_numpy(zero_copy_only=False)]
+        d = t.column(c).combine_chunks().dictionary_encode()
+        # a null's index is the "" appended to the dictionary
+        out[c] = np.array(d.dictionary.to_pylist() + [""], object)[
+            to_numpy(d.indices, fill=len(d.dictionary))]
     return out
+
+
+# the index columns a block entry is cut from (SearchEngine._read_index);
+# the binary ones are varint streams, one cell per block
+_BLOCK_COLUMNS = ("first_docid", "last_docid", "n", "bmw", "block_cf",
+                  "gaps", "tfs", "dls", "scps")
+_INDEX_BINARY = ("gaps", "tfs", "dls", "scps", "poss")
+# the columns of a decoded index row group: the block columns and the
+# lemma_h sort key a lemma's rows are found by (``poss`` is a payload
+# of its own, read only for positions)
+_INDEX_COLUMNS = ("lemma", "lemma_h") + _BLOCK_COLUMNS
+
+
+def _decode_index_group(t: pa.Table) -> dict:
+    """One index row group as arrays to cut block entries from: the
+    numeric columns as numpy, each binary column as (data, offsets)
+    (``binary_column_buffers``), and ``lemma`` as int codes into
+    ``names``, the Arrow array of the group's distinct lemmas."""
+    h = to_numpy(t.column("lemma_h"))
+    if (h[1:] < h[:-1]).any():
+        raise ValueError("index row group is not lemma_h-sorted")
+    d = t.column("lemma").combine_chunks().dictionary_encode()
+    out = {"lemma_h": h, "lemma": to_numpy(d.indices), "names": d.dictionary}
+    for c in _BLOCK_COLUMNS:
+        col = t.column(c)
+        out[c] = binary_column_buffers(col) if c in _INDEX_BINARY else to_numpy(col)
+    return out
+
+
+def _binary_rows(buf: tuple, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (a slice or ascending indices) of a binary column
+    held as (data, offsets), copied into a contiguous (data, offsets)."""
+    data, offs = buf
+    if isinstance(rows, slice):
+        a, b = offs[rows.start], offs[rows.stop]
+        return data[a:b].copy(), offs[rows.start:rows.stop + 1] - a
+    lens = offs[rows + 1] - offs[rows]
+    new = np.concatenate(([0], np.cumsum(lens)))
+    return data[np.repeat(offs[rows] - new[:-1], lens) + np.arange(new[-1])], new
+
+
+def _join_rows(col: str, parts: list):
+    """One index column of a lemma from its per-group ``parts``, in
+    order: numpy arrays, or (data, offsets) for a binary column."""
+    if len(parts) == 1:
+        return parts[0]
+    if col not in _INDEX_BINARY:
+        return np.concatenate(parts) if parts else to_numpy(pa.nulls(0, INDEX_SCHEMA.field(col).type))
+    base = np.cumsum([0] + [len(d) for d, _ in parts])
+    return (np.concatenate([np.empty(0, np.uint8)] + [d for d, _ in parts]),
+            np.concatenate([[0]] + [o[1:] + b for (_, o), b in zip(parts, base)]).astype(np.int64))
 
 
 # the decodable streams of a posting list; a counting read asks
@@ -576,7 +628,7 @@ class Aggregations:
         return {
             "result": error is None,
             "count": count,
-            "data": (schema or RESULT_SCHEMA).empty_table(),
+            "data": empty_table(schema or RESULT_SCHEMA),
             "error": error,
             **extra,
         }
@@ -1162,10 +1214,10 @@ class SearchEngine(Aggregations):
         self._pfs: dict[str, pq.ParquetFile] = {}
         self._dirs: dict[str, tuple] = {}
         self._convs: pa.Array | None = None
-        # every payload read or decoded per query — block entries, poss
-        # buffers, decoded chunks and positions, aux and on-demand pair
-        # lists, decoded lemma-dictionary, doc-store and text row
-        # groups — lives here, byte-bounded
+        # every payload read or decoded per query — decoded index and
+        # poss row groups, block entries, decoded chunks and positions,
+        # aux and on-demand pair lists, decoded lemma-dictionary,
+        # doc-store and text row groups — lives here, byte-bounded
         self._cache = PayloadCache(self.CACHE_MAX_BYTES)
         index_files = _store_files(out_dir, "index")
         self._poss_in_schema = bool(index_files) and (
@@ -1191,10 +1243,10 @@ class SearchEngine(Aggregations):
             self._aux_pairs = {}
         self._load_deltas()
 
-    # the byte budget of the engine cache (read at construction). A doc
-    # store or text row group whose decoded columns exceed a quarter of
-    # it is read uncached on every touch (_row_group), so one huge row
-    # group (pyarrow's default is 1 Mi rows) cannot flush the postings.
+    # the byte budget of the engine cache (read at construction). A row
+    # group whose decoded columns exceed a quarter of it is read uncached
+    # on every touch (_row_group), so one huge row group (pyarrow's
+    # default is 1 Mi rows) cannot flush the postings.
     CACHE_MAX_BYTES = 256 << 20
     # an unindexed hot-hot bigram's full adjacency list is built and
     # cached once the pair's combined postings reach this size (below it
@@ -1559,90 +1611,95 @@ class SearchEngine(Aggregations):
 
     # ---------------- posting access (J3, partition-pruned) -----------
 
-    _BLOCK_META_COLS = [
-        "lemma", "lemma_h", "first_docid", "last_docid", "n", "bmw",
-        "block_cf", "block_max_tf", "gaps", "tfs", "dls", "scps",
-    ]
+    def _index_group(self, path: str, g: int) -> dict:
+        """Index row group ``g`` of ``path``, decoded once and cached as
+        ``("index", path, g)`` (``_decode_index_group``)."""
+        return self._row_group("index", path, g, _INDEX_COLUMNS, _decode_index_group)
 
-    def _read_index(self, lemmas: list[str], cols: list[str]) -> dict:
-        """lemma -> its index rows (``cols``), first_docid-ascending, for
-        every lemma in ``lemmas`` (no rows = an empty table): the index
-        row groups whose ``lemma_h`` bounds hold a lemma's hash, read
-        with one ``read_row_groups`` per file, then exact string match
-        (hashes may collide)."""
-        by_file: dict[str, set[int]] = {}
-        for lem in lemmas:
-            h = analyzer.lemma_hash64(lem)
-            for p, g in self._groups_meeting("index", h, h):
-                by_file.setdefault(p, set()).add(g)
-        tbls = [self._parquet(p).read_row_groups(sorted(gs), columns=cols)
-                for p, gs in sorted(by_file.items())]
-        if tbls:
-            tbl = pa.concat_tables(tbls)
-            tbl = tbl.filter(pc.is_in(tbl.column("lemma"), pa.array(lemmas, pa.string())))
-        else:
-            from .stages.encode import INDEX_SCHEMA
+    def _poss_group(self, path: str, g: int) -> tuple:
+        """The ``poss`` stream of index row group ``g`` of ``path`` as
+        (data, offsets), cached as ``("poss", path, g)``: read only when
+        positions are."""
+        return self._row_group("poss", path, g, ("poss",),
+                               lambda t: binary_column_buffers(t.column(0)))
 
-            tbl = INDEX_SCHEMA.empty_table().select(cols)
-        lem_arr = tbl.column("lemma")
+    def _read_index(self, lemmas: list[str], cols=_BLOCK_COLUMNS) -> dict:
+        """lemma -> its index rows, first_docid-ascending: ``cols`` (of
+        ``_BLOCK_COLUMNS`` and ``poss``) as arrays of its own, copied
+        out of the cached index row groups whose ``lemma_h`` bounds hold
+        the lemma's hash (no rows = empty arrays). In each group a
+        searchsorted on ``lemma_h`` finds the hash's rows, of which only
+        exact lemma matches are kept (hashes may collide); a lemma that
+        crosses a group bound joins its slices. Copies, so evicting a
+        group frees it whatever entries were cut from it."""
         out = {}
         for lem in lemmas:
-            sub = tbl.filter(pc.equal(lem_arr, lem))
-            out[lem] = sub.take(pc.sort_indices(sub.column("first_docid"))).combine_chunks()
+            h = analyzer.lemma_hash64(lem)
+            pieces = []  # (path, group, decoded group, rows)
+            for p, g in self._groups_meeting("index", h, h):
+                grp = self._index_group(p, g)
+                hs = grp["lemma_h"]
+                a, b = int(np.searchsorted(hs, h, "left")), int(np.searchsorted(hs, h, "right"))
+                codes = grp["lemma"][a:b]
+                code = next((c for c in np.unique(codes).tolist()
+                             if grp["names"][c].as_py() == lem), None)
+                if code is not None:
+                    rows = (slice(a, b) if (codes == code).all()
+                            else a + np.flatnonzero(codes == code))
+                    pieces.append((p, g, grp, rows))
+            # groups hold disjoint first_docid runs of the lemma
+            pieces.sort(key=lambda x: int(x[2]["first_docid"][x[3]][0]))
+            rows = {}
+            for c in cols:
+                if c == "poss":
+                    parts = [_binary_rows(self._poss_group(p, g), r) for p, g, _, r in pieces]
+                else:
+                    parts = [grp[c][r].copy() if c not in _INDEX_BINARY
+                             else _binary_rows(grp[c], r) for _, _, grp, r in pieces]
+                rows[c] = _join_rows(c, parts)
+            out[lem] = rows
         return out
 
-    def _block_entry(self, lem: str, sub: pa.Table) -> dict:
-        """The published block entry of one lemma from its index rows:
-        skip metadata and raw varint buffers, the delta overlay applied."""
-        n = sub.column("n").to_numpy()
-        cf = sub.column("block_cf").to_numpy()
+    def _block_entry(self, lem: str, rows: dict) -> dict:
+        """The published block entry of one lemma from its index rows
+        (``_read_index``): skip metadata and raw varint buffers, the
+        delta overlay applied."""
+        n = rows["n"]
         entry = {
             "lemma": lem,
-            "first": sub.column("first_docid").to_numpy(),
-            "last": sub.column("last_docid").to_numpy(),
+            "first": rows["first_docid"],
+            "last": rows["last_docid"],
             "n": n,
             "cum_n": np.concatenate(([0], np.cumsum(n, dtype=np.int64))),
             # cumulative per-block POSITION counts (= Σtf): the
             # slicing key of the poss stream (phrase queries)
-            "cum_cf": np.concatenate(([0], np.cumsum(cf, dtype=np.int64))),
-            "bmw": sub.column("bmw").to_numpy().astype(np.float64),
-            "gaps": binary_column_buffers(sub.column("gaps")),
-            "tfs": binary_column_buffers(sub.column("tfs")),
-            "dls": binary_column_buffers(sub.column("dls")),
-            "scps": binary_column_buffers(sub.column("scps")),
+            "cum_cf": np.concatenate(([0], np.cumsum(rows["block_cf"], dtype=np.int64))),
+            "bmw": rows["bmw"].astype(np.float64),
+            "gaps": rows["gaps"],
+            "tfs": rows["tfs"],
+            "dls": rows["dls"],
+            "scps": rows["scps"],
         }
         if not self._has_deltas:
             if self._bmw_scale > 1.0:
                 entry["bmw"] = entry["bmw"] * self._bmw_scale
             return entry
-        poss = sub.column("poss") if "poss" in sub.column_names else None
-        return self._overlay_delta(
-            lem, entry, None if poss is None else binary_column_buffers(poss)
-        )
+        return self._overlay_delta(lem, entry, rows.get("poss"))
 
-    def _term_blocks(
-        self, lemmas: list[str], need_positions: bool = False
-    ) -> dict[str, dict]:
-        """lemma -> its block entry, through the engine cache. The
-        lemmas the cache lacks are read in ONE pruned parquet read. The
-        poss column (~25-30% of index bytes) is read with them only for
-        phrase and near queries (``need_positions``) and, on a
-        delta-overlaid positional engine, at every load (the overlay
-        folds positions exactly once, at block load); its raw buffers
-        are cached apart from the entry, and ``_term_positions_full``
-        reads them for a lemma a term query loaded."""
+    def _term_blocks(self, lemmas: list[str]) -> dict[str, dict]:
+        """lemma -> its block entry, through the engine cache; a missing
+        entry is cut from its cached index row groups (``_read_index``).
+        On a delta-overlaid positional engine the poss stream is read
+        with it (the overlay folds positions exactly once, at block
+        load); otherwise positions are read apart, by
+        ``_term_positions_full``, for phrase and near queries only."""
         out = {lem: self._cache.peek(("blocks", lem)) for lem in lemmas}
-        load_poss = self._poss_in_schema and (
-            need_positions
-            or (self._has_deltas and bool(self.manifest["stats"].get("positions")))
-        )
         missing = [lem for lem, got in out.items() if got is None]
         if missing:
-            cols = self._BLOCK_META_COLS + (["poss"] if load_poss else [])
-            for lem, sub in self._read_index(missing, cols).items():
-                out[lem] = self._cache.put(("blocks", lem), self._block_entry(lem, sub))
-                if load_poss and "flat" not in out[lem]:
-                    self._cache.put(("poss", lem), binary_column_buffers(sub.column("poss")))
+            cols = _BLOCK_COLUMNS + (("poss",) if self._poss_in_schema and self._has_deltas
+                                     and self.manifest["stats"].get("positions") else ())
+            for lem, rows in self._read_index(missing, cols).items():
+                out[lem] = self._cache.put(("blocks", lem), self._block_entry(lem, rows))
         return out
 
     _DECODE_CHUNK = 128  # blocks per cached decode unit
@@ -3602,8 +3659,9 @@ class SearchEngine(Aggregations):
     def _row_group(self, kind: str, path: str, g: int, columns, decode):
         """Row group ``g`` of parquet file ``path``, its ``columns`` read
         and shaped by ``decode(table)``, cached as ``(kind, path, g)``
-        (``dict`` for the lemma dictionary, ``docs`` for the doc store,
-        ``text`` for text sources): none changes under an engine, so a
+        (``dict`` for the lemma dictionary, ``index`` and ``poss`` for
+        the posting index, ``docs`` for the doc store, ``text`` for text
+        sources): none changes under an engine, so a
         delta generation's files get their own keys. A miss decodes
         outside the cache lock; a row group above a quarter of the
         budget is returned uncached."""
@@ -3746,9 +3804,9 @@ class SearchEngine(Aggregations):
             return loc
         pf = self._parquet(path)
         t = pf.read(columns=["conv_id", "turn_idx"], use_threads=False)
-        rank = pc.fill_null(pc.index_in(t.column("conv_id"), value_set=self._conv_list()), -1)
-        rank = rank.to_numpy().astype(np.int64)
-        turn = t.column("turn_idx").to_numpy().astype(np.int64)
+        rank = to_numpy(pc.index_in(t.column("conv_id"), value_set=self._conv_list()),
+                        fill=-1).astype(np.int64)
+        turn = to_numpy(t.column("turn_idx"), fill=-1).astype(np.int64)
         row = np.flatnonzero((rank >= 0) & (turn >= 0) & (turn < (1 << TURN_BITS)))
         docids = (rank[row] << TURN_BITS) | turn[row]
         order = np.argsort(docids, kind="stable")
@@ -3793,7 +3851,7 @@ class SearchEngine(Aggregations):
         out: list[str | None] = [None] * len(ids)
         for (p, g), hits in reads.items():
             col = self._text_column(p, g)
-            vals = col.take(pa.array([r for _, r in hits], pa.int32())).to_pylist()
+            vals = col.take(to_arrow([r for _, r in hits], pa.int32())).to_pylist()
             for (i, _), x in zip(hits, vals):
                 out[i] = x or ""
         return out
@@ -4187,19 +4245,15 @@ class SearchEngine(Aggregations):
         """Flat absolute positions of a term's FULL posting list
         (``tf_full`` = the already-decoded tf stream; posting i owns
         ``pos[cumsum(tf)[i] : cumsum(tf)[i+1]]``). Cached per term — ONE
-        varint pass over the raw poss buffers (cached apart, re-read if
-        evicted). A delta-overlaid entry keeps its merged positions."""
+        varint pass over the term's rows of the poss stream, cut from the
+        cached ``poss`` row groups (``_read_index``). A delta-overlaid
+        entry keeps its merged positions."""
         if "flat" in bl:
             return bl["pos_flat"]
         lem = bl["lemma"]
-
-        def poss():
-            sub = self._read_index([lem], ["lemma", "first_docid", "poss"])[lem]
-            return binary_column_buffers(sub.column("poss"))
-
         return self._cache.get(("pos", lem), lambda: decode_poss_range(
-            self._cache.get(("poss", lem), poss), bl["cum_cf"], 0, len(bl["n"]), tf_full
-        ))
+            self._read_index([lem], ("poss",))[lem]["poss"], bl["cum_cf"], 0,
+            len(bl["n"]), tf_full))
 
     def score_phrase(self, phrase: list[str], k: int, scope: str | None = None,
                      within_first: int | None = None,
@@ -4243,7 +4297,7 @@ class SearchEngine(Aggregations):
             score[sel] += self._bm25(self.idf(df), tf[pidx], dl[pidx])
         return score
 
-    def _term_data(self, lemmas, need_positions: bool = True, extra=()):
+    def _term_data(self, lemmas, extra=()):
         """The positional modes' decode preamble -> (terms, blocks, data)
         for the distinct ``lemmas``: ``terms`` their (lemma, live df),
         ``blocks`` the term blocks of ``lemmas`` and ``extra``, ``data``
@@ -4254,7 +4308,7 @@ class SearchEngine(Aggregations):
         terms = self._held_terms(distinct)
         if len(terms) < len(distinct):
             return None
-        blocks = self._term_blocks(distinct + list(extra), need_positions=need_positions)
+        blocks = self._term_blocks(distinct + list(extra))
         if self._has_deltas:
             terms = [(lem, int(blocks[lem]["cum_n"][-1])) for lem, _ in terms]
             if any(df == 0 for _, df in terms):
@@ -4295,7 +4349,7 @@ class SearchEngine(Aggregations):
             if not len(matched):
                 break
         if loose:
-            got = self._term_data(loose, need_positions=False)
+            got = self._term_data(loose)
             if got is None:
                 return None
             terms.update(got[0])
@@ -4999,14 +5053,14 @@ class SearchEngine(Aggregations):
         lemma computed once per call."""
         conv_rank, turn_idx = split_docids(ids)
         _, roles, tools, tss = self._doc_rows(ids, ("role", "tool", "ts"))
-        conv_ids = self._conv_list().take(pa.array(conv_rank))
+        conv_ids = self._conv_list().take(to_arrow(conv_rank, pa.int64()))
         cols = {
             "conv_id": conv_ids,
-            "turn_idx": pa.array(turn_idx, pa.int32()),
-            "role": pa.array(roles.tolist(), pa.string()),
-            "tool": pa.array(tools.tolist(), pa.string()),
-            "ts": pa.array(tss, pa.timestamp("us")),
-            "score": pa.array(scores, pa.float64()),
+            "turn_idx": to_arrow(turn_idx, pa.int32()),
+            "role": to_arrow(roles, pa.string()),
+            "tool": to_arrow(tools, pa.string()),
+            "ts": to_arrow(tss, pa.timestamp("us")),
+            "score": to_arrow(scores, pa.float64()),
         }
         tbl = pa.table(cols)
         if with_snippets and len(ids):
@@ -5022,12 +5076,10 @@ class SearchEngine(Aggregations):
                      "stopset": self._stopset, "min_len": self._min_token_len}
             if with_snippets == "full":
                 vals = [highlight_full(x, lemmas, **rules) for x in texts]
-                tbl = tbl.append_column(
-                    "highlighted", pa.array(vals, pa.string()))
+                tbl = tbl.append_column("highlighted", to_arrow(vals, pa.string()))
             else:
                 snips = [create_snippets(x, lemmas, **rules) for x in texts]
-                tbl = tbl.append_column(
-                    "snippet", pa.array(snips, pa.string()))
+                tbl = tbl.append_column("snippet", to_arrow(snips, pa.string()))
         return tbl
 
 

@@ -34,6 +34,7 @@ import pyarrow.parquet as pq
 
 from ..stages.encode import binary_column_buffers
 from . import codec
+from .columns import read_table, to_arrow, to_numpy
 from .manifest import load_json
 
 
@@ -81,8 +82,8 @@ def _load_sorted_convs(out_dir: str) -> pa.Array:
     docid-sorted, so unique conv_ids in order ARE the rank order)."""
     sidecar = os.path.join(out_dir, "convs.parquet")
     if os.path.exists(sidecar):
-        return pq.read_table(sidecar).column("conv_id").combine_chunks()
-    t = pq.read_table(docs_dir(out_dir), columns=["conv_id"])
+        return read_table(sidecar).column("conv_id").combine_chunks()
+    t = read_table(docs_dir(out_dir), columns=["conv_id"])
     return pc.unique(t.column("conv_id").combine_chunks())
 
 
@@ -142,14 +143,30 @@ def load_aux(out_dir: str) -> dict | None:
 
 
 def read_pair(out_dir: str, pair_id: int):
-    """Point-read + decode one pair's full adjacency list ->
+    """Point-read + decode one pair's full adjacency list (its rows of
+    the aux row groups whose ``pair_id`` footer bounds hold it) ->
     ``(docids, cnts, starts)`` (entry i owns ``starts[cum(cnts)[i]:
     cum(cnts)[i+1]]``; docids may repeat across fragmented block rows —
     each cell is self-contained)."""
-    t = pq.read_table(aux_dir(out_dir), filters=[("pair_id", "=", pair_id)])
-    order = pc.sort_indices(t.column("first_docid"))
-    t = t.take(order).combine_chunks()
-    n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+    d = aux_dir(out_dir)
+    parts = []
+    for f in sorted(os.listdir(d)):
+        if not f.endswith(".parquet"):
+            continue
+        pf = pq.ParquetFile(os.path.join(d, f))
+        ci = pf.schema_arrow.get_field_index("pair_id")
+        for g in range(pf.metadata.num_row_groups):
+            st = pf.metadata.row_group(g).column(ci).statistics
+            if st is None or not st.has_min_max or st.min <= pair_id <= st.max:
+                rg = pf.read_row_group(g, use_threads=False)
+                keep = np.flatnonzero(to_numpy(rg.column("pair_id")) == pair_id)
+                parts.append(rg.take(to_arrow(keep, pa.int64())))
+    if not parts:
+        return tuple(np.empty(0, np.int64) for _ in range(3))
+    t = pa.concat_tables(parts)
+    order = np.argsort(to_numpy(t.column("first_docid")), kind="stable")
+    t = t.take(to_arrow(order, pa.int64())).combine_chunks()
+    n = to_numpy(t.column("n")).astype(np.int64)
     cum_n = np.concatenate(([0], np.cumsum(n)))
     gd, go = binary_column_buffers(t.column("gaps"))
     docids = np.empty(int(cum_n[-1]), np.int64)

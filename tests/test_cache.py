@@ -180,13 +180,10 @@ def test_lru_charges_arrow_and_string_payloads():
     assert c.stats() == {"dict": (1, _nbytes(v))}
 
 
-def test_first_touch_reads_only_holding_groups(tiny_index, tmp_path, monkeypatch):
-    """A lemma's first touch reads only the index row groups whose
-    ``lemma_h`` footer bounds hold its hash (taken here from the footers,
-    apart from the engine's directory), and each dictionary row group
-    is decoded once per engine however many lookups, expansions and
-    suggestion sweeps read it."""
-    out = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+def _index_bounds(out: str) -> list[tuple[str, int, int, int]]:
+    """(file, row group, min lemma_h, max lemma_h) of each index row
+    group of ``out``, from the footers, apart from the engine's
+    directory."""
     bounds = []
     for f in sorted(os.listdir(build.index_dir(out))):
         md = pq.ParquetFile(os.path.join(build.index_dir(out), f)).metadata
@@ -194,41 +191,83 @@ def test_first_touch_reads_only_holding_groups(tiny_index, tmp_path, monkeypatch
         for g in range(md.num_row_groups):
             st = md.row_group(g).column(ci).statistics
             bounds.append((os.path.join(build.index_dir(out), f), g, st.min, st.max))
+    return bounds
+
+
+def _crossing_lemma(out: str) -> str:
+    """A lemma of split copy ``out`` whose blocks cross an index
+    row-group bound."""
+    first = sorted(os.listdir(build.index_dir(out)))[0]
+    lems = pq.read_table(os.path.join(build.index_dir(out), first),
+                         columns=["lemma"]).column("lemma").to_pylist()
+    return next(lems[i] for i in range(INDEX_GROUP_ROWS, len(lems), INDEX_GROUP_ROWS)
+                if lems[i] == lems[i - 1])
+
+
+def test_first_touch_reads_only_holding_groups(tiny_index, tmp_path, monkeypatch):
+    """Each index row group is read at most once per engine, and only
+    when it holds the hash of a lemma the query touches (its
+    ``lemma_h`` footer bounds, taken here from the footers apart from
+    the engine's directory): a lemma's first touch cuts its rows out of
+    the decoded groups, so a later lemma in a group already read, and a
+    lemma crossing a group bound, read nothing again. The same holds
+    for the ``poss`` row groups a phrase query reads. Each dictionary
+    row group is decoded once per engine however many lookups,
+    expansions and suggestion sweeps read it."""
+    out = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+    bounds = _index_bounds(out)
     reads = []
     real_one, real_many = pq.ParquetFile.read_row_group, pq.ParquetFile.read_row_groups
 
+    def kind(columns) -> str:
+        cols = columns or ()
+        return ("dict" if "df" in cols else "index" if "lemma_h" in cols
+                else "poss" if "poss" in cols else "other")
+
     def one(self, i, columns=None, **kw):
-        reads.append((id(self), "dict" if "df" in (columns or ()) else "other", [i]))
+        reads.append((id(self), kind(columns), i))
         return real_one(self, i, columns=columns, **kw)
 
     def many(self, gs, columns=None, **kw):
-        reads.append((id(self), "index", list(gs)))
+        reads.extend((id(self), kind(columns), g) for g in gs)
         return real_many(self, gs, columns=columns, **kw)
 
     monkeypatch.setattr(pq.ParquetFile, "read_row_group", one)
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", many)
-    # a lemma whose blocks cross a row-group bound
-    lems = pq.read_table(bounds[0][0], columns=["lemma"]).column("lemma").to_pylist()
-    crossing = next(lems[i] for i in range(INDEX_GROUP_ROWS, len(lems), INDEX_GROUP_ROWS)
-                    if lems[i] == lems[i - 1])
+    crossing = _crossing_lemma(out)
     eng = SearchEngine(out)
-    for lem in (S(0), S(5), S(300), S(4000), f"{S(7)} {S(900)}", crossing):
+    eng._aux_pairs = {}  # phrase queries read positions, whatever aux the index has
+    path = {}
+    held = set()  # every (file, group) holding a touched lemma's hash
+    for lem, kw in [(S(0), {}), (S(5), {}), (S(300), {}), (S(4000), {}),
+                    (f"{S(7)} {S(900)}", {}), (crossing, {}), (f"{S(5)} {S(300)}", {}),
+                    (f"{crossing} {crossing}", {"mode": "phrase"}),
+                    (f"{S(0)} {S(1)}", {"mode": "phrase"})]:
         start = len(reads)
-        assert eng.search(lem, limit=5)["count"] > 0
+        r = eng.search(lem, limit=5, **kw)
+        assert r["result"] and (r["count"] > 0 or "mode" in kw)
         hs = [analyzer.lemma_hash64(x) for x in lem.split()]
-        want = sorted((p, g) for p, g, lo, hi in bounds if any(lo <= h <= hi for h in hs))
-        path = {id(pf): p for p, pf in eng._pfs.items()}
-        got = sorted((path[f], g) for f, kind, gs in reads[start:] if kind == "index"
-                     for g in gs)
-        assert got == want, lem
-    assert len(want) >= 2  # the crossing lemma's
+        want = {(p, g) for p, g, lo, hi in bounds if any(lo <= h <= hi for h in hs)}
+        held |= want
+        path.update({id(pf): p for p, pf in eng._pfs.items()})
+        for k in ("index", "poss"):
+            got = [(path[f], g) for f, kd, g in reads[start:] if kd == k]
+            assert set(got) <= want, (lem, k)
+    for k in ("index", "poss"):
+        got = [(path[f], g) for f, kd, g in reads if kd == k]
+        assert len(got) == len(set(got)), k  # never read twice per engine
+    index_read = {(path[f], g) for f, kd, g in reads if kd == "index"}
+    assert index_read == held  # and every holding group was read once
+    crossing_h = analyzer.lemma_hash64(crossing)
+    assert len([b for b in bounds if b[2] <= crossing_h <= b[3]]) >= 2
+    assert any(kd == "poss" for _, kd, _ in reads)
     for q in (S(0), S(11), S(4000)[:-1], S(0)[:3]):
         eng.suggest(q)
         eng.complete(q)
         eng.search(q, mode="fuzzy")
         eng.search(q + "*", mode="wildcard")
     n_dict = len(eng._groups("dict")[2])
-    assert sum(kind == "dict" for _, kind, _ in reads) == n_dict > 10
+    assert sum(kd == "dict" for _, kd, _ in reads) == n_dict > 10
 
 
 def test_directory_bounds_without_footer_statistics(tiny_index, tmp_path):
@@ -322,3 +361,68 @@ def test_budget_rebuilds_evicted_overlay_entry(tiny_index, tmp_path, monkeypatch
     _check_budget(ref, small, DOC_QUERIES + [(lambda e: e.mget(turns), {})] + DOC_QUERIES)
     assert len(set(reads)) < len(reads)
 
+
+def _arrays(x):
+    """Every numpy array a payload holds."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (dict, tuple, list)):
+        for v in (x.values() if isinstance(x, dict) else x):
+            yield from _arrays(v)
+
+
+def test_block_entries_share_no_memory_with_index_groups(
+        tiny_index, tmp_path, monkeypatch, evaluators_agree):
+    """A block entry is cut out of the cached index row groups as arrays
+    of its own, so evicting a group frees it: under a budget that caches
+    decoded groups and then evicts them, no array of any block entry
+    shares memory with any group decoded, on a plain and on a
+    delta-overlaid engine. Every answer, a phrase on a lemma crossing a
+    row-group bound included, equals a fresh engine's, and each exact
+    evaluator agrees with the exhaustive scorer."""
+    from search_engine_ray import search as search_mod
+    from search_engine_ray.pipelines import delta
+    from tests.test_delta import _modify_corpus
+
+    out = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+    crossing = _crossing_lemma(out)
+    groups = []
+    real = search_mod._decode_index_group
+    monkeypatch.setattr(search_mod, "_decode_index_group",
+                        lambda t: groups.append(real(t)) or groups[-1])
+    probe = SearchEngine(out)
+    probe.search(" ".join(S(i) for i in range(0, 400, 7)))
+    # groups fit a quarter of the budget (so they are cached), a few
+    # of them the whole budget (so they are evicted)
+    budget = 4 * max(_nbytes(g) for g in groups)
+    queries = [(q, kw) for q, kw in QUERIES if kw.get("mode") != "near"][::2]
+    queries += [(f"{crossing} {S(0)}", {"mode": "phrase"}), (f"{S(0)} {crossing}", {"mode": "phrase"}),
+                (f"{crossing} {S(1)}", {"mode": "near"}), (crossing, {"method": "exhaustive"})]
+
+    def check(fresh: SearchEngine, small: SearchEngine) -> None:
+        del groups[:]
+        entries = {}  # lemma -> each block entry the small engine built
+        build_entry = small._block_entry
+        small._block_entry = lambda lem, rows: entries.setdefault(lem, []).append(
+            build_entry(lem, rows)) or entries[lem][-1]
+        for q, kw in queries:
+            assert _answer(small, q, **kw) == _answer(fresh, q, **kw), (q, kw)
+            if "mode" not in kw:
+                evaluators_agree(small, q, kw.get("scope"), 10, kw.get("conjunctive", False))
+        assert small._cache.stats().get("index", (0, 0))[0] < len(groups)  # evicted
+        assert len(entries) > 20 and crossing in entries
+        for a in _arrays(entries):
+            for b in (b for g in groups for b in _arrays(g)):
+                assert not np.shares_memory(a, b)
+
+    check(SearchEngine(out), _small(out, budget))
+    conv = probe.search(f"{S(0)} {S(1)}", mode="phrase", limit=1)["data"].to_pylist()[0]["conv_id"]
+    mod = _modify_corpus(
+        probe.manifest["config"]["input_paths"], str(tmp_path / "mod"), conv,
+        [f"{S(0)} {S(1)} {crossing} qqevword", f"{crossing} {S(0)} qqevword again"],
+    )
+    assert delta.reindex_conversations(out, [conv], input_paths=mod)["result"]
+    queries += [(f"qqevword {S(0)}", {}), (f"{crossing} qqevword", {"mode": "phrase"})]
+    small = _small(out, budget)
+    assert small._has_deltas
+    check(SearchEngine(out), small)

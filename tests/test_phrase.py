@@ -434,7 +434,7 @@ def test_poss_lazy_load_and_upgrade(phrase_index, tiny_corpus):
     r_term = eng.search(datagen.stem(0), limit=3)
     assert r_term["result"]
     assert ("blocks", lem[0]) in eng._cache  # the term query warmed it ...
-    assert ("poss", lem[0]) not in eng._cache  # ... without the stream
+    assert "poss" not in eng._cache.stats()  # ... without the stream
     r1 = eng.search(HOT2, mode="phrase", limit=20)
     assert ("pos", lem[0]) in eng._cache  # positions read and decoded
     fresh = SearchEngine(phrase_index)

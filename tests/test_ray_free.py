@@ -2,9 +2,11 @@
 the server answers from the posting index, statistics, a CLI read, the
 served read endpoints and a delta write all run in a process where
 ``ray`` was never imported. Only a Ray Data endpoint (``export``) loads
-Ray, on first use. Checked in a fresh subprocess, the way
-``tests/test_cli.py`` runs the CLI, because the test session itself
-holds a Ray session."""
+Ray, on first use. The search path imports no pandas either: pyarrow
+imports it for its pandas-backed conversions (``to_numpy``,
+``pa.array``, ``pq.read_table``, ...), which the search path does not
+call. Checked in a fresh subprocess, the way ``tests/test_cli.py`` runs
+the CLI, because the test session itself holds a Ray session."""
 
 import json
 import os
@@ -20,29 +22,55 @@ _SCRIPT = r"""
 import contextlib, io, json, sys, threading, urllib.request
 
 out, dest = sys.argv[1], sys.argv[2]
+pandas_at = []
+
+
+def no_pandas(step):
+    # the first step after which pyarrow had imported pandas
+    if "pandas" in sys.modules and not pandas_at:
+        pandas_at.append(step)
+
 
 from search_engine_ray import __main__ as cli, datagen
 from search_engine_ray.search import SearchEngine
 from search_engine_ray.server import make_server
 from search_engine_ray.stats import statistics
 
-hot = datagen.stem(0)
+hot, s1, s2 = datagen.stem(0), datagen.stem(1), datagen.stem(2)
 eng = SearchEngine(out)
+no_pandas("open")
 assert eng.search(hot, limit=3)["count"] > 0
-assert eng.search(f"{hot} {datagen.stem(1)}", mode="phrase", limit=3)["result"]
+no_pandas("bm25")
+assert eng.search(f"{hot} {s1}", mode="phrase", limit=3)["result"]
+no_pandas("phrase")
 snip = eng.search(hot, limit=3, with_snippets=True)["data"]
 assert "snippet" in snip.column_names and snip.num_rows == 3
+no_pandas("snippets")
+full = eng.search(hot, limit=3, with_snippets="full")["data"]
+assert "highlighted" in full.column_names and full.num_rows == 3
+no_pandas("full")
+assert eng.search(hot, exclude=s1, limit=3)["result"]
+no_pandas("exclude")
+assert eng.search(hot, ts_min="2024-01-10T00:00:00", ts_max="2030-01-01", limit=3)["result"]
+no_pandas("ts")
 # the index carries a phrase aux: at least one phrase query reads a pair
 assert eng._aux_pairs
 for q in datagen.phrase_queries():
     eng.search(q["query_text"], scope=q["scope"], limit=q["k"], mode="phrase")
 assert "aux" in eng._cache.stats()
-assert statistics(out)["total"]["docs"] > 0
+no_pandas("phrase aux")
+# a hot pair outside the aux: its adjacency list is built on demand
+pl = SearchEngine(out)
+pl._aux_pairs, pl.PAIR_CACHE_MIN_COST = {}, 0
+assert pl.search(f"{hot} {s2}", mode="phrase", limit=3)["result"]
+assert "pair" in pl._cache.stats()
+no_pandas("phrase pair list")
 
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     rc = cli.main(["search", hot, "--out", out, "--limit", "3", "--snippets"])
 assert rc == 0 and json.loads(buf.getvalue())["count"] > 0
+no_pandas("cli search --snippets")
 
 srv = make_server(out, port=0)
 threading.Thread(target=srv.serve_forever, daemon=True).start()
@@ -54,6 +82,9 @@ def call(path, method="GET"):
         return json.loads(r.read())
 
 assert call(f"/api/search?query={hot}&limit=3")["count"] > 0
+no_pandas("http /api/search")
+# below: endpoints that may still load pandas
+assert statistics(out)["total"]["docs"] > 0
 assert call("/api/statistics")["total"]["docs"] > 0
 assert call("/api/stopIndexing")["result"]
 assert call("/api/indexPage?conv=conv-00000000", method="POST")["result"]
@@ -62,7 +93,7 @@ assert call("/api/statistics")["delta_generations"]
 loaded = sorted(m for m in sys.modules if m == "ray" or m.startswith("ray."))
 # a Ray Data endpoint still starts Ray on first use, in the same process
 got = call(f"/api/export?query={hot}&dest={dest}")
-print(json.dumps({"ray_before_export": loaded, "export": got,
+print(json.dumps({"ray_before_export": loaded, "export": got, "pandas_at": pandas_at,
                   "ray_after_export": "ray.data" in sys.modules}))
 srv.shutdown()
 srv.server_close()
@@ -83,5 +114,34 @@ def test_query_side_imports_no_ray(tiny_index, tmp_path):
     assert r.returncode == 0, r.stderr[-3000:]
     got = json.loads(r.stdout.strip().splitlines()[-1])
     assert got["ray_before_export"] == [], got["ray_before_export"][:10]
+    assert got["pandas_at"] == [], got["pandas_at"]
     assert got["export"]["result"] and got["export"]["count"] > 0, got["export"]
     assert got["ray_after_export"]
+
+
+def test_columns_convert_like_arrow():
+    """The search path's Arrow <-> numpy conversions (``state.columns``)
+    give Arrow's own values: offsets of sliced arrays, nulls, non-ASCII
+    strings, timestamps and empty arrays."""
+    import numpy as np
+    import pyarrow as pa
+
+    from search_engine_ray.state.columns import empty_table, to_arrow, to_numpy
+
+    ints = pa.chunked_array([pa.array([5, None, 7], pa.int32()), pa.array([9], pa.int32())])
+    assert to_numpy(ints, fill=-1).tolist() == [5, -1, 7, 9]
+    assert to_numpy(pa.array([1.5, 2.5, 3.5])[1:]).tolist() == [2.5, 3.5]
+    strs = pa.array(["ab", "héllo", None, "", "z"])
+    assert to_numpy(strs).tolist() == strs.to_pylist()
+    assert to_numpy(strs[1:2]).tolist() == ["héllo"] and to_numpy(strs[3:]).tolist() == ["", "z"]
+    ascii_ = pa.array(["lemma", "wbababa", "x"])[1:]
+    assert to_numpy(ascii_).tolist() == ["wbababa", "x"]
+    ts = pa.array([0, 1_700_000_000_000_000], pa.timestamp("us"))
+    assert to_numpy(ts).tolist() == [0, 1_700_000_000_000_000]
+    assert to_numpy(pa.array([], pa.string())).tolist() == []
+    for vals, t in ((["a", None, "ü"], pa.string()), (np.arange(4), pa.int64()),
+                    ([1, 2], pa.int32()), ([0.5], pa.float64()), ([7], pa.timestamp("us")),
+                    ([], pa.string()), ([], pa.int64())):
+        assert to_arrow(vals, t).equals(pa.array(list(vals), t)), (vals, t)
+    schema = pa.schema([("s", pa.string()), ("n", pa.int64())])
+    assert empty_table(schema).equals(schema.empty_table())
