@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .state.columns import to_arrow
+
 # Bump whenever tokenization/lemmatization semantics change: baked into
 # partition manifests so a resumed build never mixes analyzer versions.
 # 2: analyze_batch additionally emits per-posting token positions
@@ -179,8 +181,7 @@ def regexp_parse(pattern: str) -> tuple[str, str] | None:
         # the authoritative RE2 compile check: the exact kernel the
         # engine's expansion scan uses (a non-empty probe array —
         # the kernel skips compilation entirely on empty input)
-        pc.match_substring_regex(pa.array(["x"], pa.string()),
-                                 "^(?:" + p + ")$")
+        pc.match_substring_regex(to_arrow(["x"], pa.string()), "^(?:" + p + ")$")
     except Exception:
         return None
     i = 0

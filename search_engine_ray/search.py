@@ -71,7 +71,7 @@ from .stages.encode import (
     scope_code_space,
 )
 from .state import layout
-from .state.columns import empty_table, to_arrow, to_numpy
+from .state.columns import empty_table, read_table, to_arrow, to_numpy
 from .state.manifest import load_json
 
 
@@ -1347,71 +1347,58 @@ class SearchEngine(Aggregations):
         self._delta_text_paths.update(
             {cid: info["input_paths"] for cid, info in latest.items() if info["input_paths"]}
         )
-        # per-conv old counts vs the immutable base doc store. Read
-        # ONLY the tombstoned docid ranges (the doc store is
-        # docid-sorted, so the DNF filter prunes to the touched row
-        # groups) — a full docid/doc_len column pull is corpus-sized at
-        # 100 TB. Beyond ~1024 ranges the filter expression itself gets
-        # expensive; fall back to the full column read (that many live
-        # deltas means a compaction is overdue anyway).
-        rngs = [info["range"] for info in latest.values()]
-        base = pq.read_table(
-            layout.docs_dir(self.out_dir),
-            columns=["docid", "doc_len"],
-            **(
-                {"filters": [
-                    [("docid", ">=", int(lo)), ("docid", "<", int(hi))]
-                    for lo, hi in rngs
-                ]}
-                if 0 < len(rngs) <= 1024
-                else {}
-            ),
-        )
-        bdoc = base.column("docid").to_numpy()
-        bdl = base.column("doc_len").to_numpy()
+        ranges = sorted(info["range"] for info in latest.values())
+        self._tomb_starts = np.array([r[0] for r in ranges], np.int64)
+        self._tomb_ends = np.array([r[1] for r in ranges], np.int64)
+        # per-conv old counts vs the immutable base doc store: only the
+        # row groups a tombstoned docid range meets are read, each
+        # decoded once, through the engine cache as ``_doc_rows`` reads
+        # them — a full docid/doc_len column pull is corpus-sized at
+        # 100 TB
         n_eff, len_eff = self.n_docs, int(self.manifest["stats"]["total_len"])
+        for lo, hi, (p, g) in zip(*self._groups("docs")):
+            i = np.searchsorted(self._tomb_ends, lo, side="right")
+            if i < len(ranges) and self._tomb_starts[i] <= hi:
+                grp = self._row_group("docs", p, g, _DOC_COLUMNS, _decode_doc_group)
+                gone = _in_ranges(grp["docid"], self._tomb_starts, self._tomb_ends)
+                n_eff -= int(gone.sum())
+                len_eff -= int(grp["doc_len"][gone].sum())
+        by_gen: dict[str, list[tuple[int, int]]] = {}
+        for info in latest.values():
+            by_gen.setdefault(info["dir"], []).append(info["range"])
         d_docid, d_tf, d_dl, d_lemma, d_pos = [], [], [], [], []
         # positions survive the overlay only if EVERY generation carries
         # them (a pre-positions generation would leave holes)
         self._delta_positions_ok = bool(self.manifest["stats"].get("positions"))
         dd_docid, dd_role, dd_dl, dd_tool, dd_ts = [], [], [], [], []
-        by_gen: dict[str, list[tuple[int, int]]] = {}
-        for info in latest.values():
-            lo, hi = info["range"]
-            a, b = np.searchsorted(bdoc, lo), np.searchsorted(bdoc, hi)
-            n_eff -= int(b - a)
-            len_eff -= int(bdl[a:b].sum())
-            by_gen.setdefault(info["dir"], []).append((lo, hi))
+
+        def live_rows(t: pa.Table, starts, ends) -> pa.Table:
+            keep = _in_ranges(to_numpy(t.column("docid")), starts, ends)
+            return t.take(to_arrow(np.flatnonzero(keep), pa.int64()))
+
         # each live generation's two files are read once; its rows of
         # the conversations it still serves are one range mask
         for gdir, rngs in by_gen.items():
             rngs.sort()
             starts = np.array([r[0] for r in rngs], np.int64)
             ends = np.array([r[1] for r in rngs], np.int64)
-            docs = pq.read_table(os.path.join(gdir, "docs.parquet"))
-            docs = docs.filter(pa.array(_in_ranges(docs.column("docid").to_numpy(), starts, ends)))
+            docs = live_rows(read_table(os.path.join(gdir, "docs.parquet")), starts, ends)
             n_eff += docs.num_rows
-            len_eff += int(pc.sum(docs.column("doc_len")).as_py() or 0)
-            dd_docid.append(docs.column("docid").to_numpy())
+            dd_docid.append(to_numpy(docs.column("docid")))
             dd_role.extend(docs.column("role").to_pylist())
-            dd_dl.append(docs.column("doc_len").to_numpy(zero_copy_only=False))
+            dd_dl.append(to_numpy(docs.column("doc_len")))
+            len_eff += int(dd_dl[-1].sum())
             dd_tool.extend(docs.column("tool").to_pylist())
-            dd_ts.append(
-                docs.column("ts").combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-            )
-            posts = pq.read_table(os.path.join(gdir, "postings.parquet"))
-            posts = posts.filter(pa.array(_in_ranges(posts.column("docid").to_numpy(), starts, ends)))
+            dd_ts.append(to_numpy(docs.column("ts")))
+            posts = live_rows(read_table(os.path.join(gdir, "postings.parquet")), starts, ends)
             d_lemma.extend(posts.column("lemma").to_pylist())
-            d_docid.append(posts.column("docid").to_numpy())
-            d_tf.append(posts.column("tf").to_numpy(zero_copy_only=False))
-            d_dl.append(posts.column("doc_len").to_numpy(zero_copy_only=False))
+            d_docid.append(to_numpy(posts.column("docid")))
+            d_tf.append(to_numpy(posts.column("tf")))
+            d_dl.append(to_numpy(posts.column("doc_len")))
             if "pos" in posts.column_names and posts.column("pos").null_count == 0:
                 d_pos.extend(posts.column("pos").to_pylist())
             else:  # pre-positions or positionless-analyzer generation
                 self._delta_positions_ok = False
-        ranges = sorted(info["range"] for info in latest.values())
-        self._tomb_starts = np.array([r[0] for r in ranges], np.int64)
-        self._tomb_ends = np.array([r[1] for r in ranges], np.int64)
         # delta postings grouped per lemma, docid-ascending
         self._delta_lemma: dict[str, tuple] = {}
         if d_lemma:
@@ -4106,7 +4093,7 @@ class SearchEngine(Aggregations):
             idx = np.arange(a, b)
             if rx is not None and b > a:
                 m = pc.match_substring_regex(d.arrow.slice(a, b - a), "^(?:" + rx + ")$")
-                idx = a + np.flatnonzero(m.to_numpy(zero_copy_only=False))
+                idx = a + np.flatnonzero(to_numpy(m))
             hits += zip(d.lemmas[idx].tolist(), d.df[idx].tolist())
         hits.sort(key=lambda r: (-r[1], r[0]))
         return hits[:max_expansion]
@@ -4120,7 +4107,7 @@ class SearchEngine(Aggregations):
         read).
         -> {'result', 'count' (matches before the cap), 'data':
         pa.Table(lemma, df), 'error'}"""
-        empty = COMPLETE_SCHEMA.empty_table()
+        empty = empty_table(COMPLETE_SCHEMA)
         if k <= 0:
             return {**self._resp(error="bad_k"), "data": empty}
         toks = self._norm_text(prefix or "").split()
@@ -4130,8 +4117,8 @@ class SearchEngine(Aggregations):
         page = hits[:k]
         tbl = pa.table(
             {
-                "lemma": pa.array([h[0] for h in page], pa.string()),
-                "df": pa.array([h[1] for h in page], pa.int64()),
+                "lemma": to_arrow([h[0] for h in page], pa.string()),
+                "df": to_arrow([h[1] for h in page], pa.int64()),
             }
         )
         return {"result": True, "count": len(hits), "data": tbl,
@@ -4161,9 +4148,9 @@ class SearchEngine(Aggregations):
         rows = rows[:k]
         return pa.table(
             {
-                "suggestion": pa.array([r[0] for r in rows], pa.string()),
-                "df": pa.array([r[1] for r in rows], pa.int64()),
-                "dist": pa.array([r[2] for r in rows], pa.int32()),
+                "suggestion": to_arrow([r[0] for r in rows], pa.string()),
+                "df": to_arrow([r[1] for r in rows], pa.int64()),
+                "dist": to_arrow([r[2] for r in rows], pa.int32()),
             }
         )
 
@@ -4189,7 +4176,7 @@ class SearchEngine(Aggregations):
             t for t in self._norm_text(query_text or "").split()
             if len(t) >= self._min_token_len and t not in self._stopset
         ]
-        empty = SUGGEST_QUERY_SCHEMA.empty_table()
+        empty = empty_table(SUGGEST_QUERY_SCHEMA)
         if not toks:
             return {**self._resp(error="empty_query"), "data": empty,
                     "corrected": "", "changed": False}
@@ -4213,11 +4200,11 @@ class SearchEngine(Aggregations):
         corrected = " ".join(r[2] for r in rows)
         tbl = pa.table(
             {
-                "pos": pa.array([r[0] for r in rows], pa.int32()),
-                "token": pa.array([r[1] for r in rows], pa.string()),
-                "suggestion": pa.array([r[2] for r in rows], pa.string()),
-                "df": pa.array([r[3] for r in rows], pa.int64()),
-                "dist": pa.array([r[4] for r in rows], pa.int32()),
+                "pos": to_arrow([r[0] for r in rows], pa.int32()),
+                "token": to_arrow([r[1] for r in rows], pa.string()),
+                "suggestion": to_arrow([r[2] for r in rows], pa.string()),
+                "df": to_arrow([r[3] for r in rows], pa.int64()),
+                "dist": to_arrow([r[4] for r in rows], pa.int32()),
             }
         )
         return {

@@ -24,27 +24,30 @@ def _dtype(t: pa.DataType) -> np.dtype:
     return np.dtype(f"{kind}{t.bit_width // 8}")
 
 
-def _valid(col: pa.Array) -> np.ndarray:
-    """Bool mask of the non-null slots of ``col``."""
-    bits = np.frombuffer(col.buffers()[0], np.uint8)
+def _bits(col: pa.Array, i: int) -> np.ndarray:
+    """Buffer ``i`` of ``col``, a bitmap, as bool per slot."""
+    bits = np.frombuffer(col.buffers()[i], np.uint8)
     return np.unpackbits(bits, bitorder="little")[col.offset:col.offset + len(col)].astype(bool)
 
 
 def to_numpy(col, fill=0) -> np.ndarray:
-    """``col`` (an Arrow array or chunked array of numbers, timestamps or
-    strings) as numpy: a read-only view of its buffer for a fixed-width
-    type without nulls, else a copy with each null as ``fill``; strings
-    as an object array of str (null as None)."""
+    """``col`` (an Arrow array or chunked array of numbers, timestamps,
+    bools or strings) as numpy: a read-only view of its buffer for a
+    fixed-width type without nulls, else a copy with each null as
+    ``fill``; strings as an object array of str (null as None)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
     if pa.types.is_string(col.type):
         return np.array(_strings(col) if n else [], object)
-    dt = _dtype(col.type)
-    vals = np.frombuffer(col.buffers()[1], dt, n, col.offset * dt.itemsize) if n else np.empty(0, dt)
+    if pa.types.is_boolean(col.type):
+        vals = _bits(col, 1) if n else np.empty(0, bool)
+    else:
+        dt = _dtype(col.type)
+        vals = np.frombuffer(col.buffers()[1], dt, n, col.offset * dt.itemsize) if n else np.empty(0, dt)
     if col.null_count:
         vals = vals.copy()
-        vals[~_valid(col)] = fill
+        vals[~_bits(col, 0)] = fill
     return vals
 
 

@@ -15,6 +15,7 @@ import pytest
 from search_engine_ray import datagen
 from search_engine_ray.config import BuildConfig
 from search_engine_ray.pipelines import build, delta
+from search_engine_ray import search as search_mod
 from search_engine_ray.search import SearchEngine
 
 
@@ -684,8 +685,8 @@ def test_open_reads_each_generation_file_once(tiny_corpus, tmp_path, monkeypatch
     gens = delta.list_generations(base_out)
     assert len(gens) == 2
     reads = []
-    real = pq.read_table
-    monkeypatch.setattr(pq, "read_table", lambda src, *a, **kw: (
+    real = search_mod.read_table
+    monkeypatch.setattr(search_mod, "read_table", lambda src, *a, **kw: (
         reads.append(str(src)), real(src, *a, **kw))[1])
     overlay = SearchEngine(base_out)
     gen_files = [p for p in reads if os.path.basename(p) in ("docs.parquet", "postings.parquet")]

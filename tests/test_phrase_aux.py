@@ -4,6 +4,8 @@ staleness guard, and delta bypass."""
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -14,9 +16,11 @@ from search_engine_ray.search import SearchEngine
 
 
 @pytest.fixture(scope="module")
-def aux_index(tiny_index):
-    """Aux build over the shared session index (idempotent)."""
-    out = tiny_index["out_dir"]
+def aux_index(tiny_index, tmp_path_factory):
+    """Aux build over a copy of the shared session index, so tests that
+    run later over ``tiny_index`` see no aux pairs."""
+    out = str(tmp_path_factory.mktemp("aux") / "idx")
+    shutil.copytree(tiny_index["out_dir"], out)
     m = aux_mod.build_phrase_aux(out, top_terms=24, top_pairs=128)
     return {"out_dir": out, "aux": m}
 
@@ -122,7 +126,6 @@ def test_aux_staleness_guard(aux_index, tmp_path):
     aux index: load_aux -> None, fresh engines take the exact path."""
     import json
     import os
-    import shutil
 
     src = aux_index["out_dir"]
     out = str(tmp_path / "copy")
@@ -147,7 +150,6 @@ def test_aux_delta_overlay(aux_index, tmp_path):
     hottest bigram — the old adjacency disappears and a new occurrence
     appears at a different turn, so both overlay directions (drop +
     append) are exercised, not just the no-op composition."""
-    import shutil
 
     from search_engine_ray.pipelines import delta
 
@@ -207,7 +209,6 @@ def test_aux_rebuilt_at_compact(aux_index, tmp_path):
     the exact positional path. The re-indexed conv's stage-A postings
     are stale post-compact, so the rebuild must take the override path
     (re-analysis from the delta's text source), not stage A."""
-    import shutil
 
     from search_engine_ray.pipelines import compact as compact_mod
     from search_engine_ray.pipelines import delta
@@ -292,7 +293,6 @@ def test_pair_lru_with_live_deltas(aux_index, tmp_path):
     """The on-demand pair path composes with the delta overlay exactly like the
     aux path: payloads built from OVERLAID postings, rank-identical to
     the exact path over base+delta."""
-    import shutil
 
     from search_engine_ray.pipelines import delta
     from tests.test_delta import _modify_corpus
@@ -329,7 +329,6 @@ def test_crash_resume_folds_aux_forward(aux_index, tmp_path, monkeypatch):
     the journal carries the aux budget, and compact(resume=True)
     finishes the swap AND rebuilds the aux exactly like the
     uninterrupted path."""
-    import shutil
 
     from search_engine_ray.pipelines import compact as compact_mod
     from search_engine_ray.pipelines import delta
@@ -359,7 +358,6 @@ def test_compact_survives_aux_rebuild_failure(aux_index, tmp_path, monkeypatch):
     """A failing aux rebuild must NOT fail the compaction (queries fall
     back to the exact positional path): compact returns ok, the index
     is fully folded, and load_aux reports no (stale) aux."""
-    import shutil
 
     from search_engine_ray.pipelines import compact as compact_mod
     from search_engine_ray.pipelines import delta

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 
+from search_engine_ray.pipelines import delta
 from search_engine_ray.pipelines import phrase_aux as aux_mod
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,6 +54,13 @@ assert eng.search(hot, exclude=s1, limit=3)["result"]
 no_pandas("exclude")
 assert eng.search(hot, ts_min="2024-01-10T00:00:00", ts_max="2030-01-01", limit=3)["result"]
 no_pandas("ts")
+assert eng.search(hot[:-1] + "x", mode="fuzzy", limit=3)["count"] > 0
+assert eng.search(hot[:3] + "*", mode="wildcard", limit=3)["count"] > 0
+assert eng.search(hot[:3] + ".*", mode="regexp", limit=3)["count"] > 0
+no_pandas("fuzzy, wildcard, regexp")
+assert eng.suggest(hot[:-1] + "x").num_rows and eng.complete(hot[:3])["count"]
+assert eng.suggest_query(f"{hot[:-1]}x {s1}")["changed"]
+no_pandas("suggest, complete")
 # the index carries a phrase aux: at least one phrase query reads a pair
 assert eng._aux_pairs
 for q in datagen.phrase_queries():
@@ -119,10 +127,46 @@ def test_query_side_imports_no_ray(tiny_index, tmp_path):
     assert got["ray_after_export"]
 
 
+_DELTA_SCRIPT = r"""
+import json, sys
+
+from search_engine_ray import datagen
+from search_engine_ray.search import SearchEngine
+
+hot, s1 = datagen.stem(0), datagen.stem(1)
+pandas_at = []
+eng = SearchEngine(sys.argv[1])
+assert eng._has_deltas
+for step, kw in (("open", None), ("bm25", {}), ("phrase", {"mode": "phrase"}),
+                 ("snippets", {"with_snippets": True})):
+    if kw is not None:
+        assert eng.search(f"{hot} {s1}", limit=3, **kw)["count"] > 0, step
+    if "pandas" in sys.modules and not pandas_at:
+        pandas_at.append(step)
+print(json.dumps({"pandas_at": pandas_at}))
+"""
+
+
+def test_delta_engine_imports_no_pandas(tiny_index, tmp_path):
+    """An engine over a live delta generation reads the generation's
+    files and the tombstoned doc-store rows without pyarrow's pandas
+    shim: no pandas after opening it, nor after bm25, phrase (positions
+    merged by the overlay) and snippet searches."""
+    out = str(tmp_path / "idx")
+    shutil.copytree(tiny_index["out_dir"], out)
+    assert delta.reindex_conversations(out, ["conv-00000000", "conv-00000003"])["result"]
+    r = subprocess.run(
+        [sys.executable, "-c", _DELTA_SCRIPT, out],
+        capture_output=True, text=True, cwd=_REPO, timeout=600,
+    )
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert json.loads(r.stdout.strip().splitlines()[-1])["pandas_at"] == []
+
+
 def test_columns_convert_like_arrow():
     """The search path's Arrow <-> numpy conversions (``state.columns``)
-    give Arrow's own values: offsets of sliced arrays, nulls, non-ASCII
-    strings, timestamps and empty arrays."""
+    give Arrow's own values: offsets of sliced arrays, nulls, bools,
+    non-ASCII strings, timestamps and empty arrays."""
     import numpy as np
     import pyarrow as pa
 
@@ -131,6 +175,9 @@ def test_columns_convert_like_arrow():
     ints = pa.chunked_array([pa.array([5, None, 7], pa.int32()), pa.array([9], pa.int32())])
     assert to_numpy(ints, fill=-1).tolist() == [5, -1, 7, 9]
     assert to_numpy(pa.array([1.5, 2.5, 3.5])[1:]).tolist() == [2.5, 3.5]
+    bools = pa.array([True, None, False, True, True, False, True, True, False, True])
+    assert to_numpy(bools).tolist() == [bool(b) for b in bools.to_pylist()]
+    assert to_numpy(bools[3:]).tolist() == bools[3:].to_pylist()
     strs = pa.array(["ab", "héllo", None, "", "z"])
     assert to_numpy(strs).tolist() == strs.to_pylist()
     assert to_numpy(strs[1:2]).tolist() == ["héllo"] and to_numpy(strs[3:]).tolist() == ["", "z"]
