@@ -568,9 +568,7 @@ def _rows_resp(schema: pa.Schema, rows, count: int) -> dict:
     """A success response whose data is ``rows``, tuples in ``schema``
     column order."""
     cols = list(zip(*rows)) if rows else [() for _ in schema]
-    data = pa.table(
-        [pa.array(list(c), f.type) for c, f in zip(cols, schema)], schema=schema
-    )
+    data = pa.table([to_arrow(c, f.type) for c, f in zip(cols, schema)], schema=schema)
     return {"result": True, "count": int(count), "data": data, "error": None}
 
 
@@ -2337,7 +2335,7 @@ class SearchEngine(Aggregations):
         nothing corpus-sized. -> {'result', 'count' (found docs),
         'data': pa.Table(conv_id, turn_idx, found, role, tool, ts,
         text), 'error'}"""
-        empty = MGET_SCHEMA.empty_table()
+        empty = empty_table(MGET_SCHEMA)
         if not isinstance(docs, (list, tuple)) or not docs \
                 or len(docs) > self.MAX_MGET:
             return {**self._resp(error="bad_docs"), "data": empty}
@@ -2360,8 +2358,10 @@ class SearchEngine(Aggregations):
         if len(found_ids):
             enr = self._enrich(found_ids, np.zeros(len(found_ids)), [], False)
             texts = self._texts(found_ids, enr.column("conv_id").to_pylist())
-            for did, r, x in zip(found_ids, enr.to_pylist(), texts):
-                meta[int(did)] = (r["role"], r["tool"], r["ts"], x or "")
+            for did, role, tool, ts, x in zip(
+                    found_ids, enr.column("role").to_pylist(), enr.column("tool").to_pylist(),
+                    to_numpy(enr.column("ts")).tolist(), texts):
+                meta[int(did)] = (role, tool, ts, x or "")
         rows = []
         n_found = 0
         for (c, t), did in zip(pairs, dids):
@@ -2371,13 +2371,13 @@ class SearchEngine(Aggregations):
             rows.append((c, t, True, *meta[int(did)]))
             n_found += 1
         tbl = pa.table({
-            "conv_id": pa.array([r[0] for r in rows], pa.string()),
-            "turn_idx": pa.array([r[1] for r in rows], pa.int32()),
-            "found": pa.array([r[2] for r in rows], pa.bool_()),
-            "role": pa.array([r[3] for r in rows], pa.string()),
-            "tool": pa.array([r[4] for r in rows], pa.string()),
-            "ts": pa.array([r[5] for r in rows], pa.timestamp("us")),
-            "text": pa.array([r[6] for r in rows], pa.string()),
+            "conv_id": to_arrow([r[0] for r in rows], pa.string()),
+            "turn_idx": to_arrow([r[1] for r in rows], pa.int32()),
+            "found": to_arrow([r[2] for r in rows], pa.bool_()),
+            "role": to_arrow([r[3] for r in rows], pa.string()),
+            "tool": to_arrow([r[4] for r in rows], pa.string()),
+            "ts": to_arrow([r[5] for r in rows], pa.timestamp("us")),  # epoch µs
+            "text": to_arrow([r[6] for r in rows], pa.string()),
         })
         return {"result": True, "count": n_found, "data": tbl, "error": None}
 

@@ -68,22 +68,32 @@ def _strings(col: pa.Array) -> list:
 
 
 def to_arrow(values, t: pa.DataType) -> pa.Array:
-    """An Arrow array of type ``t`` from ``values``: numbers (any
-    sequence numpy converts; temporal types as their integer storage),
-    or for ``pa.string()`` a sequence of str or None."""
-    if pa.types.is_string(t):
+    """An Arrow array of type ``t`` from ``values``: str for
+    ``pa.string()``, else bools or numbers (temporal types as their
+    integer storage). A numpy array of numbers holds no nulls; in any
+    other sequence None is null."""
+    validity = None
+    if not isinstance(values, np.ndarray) or pa.types.is_string(t):
         values = list(values)
-        raw = [b"" if v is None else v.encode() for v in values]
-        offs = np.zeros(len(raw) + 1, np.int64)
-        np.cumsum([len(b) for b in raw], out=offs[1:])
-        if offs[-1] >= 1 << 31:
-            raise OverflowError("string data past 32-bit offsets")
         nulls = np.array([v is None for v in values], bool)
-        validity = pa.py_buffer(np.packbits(~nulls, bitorder="little")) if nulls.any() else None
-        return pa.Array.from_buffers(
-            t, len(raw), [validity, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(b"".join(raw))])
-    vals = np.ascontiguousarray(values, _dtype(t))
-    return pa.Array.from_buffers(t, len(vals), [None, pa.py_buffer(vals)])
+        if nulls.any():
+            validity = pa.py_buffer(np.packbits(~nulls, bitorder="little"))
+        if pa.types.is_string(t):
+            raw = [b"" if v is None else v.encode() for v in values]
+            offs = np.zeros(len(raw) + 1, np.int64)
+            np.cumsum([len(b) for b in raw], out=offs[1:])
+            if offs[-1] >= 1 << 31:
+                raise OverflowError("string data past 32-bit offsets")
+            return pa.Array.from_buffers(
+                t, len(raw), [validity, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(b"".join(raw))])
+        if validity is not None:
+            values = [0 if v is None else v for v in values]
+    if pa.types.is_boolean(t):
+        n, data = len(values), np.packbits(np.asarray(values, bool), bitorder="little")
+    else:
+        data = np.ascontiguousarray(values, _dtype(t))
+        n = len(data)
+    return pa.Array.from_buffers(t, n, [validity, pa.py_buffer(data)])
 
 
 def read_table(path: str, columns=None) -> pa.Table:

@@ -61,6 +61,11 @@ no_pandas("fuzzy, wildcard, regexp")
 assert eng.suggest(hot[:-1] + "x").num_rows and eng.complete(hot[:3])["count"]
 assert eng.suggest_query(f"{hot[:-1]}x {s1}")["changed"]
 no_pandas("suggest, complete")
+assert eng.facets(hot, by=("role", "tool", "day"))["count"] > 0
+assert eng.range_agg(hot, [(None, 20), (20, None)])["result"]
+top = eng.search(hot, limit=1)["data"].to_pylist()[0]
+assert eng.mget([(top["conv_id"], top["turn_idx"]), ("conv-none", 0)])["count"] == 1
+no_pandas("facets, range_agg, mget")
 # the index carries a phrase aux: at least one phrase query reads a pair
 assert eng._aux_pairs
 for q in datagen.phrase_queries():
@@ -188,7 +193,9 @@ def test_columns_convert_like_arrow():
     assert to_numpy(pa.array([], pa.string())).tolist() == []
     for vals, t in ((["a", None, "ü"], pa.string()), (np.arange(4), pa.int64()),
                     ([1, 2], pa.int32()), ([0.5], pa.float64()), ([7], pa.timestamp("us")),
-                    ([], pa.string()), ([], pa.int64())):
+                    ([], pa.string()), ([], pa.int64()), ([1, None, 3], pa.int64()),
+                    ([True, None, False] * 4, pa.bool_()), (np.array([True, False]), pa.bool_()),
+                    ([None, 5], pa.timestamp("us")), ([None, 0.5], pa.float64())):
         assert to_arrow(vals, t).equals(pa.array(list(vals), t)), (vals, t)
     schema = pa.schema([("s", pa.string()), ("n", pa.int64())])
     assert empty_table(schema).equals(schema.empty_table())
