@@ -71,7 +71,7 @@ from .stages.encode import (
     scope_code_space,
 )
 from .state import layout
-from .state.columns import empty_table, read_table, to_arrow, to_numpy
+from .state.columns import empty_table, numpy_dtype, read_table, to_arrow, to_numpy
 from .state.manifest import load_json
 
 
@@ -317,13 +317,21 @@ def _nbytes(x) -> int:
     return 8
 
 
+# the kinds of payload that are whole decoded index row groups: a query
+# needs one only at a lemma's first touch, so together they hold at most
+# a quarter of the budget and cannot crowd out the block entries and
+# decoded streams every warm query reads
+_GROUP_KINDS = ("index", "poss")
+
+
 class PayloadCache:
     """An engine's one store of read and decoded index payloads: an LRU
     over ``(kind, ...)`` keys holding at most ``max_bytes`` behind one
     lock, so threads serving one engine share it safely. A payload is
     computed OUTSIDE the lock: two threads missing the same key both
     compute it and the second insert wins (the values are identical).
-    A payload larger than the budget is returned without being cached."""
+    A payload larger than the budget is returned without being cached;
+    ``_GROUP_KINDS`` payloads past a quarter of it are evicted first."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -356,9 +364,24 @@ class PayloadCache:
                 old = self._lru.pop(key, None)
                 self.bytes += n - (old[1] if old else 0)
                 self._lru[key] = (payload, n)
+                if key[0] in _GROUP_KINDS:
+                    self._trim_groups()
                 while self.bytes > self.max_bytes:
                     self.bytes -= self._lru.popitem(last=False)[1][1]
         return payload
+
+    def _trim_groups(self) -> None:
+        """Evict ``_GROUP_KINDS`` payloads, least recently used first,
+        until together they hold at most a quarter of the budget (the
+        lock held)."""
+        held = [(k, n) for k, (_, n) in self._lru.items() if k[0] in _GROUP_KINDS]
+        over = sum(n for _, n in held) - self.max_bytes // 4
+        for k, n in held:
+            if over <= 0:
+                break
+            del self._lru[k]
+            self.bytes -= n
+            over -= n
 
     def get(self, key, compute):
         """The payload of ``key``, from the cache or ``compute()``."""
@@ -382,6 +405,7 @@ _STORES = {
     "docs": (layout.docs_dir, "docid"),
     "dict": (layout.lemma_dict_path, "lemma"),
     "index": (layout.index_dir, "lemma_h"),
+    "aux": (layout.aux_dir, "pair_id"),
 }
 
 
@@ -455,7 +479,7 @@ def _join_rows(col: str, parts: list):
     if len(parts) == 1:
         return parts[0]
     if col not in _INDEX_BINARY:
-        return np.concatenate(parts) if parts else to_numpy(pa.nulls(0, INDEX_SCHEMA.field(col).type))
+        return np.concatenate([np.empty(0, numpy_dtype(INDEX_SCHEMA.field(col).type))] + parts)
     base = np.cumsum([0] + [len(d) for d, _ in parts])
     return (np.concatenate([np.empty(0, np.uint8)] + [d for d, _ in parts]),
             np.concatenate([[0]] + [o[1:] + b for (_, o), b in zip(parts, base)]).astype(np.int64))
@@ -1244,7 +1268,8 @@ class SearchEngine(Aggregations):
     # the byte budget of the engine cache (read at construction). A row
     # group whose decoded columns exceed a quarter of it is read uncached
     # on every touch (_row_group), so one huge row group (pyarrow's
-    # default is 1 Mi rows) cannot flush the postings.
+    # default is 1 Mi rows) cannot flush the postings; the decoded index
+    # row groups together keep to a quarter too (PayloadCache).
     CACHE_MAX_BYTES = 256 << 20
     # an unindexed hot-hot bigram's full adjacency list is built and
     # cached once the pair's combined postings reach this size (below it
@@ -1271,7 +1296,8 @@ class SearchEngine(Aggregations):
         """One aux pair's (docids, cnts, starts), composed with the delta
         overlay when generations are live."""
         def read():
-            got = layout.read_pair(self.out_dir, self._aux_pairs[pr])
+            pid = self._aux_pairs[pr]
+            got = layout.read_pair(self.out_dir, pid, self._groups_meeting("aux", pid, pid))
             return self._aux_overlay(pr, got) if self._has_deltas else got
 
         return self._cache.get(("aux", pr), read)
@@ -1462,14 +1488,15 @@ class SearchEngine(Aggregations):
     def _tomb_keep_mask(self, docid: np.ndarray) -> np.ndarray:
         return ~_in_ranges(docid, self._tomb_starts, self._tomb_ends)
 
-    def _overlay_delta(self, lem: str, bl: dict, poss) -> dict:
+    def _overlay_delta(self, lem: str, bl: dict) -> dict:
         """Merge-on-read for one lemma's freshly read block entry ``bl``
-        (``poss`` = its raw poss buffers, or None): mask tombstoned base
-        postings, splice in delta postings, rebuild synthetic block
-        metadata with the effective avgdl. Untouched lemmas only get the
-        bmw scale. -> the entry to publish (built before it is cached, so
-        a concurrent query never sees the base-only postings; an evicted
-        entry is rebuilt here on its next read)."""
+        (its poss stream read here when positions are kept): mask
+        tombstoned base postings, splice in delta postings, rebuild
+        synthetic block metadata with the effective avgdl. Untouched
+        lemmas only get the bmw scale. -> the entry to publish (built
+        before it is cached, so a concurrent query never sees the
+        base-only postings; an evicted entry is rebuilt here on its next
+        read)."""
         delta = self._delta_lemma.get(lem)
         affected = delta is not None
         if not affected and len(bl["first"]):
@@ -1486,9 +1513,9 @@ class SearchEngine(Aggregations):
         )
         want_pos = bool(
             self.manifest["stats"].get("positions")
-        ) and self._delta_positions_ok and poss is not None
+        ) and self._delta_positions_ok and self._poss_in_schema
         pos_flat = (
-            decode_poss_range(poss, bl["cum_cf"], 0, nb, tf)
+            decode_poss_range(self._poss_rows(bl["where"]), bl["cum_cf"], 0, nb, tf)
             if want_pos and len(docid) else None
         )
         if len(docid):
@@ -1608,21 +1635,27 @@ class SearchEngine(Aggregations):
         return self._row_group("poss", path, g, ("poss",),
                                lambda t: binary_column_buffers(t.column(0)))
 
-    def _read_index(self, lemmas: list[str], cols=_BLOCK_COLUMNS) -> dict:
-        """lemma -> its index rows, first_docid-ascending: ``cols`` (of
-        ``_BLOCK_COLUMNS`` and ``poss``) as arrays of its own, copied
-        out of the cached index row groups whose ``lemma_h`` bounds hold
-        the lemma's hash (no rows = empty arrays). In each group a
-        searchsorted on ``lemma_h`` finds the hash's rows, of which only
-        exact lemma matches are kept (hashes may collide); a lemma that
-        crosses a group bound joins its slices. Copies, so evicting a
-        group frees it whatever entries were cut from it."""
+    def _read_index(self, lemmas: list[str]) -> dict:
+        """lemma -> its index rows, first_docid-ascending: the
+        ``_BLOCK_COLUMNS`` as arrays of its own, copied out of the index
+        row groups whose ``lemma_h`` bounds hold the lemma's hash (no
+        rows = empty arrays), and ``where``, the ``(path, row group,
+        rows)`` they came from (``_poss_rows``). Each group is decoded
+        at most once per call, whether or not the engine cache keeps it
+        (``_row_group``). In each group a searchsorted on ``lemma_h``
+        finds the hash's rows, of which only exact lemma matches are
+        kept (hashes may collide); a lemma that crosses a group bound
+        joins its slices. Copies, so evicting a group frees it whatever
+        entries were cut from it."""
+        held = {}  # (path, group) -> decoded group, for this call
         out = {}
         for lem in lemmas:
             h = analyzer.lemma_hash64(lem)
             pieces = []  # (path, group, decoded group, rows)
             for p, g in self._groups_meeting("index", h, h):
-                grp = self._index_group(p, g)
+                grp = held.get((p, g))
+                if grp is None:
+                    grp = held[p, g] = self._index_group(p, g)
                 hs = grp["lemma_h"]
                 a, b = int(np.searchsorted(hs, h, "left")), int(np.searchsorted(hs, h, "right"))
                 codes = grp["lemma"][a:b]
@@ -1634,16 +1667,18 @@ class SearchEngine(Aggregations):
                     pieces.append((p, g, grp, rows))
             # groups hold disjoint first_docid runs of the lemma
             pieces.sort(key=lambda x: int(x[2]["first_docid"][x[3]][0]))
-            rows = {}
-            for c in cols:
-                if c == "poss":
-                    parts = [_binary_rows(self._poss_group(p, g), r) for p, g, _, r in pieces]
-                else:
-                    parts = [grp[c][r].copy() if c not in _INDEX_BINARY
-                             else _binary_rows(grp[c], r) for _, _, grp, r in pieces]
-                rows[c] = _join_rows(c, parts)
+            rows = {c: _join_rows(c, [grp[c][r].copy() if c not in _INDEX_BINARY
+                                      else _binary_rows(grp[c], r) for _, _, grp, r in pieces])
+                    for c in _BLOCK_COLUMNS}
+            rows["where"] = [(p, g, r) for p, g, _, r in pieces]
             out[lem] = rows
         return out
+
+    def _poss_rows(self, where: list) -> tuple:
+        """The ``poss`` stream of a lemma's index rows ``where`` (from
+        ``_read_index``) as one (data, offsets), copied out of the cached
+        ``poss`` row groups."""
+        return _join_rows("poss", [_binary_rows(self._poss_group(p, g), r) for p, g, r in where])
 
     def _block_entry(self, lem: str, rows: dict) -> dict:
         """The published block entry of one lemma from its index rows
@@ -1664,26 +1699,24 @@ class SearchEngine(Aggregations):
             "tfs": rows["tfs"],
             "dls": rows["dls"],
             "scps": rows["scps"],
+            "where": rows["where"],
         }
         if not self._has_deltas:
             if self._bmw_scale > 1.0:
                 entry["bmw"] = entry["bmw"] * self._bmw_scale
             return entry
-        return self._overlay_delta(lem, entry, rows.get("poss"))
+        return self._overlay_delta(lem, entry)
 
     def _term_blocks(self, lemmas: list[str]) -> dict[str, dict]:
         """lemma -> its block entry, through the engine cache; a missing
-        entry is cut from its cached index row groups (``_read_index``).
-        On a delta-overlaid positional engine the poss stream is read
-        with it (the overlay folds positions exactly once, at block
-        load); otherwise positions are read apart, by
+        entry is cut from its index row groups (``_read_index``). An
+        entry the delta overlay rewrites folds its positions in at block
+        load (``_overlay_delta``); otherwise positions are read apart, by
         ``_term_positions_full``, for phrase and near queries only."""
         out = {lem: self._cache.peek(("blocks", lem)) for lem in lemmas}
         missing = [lem for lem, got in out.items() if got is None]
         if missing:
-            cols = _BLOCK_COLUMNS + (("poss",) if self._poss_in_schema and self._has_deltas
-                                     and self.manifest["stats"].get("positions") else ())
-            for lem, rows in self._read_index(missing, cols).items():
+            for lem, rows in self._read_index(missing).items():
                 out[lem] = self._cache.put(("blocks", lem), self._block_entry(lem, rows))
         return out
 
@@ -3655,8 +3688,7 @@ class SearchEngine(Aggregations):
         key = (kind, path, g)
         got = self._cache.peek(key)
         if got is None:
-            got = decode(self._parquet(path).read_row_group(
-                g, columns=list(columns), use_threads=False))
+            got = decode(self._parquet(path).read_row_group(g, columns=list(columns)))
             if _nbytes(got) <= self._cache.max_bytes // 4:
                 self._cache.put(key, got)
         return got
@@ -4233,14 +4265,12 @@ class SearchEngine(Aggregations):
         (``tf_full`` = the already-decoded tf stream; posting i owns
         ``pos[cumsum(tf)[i] : cumsum(tf)[i+1]]``). Cached per term — ONE
         varint pass over the term's rows of the poss stream, cut from the
-        cached ``poss`` row groups (``_read_index``). A delta-overlaid
+        cached ``poss`` row groups (``_poss_rows``). A delta-overlaid
         entry keeps its merged positions."""
         if "flat" in bl:
             return bl["pos_flat"]
-        lem = bl["lemma"]
-        return self._cache.get(("pos", lem), lambda: decode_poss_range(
-            self._read_index([lem], ("poss",))[lem]["poss"], bl["cum_cf"], 0,
-            len(bl["n"]), tf_full))
+        return self._cache.get(("pos", bl["lemma"]), lambda: decode_poss_range(
+            self._poss_rows(bl["where"]), bl["cum_cf"], 0, len(bl["n"]), tf_full))
 
     def score_phrase(self, phrase: list[str], k: int, scope: str | None = None,
                      within_first: int | None = None,

@@ -308,7 +308,7 @@ def binary_column_buffers(col) -> tuple[np.ndarray, np.ndarray]:
     ranges straight out of ``data`` instead of materializing a Python
     ``bytes`` object per block (``to_pylist``)."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     bufs = col.buffers()
     offs = np.frombuffer(bufs[1], np.int32)[col.offset : col.offset + len(col) + 1]
     data = (

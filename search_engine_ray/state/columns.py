@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-def _dtype(t: pa.DataType) -> np.dtype:
+def numpy_dtype(t: pa.DataType) -> np.dtype:
     """The numpy dtype of a fixed-width Arrow type; temporal types as
     their integer storage."""
     kind = "u" if pa.types.is_unsigned_integer(t) else "f" if pa.types.is_floating(t) else "i"
@@ -36,14 +36,14 @@ def to_numpy(col, fill=0) -> np.ndarray:
     fixed-width type without nulls, else a copy with each null as
     ``fill``; strings as an object array of str (null as None)."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     n = len(col)
     if pa.types.is_string(col.type):
         return np.array(_strings(col) if n else [], object)
     if pa.types.is_boolean(col.type):
         vals = _bits(col, 1) if n else np.empty(0, bool)
     else:
-        dt = _dtype(col.type)
+        dt = numpy_dtype(col.type)
         vals = np.frombuffer(col.buffers()[1], dt, n, col.offset * dt.itemsize) if n else np.empty(0, dt)
     if col.null_count:
         vals = vals.copy()
@@ -91,7 +91,7 @@ def to_arrow(values, t: pa.DataType) -> pa.Array:
     if pa.types.is_boolean(t):
         n, data = len(values), np.packbits(np.asarray(values, bool), bitorder="little")
     else:
-        data = np.ascontiguousarray(values, _dtype(t))
+        data = np.ascontiguousarray(values, numpy_dtype(t))
         n = len(data)
     return pa.Array.from_buffers(t, n, [validity, pa.py_buffer(data)])
 

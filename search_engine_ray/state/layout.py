@@ -142,25 +142,21 @@ def load_aux(out_dir: str) -> dict | None:
     return m
 
 
-def read_pair(out_dir: str, pair_id: int):
+def read_pair(out_dir: str, pair_id: int, where=None):
     """Point-read + decode one pair's full adjacency list (its rows of
-    the aux row groups whose ``pair_id`` footer bounds hold it) ->
-    ``(docids, cnts, starts)`` (entry i owns ``starts[cum(cnts)[i]:
-    cum(cnts)[i+1]]``; docids may repeat across fragmented block rows —
-    each cell is self-contained)."""
-    d = aux_dir(out_dir)
+    the aux row groups ``where``, ``(path, row group)`` pairs; default
+    every one) -> ``(docids, cnts, starts)`` (entry i owns
+    ``starts[cum(cnts)[i]: cum(cnts)[i+1]]``; docids may repeat across
+    fragmented block rows — each cell is self-contained)."""
+    if where is None:
+        d = aux_dir(out_dir)
+        paths = [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+        where = [(p, g) for p in paths for g in range(pq.ParquetFile(p).metadata.num_row_groups)]
     parts = []
-    for f in sorted(os.listdir(d)):
-        if not f.endswith(".parquet"):
-            continue
-        pf = pq.ParquetFile(os.path.join(d, f))
-        ci = pf.schema_arrow.get_field_index("pair_id")
-        for g in range(pf.metadata.num_row_groups):
-            st = pf.metadata.row_group(g).column(ci).statistics
-            if st is None or not st.has_min_max or st.min <= pair_id <= st.max:
-                rg = pf.read_row_group(g, use_threads=False)
-                keep = np.flatnonzero(to_numpy(rg.column("pair_id")) == pair_id)
-                parts.append(rg.take(to_arrow(keep, pa.int64())))
+    for p, g in where:
+        rg = pq.ParquetFile(p).read_row_group(g, use_threads=False)
+        keep = np.flatnonzero(to_numpy(rg.column("pair_id")) == pair_id)
+        parts.append(rg.take(to_arrow(keep, pa.int64())))
     if not parts:
         return tuple(np.empty(0, np.int64) for _ in range(3))
     t = pa.concat_tables(parts)

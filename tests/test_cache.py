@@ -138,6 +138,17 @@ def test_lru_evicts_to_budget_and_skips_oversized():
     assert c.stats() == {"chunk": (2, 80)}
     assert c.get(("df", "absent"), lambda: None) is None
     assert c.get(("df", "absent"), lambda: 1 / 0) is None  # a cached None
+    # decoded index row groups together keep to a quarter of the budget:
+    # a new one evicts the least recent group, not the older postings
+    c = PayloadCache(100)
+    c.put(("chunk", "a", 0), np.zeros(9, np.int64))   # 72 B
+    c.put(("index", "f", 0), np.zeros(2, np.int64))   # 16 B
+    c.put(("poss", "f", 0), np.zeros(1, np.int64))    # 8 B: groups hold 24 of 25
+    assert c.peek(("index", "f", 0)) is not None      # the index group is now MRU
+    c.put(("index", "f", 1), np.zeros(1, np.int64))   # 32 > 25: evicts the poss group
+    assert c.stats() == {"chunk": (1, 72), "index": (2, 24)}
+    c.put(("index", "f", 2), np.zeros(3, np.int64))   # 48 > 25: evicts both older groups
+    assert c.stats() == {"chunk": (1, 72), "index": (1, 24)} and c.bytes == 96
 
 
 def test_lru_charges_arrow_and_string_payloads():
@@ -426,3 +437,55 @@ def test_block_entries_share_no_memory_with_index_groups(
     small = _small(out, budget)
     assert small._has_deltas
     check(SearchEngine(out), small)
+
+
+def test_uncached_index_groups_decoded_once_per_read(tiny_index, tmp_path, monkeypatch):
+    """Under a budget too small to cache any index row group (a quarter
+    of it is below each group, ``_row_group``), every first touch still
+    reads each group holding its lemmas' hashes exactly once, however
+    many of its lemmas share it, a lemma crossing a group bound
+    included; the answers equal a fresh engine's."""
+    from search_engine_ray import search as search_mod
+
+    out = _split_layout(tiny_index["out_dir"], str(tmp_path / "split"))
+    bounds = _index_bounds(out)
+    crossing = _crossing_lemma(out)
+    groups = []
+    real = search_mod._decode_index_group
+    monkeypatch.setattr(search_mod, "_decode_index_group",
+                        lambda t: groups.append(real(t)) or groups[-1])
+    many = " ".join(S(i) for i in range(0, 400, 7))
+    SearchEngine(out).search(many)
+    small = _small(out, 2 * min(_nbytes(g) for g in groups))
+    reads = []  # (file, row group) of each index row-group read
+    real_one = pq.ParquetFile.read_row_group
+
+    def one(self, i, columns=None, **kw):
+        if "lemma_h" in (columns or ()):
+            reads.append((self, i))
+        return real_one(self, i, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", one)
+    calls = []  # (lemmas, the index row groups read) per first touch
+    read = small._read_index
+
+    def counted(lemmas):
+        start = len(reads)
+        got = read(lemmas)
+        calls.append((lemmas, [(path, g) for pf, g in reads[start:]
+                               for path, f in small._pfs.items() if f is pf]))
+        return got
+
+    small._read_index = counted
+    fresh = SearchEngine(out)
+    for q, kw in [(many, {}), (f"{crossing} {S(0)} {S(1)}", {}),
+                  (f"{crossing} {S(0)}", {"mode": "phrase"})] + QUERIES[::5]:
+        assert _answer(small, q, **kw) == _answer(fresh, q, **kw), (q, kw)
+    assert "index" not in small._cache.stats()
+    shared = False
+    for lemmas, got in calls:
+        holding = [(p, g) for x in lemmas for p, g, lo, hi in bounds
+                   if lo <= analyzer.lemma_hash64(x) <= hi]
+        assert sorted(got) == sorted(set(holding)), lemmas
+        shared |= len(set(holding)) < len(holding)
+    assert shared and any(crossing in lemmas for lemmas, _ in calls)

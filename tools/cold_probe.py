@@ -1,14 +1,14 @@
 """Cold-start probe of the posting read: what a fresh engine's first
 queries cost, and how much of it is ``SearchEngine._read_index``.
 
-Draws ``--queries`` seeded BM25 queries of 1 to 3 lemmas, each lemma
-uniform over the dictionary's lemmas with df >= ``--min-df``, and runs
-them in ``--batches`` equal batches, each on a fresh ``SearchEngine``
+Draws ``QUERIES`` seeded BM25 queries of 1 to 3 lemmas, each lemma
+uniform over the dictionary's lemmas with df >= ``MIN_DF``, and runs
+them in ``BATCHES`` equal batches, each on a fresh ``SearchEngine``
 (empty engine cache; the files stay in the OS page cache, and the
 first batch also pays the process's first-query imports). It prints,
 per batch, the mean cold query time; over all queries, the median and
 the share of the time spent in ``_read_index``; then a warm table: each
-batch's queries re-run on its now-warm engine, ``--warm-runs`` times,
+batch's queries re-run on its now-warm engine, ``WARM_RUNS`` times,
 a query's best run kept, the mean per class in ms. A query's class is
 the df share of its hottest lemma: rare < 1%, mid 1-5%, hot 5-25%,
 ultra >= 25% of the docs, and its lemma count.
@@ -21,7 +21,6 @@ The last line of output is the result as JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -36,16 +35,17 @@ from search_engine_ray.search import SearchEngine  # noqa: E402
 
 # df share of the docs from which a lemma is mid, hot, ultra
 CLASSES = ((0.25, "ultra"), (0.05, "hot"), (0.01, "mid"), (0.0, "rare"))
+QUERIES, BATCHES, SEED, MIN_DF, K, WARM_RUNS = 90, 3, 0, 2, 10, 3
 
 
-def draw_queries(out_dir: str, n: int, seed: int, min_df: int) -> list[tuple[str, str]]:
-    """``n`` seeded (query text, class) pairs over ``out_dir``'s
+def draw_queries(out_dir: str) -> list[tuple[str, str]]:
+    """``QUERIES`` seeded (query text, class) pairs over ``out_dir``'s
     dictionary, read by an engine of its own."""
     eng = SearchEngine(out_dir)
-    pool = sorted((lem, df) for v in eng._vocab() for lem, df in v.items() if df >= min_df)
-    rng = random.Random(seed)
+    pool = sorted((lem, df) for v in eng._vocab() for lem, df in v.items() if df >= MIN_DF)
+    rng = random.Random(SEED)
     out = []
-    for _ in range(n):
+    for _ in range(QUERIES):
         picked = rng.sample(pool, rng.randint(1, 3))
         share = max(df for _, df in picked) / eng.n_docs
         cls = next(name for lo, name in CLASSES if share >= lo)
@@ -53,8 +53,8 @@ def draw_queries(out_dir: str, n: int, seed: int, min_df: int) -> list[tuple[str
     return out
 
 
-def run_batch(out_dir: str, queries, k: int, warm_runs: int) -> tuple[list, float, list]:
-    """One fresh engine answers ``queries`` cold, then ``warm_runs``
+def run_batch(out_dir: str, queries) -> tuple[list, float, list]:
+    """One fresh engine answers ``queries`` cold, then ``WARM_RUNS``
     more times. -> (cold seconds per query, seconds inside
     ``_read_index``, best warm seconds per query)."""
     eng = SearchEngine(out_dir)
@@ -72,34 +72,27 @@ def run_batch(out_dir: str, queries, k: int, warm_runs: int) -> tuple[list, floa
     cold = []
     for text, _ in queries:
         t = time.perf_counter()
-        eng.search(text, limit=k)
+        eng.search(text, limit=K)
         cold.append(time.perf_counter() - t)
+    # re-reads after an eviction in the warm runs are not cold time
+    del eng._read_index
     warm = [float("inf")] * len(queries)
-    for _ in range(warm_runs):
+    for _ in range(WARM_RUNS):
         for i, (text, _) in enumerate(queries):
             t = time.perf_counter()
-            eng.search(text, limit=k)
+            eng.search(text, limit=K)
             warm[i] = min(warm[i], time.perf_counter() - t)
     return cold, inside[0], warm
 
 
-def main(argv=None) -> dict:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("out_dir", help="a built index")
-    ap.add_argument("--queries", type=int, default=90)
-    ap.add_argument("--batches", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--min-df", type=int, default=2)
-    ap.add_argument("--k", type=int, default=10)
-    ap.add_argument("--warm-runs", type=int, default=3)
-    args = ap.parse_args(argv)
-    queries = draw_queries(args.out_dir, args.queries, args.seed, args.min_df)
-    size = -(-len(queries) // args.batches)
+def main(out_dir: str) -> dict:
+    queries = draw_queries(out_dir)
+    size = -(-len(queries) // BATCHES)
     batches = [queries[i:i + size] for i in range(0, len(queries), size)]
     cold, inside, warm = [], 0.0, []
     means = []
     for b in batches:
-        c, r, w = run_batch(args.out_dir, b, args.k, args.warm_runs)
+        c, r, w = run_batch(out_dir, b)
         cold += c
         inside += r
         warm += w
@@ -123,4 +116,6 @@ def main(argv=None) -> dict:
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} INDEX_DIR")
+    main(sys.argv[1])
