@@ -46,7 +46,9 @@ import numpy as np
 import pyarrow as pa
 
 from .config import DEFAULT_PAGE_SIZE
-from .search import COMPLETE_SCHEMA, MGET_SCHEMA, Aggregations, Query, SearchEngine, _rows_resp
+from .search import (COMPLETE_SCHEMA, MGET_SCHEMA, SUGGEST_SCHEMA, Aggregations, Query,
+                     SearchEngine, _cols_resp, _rows_resp)
+from .state.columns import to_arrow, to_numpy, to_table
 
 
 class FederatedEngine(Aggregations):
@@ -186,11 +188,11 @@ class FederatedEngine(Aggregations):
             return self._resp(count=count)
         merged = pa.concat_tables(pages)
         conv = np.asarray(merged.column("conv_id").to_pylist(), dtype=np.str_)
-        turn = merged.column("turn_idx").to_numpy(zero_copy_only=False)
-        score = merged.column("score").to_numpy(zero_copy_only=False)
+        turn = to_numpy(merged.column("turn_idx"))
+        score = to_numpy(merged.column("score"))
         order = np.lexsort((turn, conv, -score))[offset: offset + limit]
         return {"result": True, "count": count,
-                "data": merged.take(pa.array(order)), "error": None}
+                "data": merged.take(to_arrow(order, pa.int64())), "error": None}
 
     def mget(self, docs) -> dict:
         """Federated batch point fetch: each (conv_id, turn_idx) lives
@@ -201,17 +203,14 @@ class FederatedEngine(Aggregations):
         the bad_docs guards are the single-index rules, applied once at
         the federation level by the first shard's validator."""
         per_shard = [s.mget(docs) for s in self.shards]
-        first = per_shard[0]
-        if not first["result"]:
-            return {**first, "data": MGET_SCHEMA.empty_table()}
-        rows = [t["data"].to_pylist() for t in per_shard]
-        merged, n_found = [], 0
-        for slot in zip(*rows):
-            hit = next((r for r in slot if r["found"]), slot[0])
-            merged.append(hit)
-            n_found += bool(hit["found"])
-        tbl = pa.Table.from_pylist(merged, schema=MGET_SCHEMA)
-        return {"result": True, "count": n_found, "data": tbl, "error": None}
+        if not per_shard[0]["result"]:
+            return per_shard[0]
+        found = np.array([to_numpy(r["data"].column("found")) for r in per_shard])
+        n = found.shape[1]
+        # per slot, the row of the first shard that found it, else shard 0's
+        rows = found.argmax(axis=0) * n + np.arange(n)
+        tbl = pa.concat_tables([r["data"] for r in per_shard]).take(to_arrow(rows, pa.int64()))
+        return _cols_resp(MGET_SCHEMA, tbl.columns, int(found.any(axis=0).sum()))
 
     def complete(self, prefix: str, k: int = 10) -> dict:
         """Federated completion suggester: per-shard prefix ranges merge
@@ -249,10 +248,4 @@ class FederatedEngine(Aggregations):
             ((lem, df, dist) for lem, (df, dist) in agg.items()),
             key=lambda r: (r[2], -r[1], r[0]),
         )[:k]
-        return pa.table(
-            {
-                "suggestion": pa.array([r[0] for r in rows], pa.string()),
-                "df": pa.array([r[1] for r in rows], pa.int64()),
-                "dist": pa.array([r[2] for r in rows], pa.int32()),
-            }
-        )
+        return to_table(SUGGEST_SCHEMA, zip(*rows))

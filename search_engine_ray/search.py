@@ -71,7 +71,7 @@ from .stages.encode import (
     scope_code_space,
 )
 from .state import layout
-from .state.columns import empty_table, numpy_dtype, read_table, to_arrow, to_numpy
+from .state.columns import numpy_dtype, read_table, to_arrow, to_numpy, to_table
 from .state.manifest import load_json
 
 
@@ -588,12 +588,48 @@ def _n_common(a, b) -> int:
     )
 
 
-def _rows_resp(schema: pa.Schema, rows, count: int) -> dict:
+def _jlh_rank(fg, bg, n_fg: float, n_docs: float):
+    """``significant_terms``' ranking rule: every lemma, by the JLH score
+    ``(fg% - bg%) * (fg% / bg%)`` DESC, fg% = fg / ``n_fg`` (the matching
+    docs) and bg% = bg / ``n_docs`` — one division per rate, the op
+    sequence the SQL oracle mirrors. -> (keep mask, ascending key,
+    [score])."""
+    fgp = fg / n_fg
+    bgp = bg / n_docs
+    score = (fgp - bgp) * (fgp / bgp)
+    return np.ones(len(fg), bool), -score, [score]
+
+
+def _rare_rank(max_doc_count: int, fg, bg, n_fg: float, n_docs: float):
+    """``rare_terms``' ranking rule: the lemmas whose live df ``bg`` is at
+    most ``max_doc_count``, by bg ASC. -> (keep mask, ascending key, no
+    extra column)."""
+    return bg <= max_doc_count, bg, []
+
+
+def _top_terms(rank, k: int, lem, fg, bg) -> list:
+    """The top ``k`` of the term rows ``(lem, fg, bg)`` with fg > 0 that
+    ``rank(fg, bg)`` keeps, by its key ASC then lemma ASC. -> [lemma,
+    fg, bg, *the rule's extra columns]."""
+    m = fg > 0
+    lem, fg, bg = lem[m], fg[m], bg[m]
+    keep, key, extra = rank(fg, bg)
+    sel = np.flatnonzero(keep)[np.lexsort((lem[keep], key[keep]))][:k]
+    return [c[sel] for c in (lem, fg, bg, *extra)]
+
+
+def _rows_resp(schema: pa.Schema, rows, count: int, **extra) -> dict:
     """A success response whose data is ``rows``, tuples in ``schema``
-    column order."""
-    cols = list(zip(*rows)) if rows else [() for _ in schema]
-    data = pa.table([to_arrow(c, f.type) for c, f in zip(cols, schema)], schema=schema)
-    return {"result": True, "count": int(count), "data": data, "error": None}
+    column order (``_cols_resp``)."""
+    return _cols_resp(schema, zip(*rows), count, **extra)
+
+
+def _cols_resp(schema: pa.Schema, cols, count: int, **extra) -> dict:
+    """A success response whose data is the table of ``schema`` with
+    ``cols``, one column per field (``columns.to_table``); ``extra``
+    holds the surface's other keys."""
+    return {"result": True, "count": int(count), **extra,
+            "data": to_table(schema, cols), "error": None}
 
 
 class Aggregations:
@@ -650,7 +686,7 @@ class Aggregations:
         return {
             "result": error is None,
             "count": count,
-            "data": empty_table(schema or RESULT_SCHEMA),
+            "data": to_table(schema or RESULT_SCHEMA),
             "error": error,
             **extra,
         }
@@ -1381,8 +1417,7 @@ class SearchEngine(Aggregations):
         # 100 TB
         n_eff, len_eff = self.n_docs, int(self.manifest["stats"]["total_len"])
         for lo, hi, (p, g) in zip(*self._groups("docs")):
-            i = np.searchsorted(self._tomb_ends, lo, side="right")
-            if i < len(ranges) and self._tomb_starts[i] <= hi:
+            if self._tombed(lo, hi):
                 grp = self._row_group("docs", p, g, _DOC_COLUMNS, _decode_doc_group)
                 gone = _in_ranges(grp["docid"], self._tomb_starts, self._tomb_ends)
                 n_eff -= int(gone.sum())
@@ -1488,6 +1523,11 @@ class SearchEngine(Aggregations):
     def _tomb_keep_mask(self, docid: np.ndarray) -> np.ndarray:
         return ~_in_ranges(docid, self._tomb_starts, self._tomb_ends)
 
+    def _tombed(self, lo: int, hi: int) -> bool:
+        """Whether a tombstoned docid range meets ``[lo, hi]``."""
+        i = np.searchsorted(self._tomb_ends, lo, side="right")
+        return i < len(self._tomb_starts) and int(self._tomb_starts[i]) <= hi
+
     def _overlay_delta(self, lem: str, bl: dict) -> dict:
         """Merge-on-read for one lemma's freshly read block entry ``bl``
         (its poss stream read here when positions are kept): mask
@@ -1500,9 +1540,7 @@ class SearchEngine(Aggregations):
         delta = self._delta_lemma.get(lem)
         affected = delta is not None
         if not affected and len(bl["first"]):
-            lo, hi = int(bl["first"][0]), int(bl["last"][-1])
-            i = np.searchsorted(self._tomb_ends, lo, side="right")
-            affected = i < len(self._tomb_starts) and int(self._tomb_starts[i]) <= hi
+            affected = self._tombed(int(bl["first"][0]), int(bl["last"][-1]))
         if not affected:
             if self._bmw_scale > 1.0:
                 bl["bmw"] = bl["bmw"] * self._bmw_scale
@@ -2301,18 +2339,17 @@ class SearchEngine(Aggregations):
         if isinstance(fields, str):
             fields = tuple(v.strip() for v in fields.split(",") if v.strip())
         fields = tuple(fields)
-        empty = METRICS_SCHEMA.empty_table()
         if not fields or not set(fields) <= {"doc_len", "ts"}:
-            return {**self._resp(error="bad_field"), "data": empty}
+            return self._resp(error="bad_field", schema=METRICS_SCHEMA)
         try:
             percentiles = tuple(int(q) for q in percentiles)
         except (TypeError, ValueError):
-            return {**self._resp(error="bad_percentiles"), "data": empty}
+            return self._resp(error="bad_percentiles", schema=METRICS_SCHEMA)
         if len(percentiles) != 3 or any(not 1 <= q <= 100 for q in percentiles):
             # the schema holds exactly p50/p90/p99; q=0 would index v[-1]
             # (the MAX labelled as p0), q>100 would IndexError — validate
             # like the sibling surfaces
-            return {**self._resp(error="bad_percentiles"), "data": empty}
+            return self._resp(error="bad_percentiles", schema=METRICS_SCHEMA)
         _, parts, resp = self._matched(
             query_text, scope, conjunctive, exclude, ts_min, ts_max,
             schema=METRICS_SCHEMA)
@@ -2339,20 +2376,7 @@ class SearchEngine(Aggregations):
             )
             pcts = [int(v[(q * n + 99) // 100 - 1]) for q in percentiles]
             rows.append((field, n, base, int(v[-1]), total // n, *pcts))
-        rows.sort()
-        tbl = pa.table(
-            {
-                "field": pa.array([r[0] for r in rows], pa.string()),
-                "n_docs": pa.array([r[1] for r in rows], pa.int64()),
-                "v_min": pa.array([r[2] for r in rows], pa.int64()),
-                "v_max": pa.array([r[3] for r in rows], pa.int64()),
-                "v_avg": pa.array([r[4] for r in rows], pa.int64()),
-                "p50": pa.array([r[5] for r in rows], pa.int64()),
-                "p90": pa.array([r[6] for r in rows], pa.int64()),
-                "p99": pa.array([r[7] for r in rows], pa.int64()),
-            }
-        )
-        return {"result": True, "count": int(len(uniq)), "data": tbl, "error": None}
+        return _rows_resp(METRICS_SCHEMA, sorted(rows), len(uniq))
 
     MAX_MGET = 1024
 
@@ -2368,21 +2392,20 @@ class SearchEngine(Aggregations):
         nothing corpus-sized. -> {'result', 'count' (found docs),
         'data': pa.Table(conv_id, turn_idx, found, role, tool, ts,
         text), 'error'}"""
-        empty = empty_table(MGET_SCHEMA)
         if not isinstance(docs, (list, tuple)) or not docs \
                 or len(docs) > self.MAX_MGET:
-            return {**self._resp(error="bad_docs"), "data": empty}
+            return self._resp(error="bad_docs", schema=MGET_SCHEMA)
         pairs = []
         for d in docs:
             if isinstance(d, dict):
                 d = (d.get("conv_id"), d.get("turn_idx"))
             if (not isinstance(d, (list, tuple)) or len(d) != 2
                     or not isinstance(d[0], str)):
-                return {**self._resp(error="bad_docs"), "data": empty}
+                return self._resp(error="bad_docs", schema=MGET_SCHEMA)
             try:
                 pairs.append((d[0], int(d[1])))
             except (TypeError, ValueError):
-                return {**self._resp(error="bad_docs"), "data": empty}
+                return self._resp(error="bad_docs", schema=MGET_SCHEMA)
         dids = [self._cursor_docid(c, t) for c, t in pairs]
         cand = np.array(sorted({int(x) for x in dids if x is not None}),
                         np.int64)
@@ -2401,18 +2424,9 @@ class SearchEngine(Aggregations):
             if did is None or int(did) not in meta:
                 rows.append((c, t, False, None, None, None, None))
                 continue
-            rows.append((c, t, True, *meta[int(did)]))
+            rows.append((c, t, True, *meta[int(did)]))  # ts as epoch µs
             n_found += 1
-        tbl = pa.table({
-            "conv_id": to_arrow([r[0] for r in rows], pa.string()),
-            "turn_idx": to_arrow([r[1] for r in rows], pa.int32()),
-            "found": to_arrow([r[2] for r in rows], pa.bool_()),
-            "role": to_arrow([r[3] for r in rows], pa.string()),
-            "tool": to_arrow([r[4] for r in rows], pa.string()),
-            "ts": to_arrow([r[5] for r in rows], pa.timestamp("us")),  # epoch µs
-            "text": to_arrow([r[6] for r in rows], pa.string()),
-        })
-        return {"result": True, "count": n_found, "data": tbl, "error": None}
+        return _rows_resp(MGET_SCHEMA, rows, n_found)
 
     def matrix_stats(
         self,
@@ -2469,17 +2483,8 @@ class SearchEngine(Aggregations):
         var_y = syy / n - mean_y * mean_y
         denom = math.sqrt(var_x) * math.sqrt(var_y)
         corr = cov / denom if denom > 0 else 0.0
-        tbl = pa.table({
-            "n_docs": pa.array([n], pa.int64()),
-            "sum_x": pa.array([sx], pa.int64()),
-            "sum_y": pa.array([sy], pa.int64()),
-            "sum_xx": pa.array([str(sxx)], pa.string()),
-            "sum_yy": pa.array([str(syy)], pa.string()),
-            "sum_xy": pa.array([str(sxy)], pa.string()),
-            "cov": pa.array([round(cov, 6)], pa.float64()),
-            "corr": pa.array([round(corr, 6)], pa.float64()),
-        })
-        return {"result": True, "count": n, "data": tbl, "error": None}
+        return _rows_resp(MATRIX_STATS_SCHEMA, [(
+            n, sx, sy, str(sxx), str(syy), str(sxy), round(cov, 6), round(corr, 6))], n)
 
     def extended_stats(
         self,
@@ -2510,7 +2515,7 @@ class SearchEngine(Aggregations):
             return resp
         [(_, uniq, _)] = parts
         n = len(uniq)
-        rows: dict[str, list] = {k: [] for k in EXT_STATS_SCHEMA.names}
+        rows = []
         for field in ("doc_len", "ts"):
             vals = self._field_values(uniq, field)
             vmin, vmax = int(vals.min()), int(vals.max())
@@ -2522,19 +2527,10 @@ class SearchEngine(Aggregations):
             var = ss / n - mean_sh * mean_sh
             std = math.sqrt(var) if var > 0 else 0.0
             avg = vmin + mean_sh
-            rows["field"].append(field)
-            rows["n_docs"].append(n)
-            rows["vmin"].append(vmin)
-            rows["vmax"].append(vmax)
-            rows["sum_shift"].append(str(s))
-            rows["sumsq_shift"].append(str(ss))
-            rows["avg"].append(round(avg, 6))
-            rows["variance"].append(round(var, 6))
-            rows["std_deviation"].append(round(std, 6))
-            rows["std_upper"].append(round(avg + 2.0 * std, 6))
-            rows["std_lower"].append(round(avg - 2.0 * std, 6))
-        tbl = pa.table(rows, schema=EXT_STATS_SCHEMA)
-        return {"result": True, "count": n, "data": tbl, "error": None}
+            rows.append((field, n, vmin, vmax, str(s), str(ss), round(avg, 6),
+                         round(var, 6), round(std, 6), round(avg + 2.0 * std, 6),
+                         round(avg - 2.0 * std, 6)))
+        return _rows_resp(EXT_STATS_SCHEMA, rows, n)
 
     DIS_MAX_MAX_QUERIES = 8
 
@@ -2635,15 +2631,14 @@ class SearchEngine(Aggregations):
         groups ascending. -> {'result', 'count' (matching docs),
         'data': pa.Table(group, grank, conv_id, turn_idx, role, tool,
         ts, score), 'error'}"""
-        empty = TOP_HITS_SCHEMA.empty_table()
         if by not in ("role", "tool"):
-            return {**self._resp(error="bad_group"), "data": empty}
+            return self._resp(error="bad_group", schema=TOP_HITS_SCHEMA)
         try:
             per_group = int(per_group)
         except (TypeError, ValueError):
-            return {**self._resp(error="bad_per_group"), "data": empty}
+            return self._resp(error="bad_per_group", schema=TOP_HITS_SCHEMA)
         if per_group < 1:
-            return {**self._resp(error="bad_per_group"), "data": empty}
+            return self._resp(error="bad_per_group", schema=TOP_HITS_SCHEMA)
         terms, parts, resp = self._matched(
             query_text, scope, conjunctive, exclude, ts_min, ts_max,
             schema=TOP_HITS_SCHEMA)
@@ -2667,14 +2662,7 @@ class SearchEngine(Aggregations):
         sel = occ < int(per_group)
         osel = o[sel]
         tbl = self._enrich(uniq[osel], scores_u[osel], terms, False)
-        tbl = pa.table(
-            {
-                "group": pa.array(vals[osel], pa.string()),
-                "grank": pa.array((occ[sel] + 1).astype(np.int32), pa.int32()),
-                **{c: tbl.column(c) for c in tbl.column_names},
-            }
-        )
-        return {"result": True, "count": int(len(uniq)), "data": tbl, "error": None}
+        return _cols_resp(TOP_HITS_SCHEMA, [vals[osel], occ[sel] + 1, *tbl.columns], len(uniq))
 
     def explain(self, query_text: str, conv_id: str, turn_idx: int) -> dict:
         """Score breakdown for ONE document (the Elasticsearch
@@ -2693,7 +2681,6 @@ class SearchEngine(Aggregations):
         the live doc store (overlay-aware). -> {'result', 'count' (1|0),
         'data': pa.Table(lemma, df, tf, dl, idf, weight), 'total',
         'error'}"""
-        empty = EXPLAIN_SCHEMA.empty_table()
         terms, resp = self._planned(query_text, None, schema=EXPLAIN_SCHEMA,
                                     total=0.0)
         if resp:
@@ -2701,7 +2688,7 @@ class SearchEngine(Aggregations):
         did = self._cursor_docid(conv_id, turn_idx)
         ids = np.array([] if did is None else [did], np.int64)
         if not self._alive(ids).any():
-            return {**self._resp(error="not_found"), "data": empty, "total": 0.0}
+            return self._resp(error="not_found", schema=EXPLAIN_SCHEMA, total=0.0)
         dl = float(self._dl_of_ids(ids)[0])
         blocks = self._term_blocks([t[0] for t in terms])
         rows, total = [], 0.0
@@ -2713,18 +2700,7 @@ class SearchEngine(Aggregations):
             w = float(self._bm25(idf, tf, dl)) if tf else 0.0
             total += w
             rows.append((lem, int(df), tf, int(dl), idf, w))
-        tbl = pa.table(
-            {
-                "lemma": pa.array([r0[0] for r0 in rows], pa.string()),
-                "df": pa.array([r0[1] for r0 in rows], pa.int64()),
-                "tf": pa.array([r0[2] for r0 in rows], pa.int64()),
-                "dl": pa.array([r0[3] for r0 in rows], pa.int64()),
-                "idf": pa.array([r0[4] for r0 in rows], pa.float64()),
-                "weight": pa.array([r0[5] for r0 in rows], pa.float64()),
-            }
-        )
-        return {"result": True, "count": 1, "data": tbl,
-                "total": float(total), "error": None}
+        return _rows_resp(EXPLAIN_SCHEMA, rows, 1, total=float(total))
 
     def rank_eval(
         self,
@@ -2772,13 +2748,13 @@ class SearchEngine(Aggregations):
             return resp
         [(_, uniq, _)] = parts
         convs = self._conv_list()
-        conv_len = pc.utf8_length(convs).to_numpy().astype(np.int64)
+        conv_len = to_numpy(pc.utf8_length(convs)).astype(np.int64)
         conv_rank, turn = split_docids(uniq)
         if rating_of is None:
             pool_rating = (turn.astype(np.int64) + conv_len[conv_rank]) % 3
         else:
             pool_rating = np.asarray(
-                rating_of(convs.take(pa.array(conv_rank)), turn), np.int64
+                rating_of(convs.take(to_arrow(conv_rank, pa.int64())), turn), np.int64
             )
         pool_gain = (np.int64(1) << pool_rating) - 1
         n_rel = int((pool_rating > 0).sum())
@@ -2788,41 +2764,21 @@ class SearchEngine(Aggregations):
         if not served["result"]:
             return self._resp(error=served["error"], **shape)
         hits = served["data"]
-        n_hits = hits.num_rows
+        turns = to_numpy(hits.column("turn_idx"))
         if rating_of is None:
-            hit_rating = (
-                hits.column("turn_idx").to_numpy().astype(np.int64)
-                + pc.utf8_length(hits.column("conv_id")).to_numpy().astype(np.int64)
-            ) % 3
+            hit_rating = (turns.astype(np.int64) + to_numpy(
+                pc.utf8_length(hits.column("conv_id"))).astype(np.int64)) % 3
         else:
-            hit_rating = np.asarray(
-                rating_of(hits.column("conv_id"),
-                          hits.column("turn_idx").to_numpy()), np.int64
-            )
+            hit_rating = np.asarray(rating_of(hits.column("conv_id"), turns), np.int64)
         gain_top = int(((np.int64(1) << hit_rating) - 1).sum())
         rel_ranks = np.flatnonzero(hit_rating > 0)
         n_rel_ret = int(len(rel_ranks))
         first_rel = int(rel_ranks[0]) + 1 if n_rel_ret else 0
-        tbl = pa.table(
-            {
-                "k": pa.array([k], pa.int64()),
-                "n_hits": pa.array([n_hits], pa.int64()),
-                "n_rel": pa.array([n_rel], pa.int64()),
-                "n_rel_ret": pa.array([n_rel_ret], pa.int64()),
-                "first_rel_rank": pa.array([first_rel], pa.int64()),
-                "gain_top": pa.array([gain_top], pa.int64()),
-                "gain_ideal": pa.array([gain_ideal], pa.int64()),
-            }
-        )
-        return {
-            "result": True,
-            "count": int(len(uniq)),
-            "data": tbl,
-            "precision": n_rel_ret / k,
-            "recall": n_rel_ret / n_rel if n_rel else 0.0,
-            "mrr": 1.0 / first_rel if first_rel else 0.0,
-            "error": None,
-        }
+        return _rows_resp(
+            RANK_EVAL_SCHEMA,
+            [(k, hits.num_rows, n_rel, n_rel_ret, first_rel, gain_top, gain_ideal)],
+            len(uniq), precision=n_rel_ret / k, recall=n_rel_ret / n_rel if n_rel else 0.0,
+            mrr=1.0 / first_rel if first_rel else 0.0)
 
     def analyze(self, text: str) -> dict:
         """Analysis introspection (the Elasticsearch ``_analyze`` API):
@@ -2837,16 +2793,8 @@ class SearchEngine(Aggregations):
             t for t in self._norm_text(text or "").split()
             if len(t) >= self._min_token_len and t not in self._stopset
         ]
-        lems = [self._analyzer.analyze_query(t) or [t] for t in toks]
-        tbl = pa.table(
-            {
-                "pos": pa.array(range(len(toks)), pa.int32()),
-                "token": pa.array(toks, pa.string()),
-                "lemma": pa.array([l[0] for l in lems], pa.string()),
-            }
-        )
-        return {"result": True, "count": len(toks), "data": tbl,
-                "error": None}
+        lems = [(self._analyzer.analyze_query(t) or [t])[0] for t in toks]
+        return _cols_resp(ANALYZE_SCHEMA, [range(len(toks)), toks, lems], len(toks))
 
     def termvectors(self, conv_id: str, turn_idx: int) -> dict:
         """Per-document term statistics (the Elasticsearch
@@ -2854,40 +2802,28 @@ class SearchEngine(Aggregations):
         distinct lemma of the document's CURRENT text — (lemma, tf, df,
         dl) sorted by lemma. tf and dl come from re-analyzing the
         overlay-aware text source with the index's own analyzer (the ES
-        behavior for non-stored fields), so they always reflect the
-        served index view — update-by-query rewrites and delta
+        behavior for non-stored fields; its per-document ``analyze``, the
+        scalar twin of the batch path the build runs), so they always
+        reflect the served index view — update-by-query rewrites and delta
         re-indexes included; df is the overlay-exact merged posting
         count (the query planner's rule). Cost: one point text read +
         one single-doc analyzer pass + one dictionary lookup per
         distinct lemma — nothing corpus-sized. -> {'result', 'count'
         (1|0), 'data': pa.Table(lemma, tf, df, dl), 'error'}"""
-        empty = TERMVECTORS_SCHEMA.empty_table()
         did = self._cursor_docid(conv_id, turn_idx)
         ids = np.array([] if did is None else [did], np.int64)
         if not self._alive(ids).any():
-            return {**self._resp(error="not_found"), "data": empty}
-        text = self._texts(ids, [conv_id])[0] or ""
-        res = self._analyzer.analyze_batch(pa.array([text], pa.string()), {})
-        _idx, lemmas, tfs, dlen = res[0], res[1], res[2], res[3]
-        if not len(lemmas):
-            return {"result": True, "count": 1, "data": empty, "error": None}
-        dl = int(dlen[0])
-        order = np.argsort(lemmas, kind="stable")
-        lemmas, tfs = lemmas[order], tfs[order]
+            return self._resp(error="not_found", schema=TERMVECTORS_SCHEMA)
+        tfs = self._analyzer.analyze(self._texts(ids, [conv_id])[0] or "")
+        lemmas = sorted(tfs)
         if self._has_deltas:
-            blocks = self._term_blocks([str(x) for x in lemmas])
-            dfs = [int(blocks[str(x)]["cum_n"][-1]) for x in lemmas]
+            blocks = self._term_blocks(lemmas)
+            dfs = [int(blocks[x]["cum_n"][-1]) for x in lemmas]
         else:
-            dfs = [int(self._df_of(str(x)) or 0) for x in lemmas]
-        tbl = pa.table(
-            {
-                "lemma": pa.array([str(x) for x in lemmas], pa.string()),
-                "tf": pa.array(tfs.astype(np.int64), pa.int64()),
-                "df": pa.array(dfs, pa.int64()),
-                "dl": pa.array([dl] * len(lemmas), pa.int64()),
-            }
-        )
-        return {"result": True, "count": 1, "data": tbl, "error": None}
+            dfs = [int(self._df_of(x) or 0) for x in lemmas]
+        dl = sum(tfs.values())
+        return _rows_resp(TERMVECTORS_SCHEMA,
+                          [(x, tfs[x], df, dl) for x, df in zip(lemmas, dfs)], 1)
 
     def export(
         self,
@@ -2977,7 +2913,7 @@ class SearchEngine(Aggregations):
         dpaths = getattr(self, "_delta_text_paths", {})
         groups: dict[tuple, list[int]] = {}
         if dpaths:
-            id_convs = convs.take(pa.array(conv_rank)).to_pylist()
+            id_convs = convs.take(to_arrow(conv_rank, pa.int64())).to_pylist()
             for did, c in zip(uniq, id_convs):
                 key = tuple(dpaths.get(c) or self.transcripts_paths)
                 groups.setdefault(key, []).append(int(did))
@@ -2990,11 +2926,11 @@ class SearchEngine(Aggregations):
 
             def member(batch: pa.Table, ref=ids_ref) -> pa.Table:
                 ids_sorted = ray.get(ref)
-                d = batch.column("docid").to_numpy(zero_copy_only=False)
+                d = to_numpy(batch.column("docid"))
                 pos = np.searchsorted(ids_sorted, d)
                 pos[pos >= len(ids_sorted)] = 0
                 keep = ids_sorted[pos] == d
-                return batch.filter(pa.array(keep)).drop_columns(["docid"])
+                return batch.filter(to_arrow(keep, pa.bool_())).drop_columns(["docid"])
 
             ds = (
                 read_transcripts(list(paths), columns=columns)
@@ -3182,45 +3118,30 @@ class SearchEngine(Aggregations):
         histogram would otherwise materialize an unbounded axis).
         -> {'result', 'count', 'data': pa.Table(bucket, n_docs,
         cum_docs, deriv, mavg), 'error'}"""
-        empty = HISTOGRAM_PIPELINE_SCHEMA.empty_table()
         if not isinstance(window, int) or not 1 <= window < 128:
-            return {**self._resp(error="bad_window"), "data": empty}
+            return self._resp(error="bad_window", schema=HISTOGRAM_PIPELINE_SCHEMA)
         base = self.histogram(query_text, field=field, interval=interval,
                               scope=scope, conjunctive=conjunctive,
                               exclude=exclude, ts_min=ts_min, ts_max=ts_max)
-        if not base["result"]:
-            return {**base, "data": empty}
-        hb = base["data"]
-        if hb.num_rows == 0:
-            return {**base, "data": empty}
-        bu = hb.column("bucket").to_numpy()
-        bc = hb.column("n_docs").to_numpy()
+        if not base["data"].num_rows:
+            return self._resp(base["count"], base["error"], HISTOGRAM_PIPELINE_SCHEMA)
+        bu = to_numpy(base["data"].column("bucket"))
         n_axis = (int(bu[-1]) - int(bu[0])) // interval + 1
         if n_axis > self.MAX_PIPELINE_BUCKETS:
-            return {**self._resp(error="too_many_buckets"), "data": empty}
+            return self._resp(error="too_many_buckets", schema=HISTOGRAM_PIPELINE_SCHEMA)
         axis = bu[0] + np.arange(n_axis, dtype=np.int64) * interval
         filled = np.zeros(n_axis, np.int64)
-        filled[(bu - bu[0]) // interval] = bc
+        filled[(bu - bu[0]) // interval] = to_numpy(base["data"].column("n_docs"))
         cum = np.cumsum(filled)
-        deriv = np.empty(n_axis, np.int64)
-        deriv[1:] = np.diff(filled)
-        deriv[0] = 0
         shifted = np.zeros(n_axis, np.int64)
         if n_axis > window:
             shifted[window:] = cum[:-window]
         win_sum = cum - shifted
         width = np.minimum(np.arange(1, n_axis + 1), window)
         mavg = np.round(win_sum / width, 6)
-        tbl = pa.table({
-            "bucket": pa.array(axis, pa.int64()),
-            "n_docs": pa.array(filled, pa.int64()),
-            "cum_docs": pa.array(cum, pa.int64()),
-            "deriv": pa.array(deriv, pa.int64(),
-                              mask=np.arange(n_axis) == 0),
-            "mavg": pa.array(mavg, pa.float64()),
-        })
-        return {"result": True, "count": base["count"], "data": tbl,
-                "error": None}
+        deriv = [None, *np.diff(filled).tolist()]  # null on the first bucket
+        return _cols_resp(HISTOGRAM_PIPELINE_SCHEMA, [axis, filled, cum, deriv, mavg],
+                          base["count"])
 
     def facets_composite(
         self,
@@ -3250,17 +3171,14 @@ class SearchEngine(Aggregations):
         response bounded). Composes with every filtering surface.
         -> {'result', 'count' (matching docs), 'data': pa.Table(role,
         tool, n_docs), 'after_key': (role, tool) | None, 'error'}"""
-        empty = COMPOSITE_SCHEMA.empty_table()
         if size <= 0:
-            return {**self._resp(error="bad_size"), "data": empty,
-                    "after_key": None}
+            return self._resp(error="bad_size", schema=COMPOSITE_SCHEMA, after_key=None)
         if after is not None and (
             not isinstance(after, (tuple, list)) or len(after) != 2
         ):
             # a malformed resume key must be an error response, not an
             # IndexError (the bad_cursor convention)
-            return {**self._resp(error="bad_after"), "data": empty,
-                    "after_key": None}
+            return self._resp(error="bad_after", schema=COMPOSITE_SCHEMA, after_key=None)
         _, parts, resp = self._matched(
             query_text, scope, conjunctive, exclude, ts_min, ts_max,
             schema=COMPOSITE_SCHEMA, after_key=None)
@@ -3277,16 +3195,8 @@ class SearchEngine(Aggregations):
             ak = (str(after[0]), str(after[1]))
             buckets = [b for b in buckets if (b[0], b[1]) > ak]
         page = buckets[:size]
-        tbl = pa.table(
-            {
-                "role": pa.array([b[0] for b in page], pa.string()),
-                "tool": pa.array([b[1] for b in page], pa.string()),
-                "n_docs": pa.array([b[2] for b in page], pa.int64()),
-            }
-        )
-        after_key = (page[-1][0], page[-1][1]) if len(page) == size else None
-        return {"result": True, "count": int(len(uniq)), "data": tbl,
-                "after_key": after_key, "error": None}
+        return _rows_resp(COMPOSITE_SCHEMA, page, len(uniq), after_key=(
+            (page[-1][0], page[-1][1]) if len(page) == size else None))
 
     def _fg_bg_grouped(self, uniq: np.ndarray):
         """ONE distributed Ray Data scan of the CURRENT index segments
@@ -3323,15 +3233,9 @@ class SearchEngine(Aggregations):
                 decode_gaps_range,
             )
 
-            n = batch.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+            n = to_numpy(batch.column("n")).astype(np.int64)
             if not len(n):
-                return pa.table(
-                    {
-                        "lemma": pa.array([], pa.string()),
-                        "fg": pa.array([], pa.int64()),
-                        "bg": pa.array([], pa.int64()),
-                    }
-                )
+                return to_table(_FG_BG_SCHEMA)
             cum = np.concatenate(([0], np.cumsum(n)))
             docids = decode_gaps_range(
                 binary_column_buffers(batch.column("gaps")), cum, 0, len(n)
@@ -3354,13 +3258,7 @@ class SearchEngine(Aggregations):
             else:
                 bg = n
             fg = np.add.reduceat(member.astype(np.int64), cum[:-1])
-            t = pa.table(
-                {
-                    "lemma": batch.column("lemma"),
-                    "fg": pa.array(fg, pa.int64()),
-                    "bg": pa.array(bg, pa.int64()),
-                }
-            )
+            t = to_table(_FG_BG_SCHEMA, [batch.column("lemma"), fg, bg])
             g = t.group_by("lemma").aggregate([("fg", "sum"), ("bg", "sum")])
             return g.rename_columns(["lemma", "fg", "bg"])
 
@@ -3440,109 +3338,8 @@ class SearchEngine(Aggregations):
         -> {'result', 'count' (matching docs), 'data':
         pa.Table(rank, lemma, fg_docs, bg_docs, score), 'error'}
         """
-        terms, parts, resp = self._matched(
-            query_text, scope, conjunctive, exclude, ts_min, ts_max,
-            schema=SIG_TERMS_SCHEMA)
-        if resp:
-            return resp
-        [(_, uniq, _)] = parts
-        grouped, touched_all = self._fg_bg_grouped(uniq)
-        n_fg = float(len(uniq))
-        n_docs = float(self.n_docs)
-        qlems = sorted({t[0] for t in terms})
-        kk = int(k)
-        touched = sorted(set(touched_all) - set(qlems))
-        skip_lems = sorted(set(qlems) | set(touched))
-
-        _empty_scored = pa.schema(
-            [
-                ("lemma", pa.string()),
-                ("fg", pa.int64()),
-                ("bg", pa.int64()),
-                ("score", pa.float64()),
-            ]
-        ).empty_table()
-
-        def score_topk(batch: pa.Table) -> pa.Table:
-            keep = pc.and_(
-                pc.invert(
-                    pc.is_in(
-                        batch.column("lemma"),
-                        value_set=pa.array(skip_lems, pa.string()),
-                    )
-                ),
-                pc.greater(batch.column("fg"), 0),
-            )
-            b = batch.filter(keep)
-            if not b.num_rows:
-                return _empty_scored
-            fg = b.column("fg").to_numpy(zero_copy_only=False).astype(np.float64)
-            bg = b.column("bg").to_numpy(zero_copy_only=False).astype(np.float64)
-            # the exact op sequence the SQL oracle mirrors: one division
-            # per rate, then (fgp - bgp) * (fgp / bgp) — IEEE-identical
-            fgp = fg / n_fg
-            bgp = bg / n_docs
-            score = (fgp - bgp) * (fgp / bgp)
-            lem = b.column("lemma").to_numpy(zero_copy_only=False)
-            sel = np.lexsort((lem, -score))[:kk]
-            return pa.table(
-                {
-                    "lemma": pa.array(lem[sel], pa.string()),
-                    "fg": pa.array(
-                        b.column("fg").to_numpy(zero_copy_only=False)[sel], pa.int64()
-                    ),
-                    "bg": pa.array(
-                        b.column("bg").to_numpy(zero_copy_only=False)[sel], pa.int64()
-                    ),
-                    "score": pa.array(score[sel], pa.float64()),
-                }
-            )
-
-        parts = grouped.map_batches(score_topk, batch_format="pyarrow").to_pandas()
-        if parts.empty:
-            # an all-empty Ray Data result drops the schema entirely —
-            # reinstate the columns so the fold/sort below stays typed
-            import pandas as _pd
-
-            parts = _pd.DataFrame(columns=["lemma", "fg", "bg", "score"])
-        if touched:
-            # overlay-touched lemmas folded driver-side from the merged
-            # (overlay-folded) decode, scored with the same op sequence
-            import pandas as pd
-
-            rows = []
-            for lem, fg_v, bg_v in self._touched_fg_bg(touched, uniq):
-                if not fg_v:
-                    continue
-                fgp = fg_v / n_fg
-                bgp = bg_v / n_docs
-                rows.append(
-                    (lem, fg_v, bg_v, (fgp - bgp) * (fgp / bgp))
-                )
-            if rows:
-                parts = pd.concat(
-                    [parts, pd.DataFrame(rows, columns=["lemma", "fg", "bg", "score"])],
-                    ignore_index=True,
-                )
-        parts = parts.sort_values(
-            ["score", "lemma"], ascending=[False, True], kind="mergesort"
-        ).head(kk)
-        data = pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(1, len(parts) + 1, dtype=np.int32), pa.int32()
-                ),
-                "lemma": pa.array(parts["lemma"].tolist(), pa.string()),
-                "fg_docs": pa.array(
-                    parts["fg"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "bg_docs": pa.array(
-                    parts["bg"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "score": pa.array(parts["score"].to_numpy(), pa.float64()),
-            }
-        )
-        return {"result": True, "count": int(len(uniq)), "data": data, "error": None}
+        return self._term_agg(SIG_TERMS_SCHEMA, _jlh_rank, query_text, scope,
+                              conjunctive, k, exclude, ts_min, ts_max)
 
     def rare_terms(
         self,
@@ -3573,87 +3370,46 @@ class SearchEngine(Aggregations):
         if k < 1 or max_doc_count < 1:
             return self._resp(error="bad_k" if k < 1 else "bad_max_doc_count",
                               schema=RARE_TERMS_SCHEMA)
+        return self._term_agg(RARE_TERMS_SCHEMA, functools.partial(_rare_rank, int(max_doc_count)),
+                              query_text, scope, conjunctive, k, exclude, ts_min, ts_max)
+
+    def _term_agg(self, schema: pa.Schema, rank, query_text: str, scope, conjunctive,
+                  k: int, exclude, ts_min, ts_max) -> dict:
+        """The one body of the matching-set term aggregations: the top
+        ``k`` vocabulary lemmas of the query's matching set by ``rank``
+        (``_top_terms``) over the exact (lemma, fg, bg) rows of
+        ``_fg_bg_grouped`` and ``_touched_fg_bg``, the query's own lemmas
+        excluded. Each grouped block keeps its own top ``k``; the driver
+        ranks their union with the overlay-touched lemmas' rows by the
+        same rule. -> the response whose data, of ``schema``, is (rank,
+        lemma, fg_docs, bg_docs, *the rule's extra columns)."""
         terms, parts, resp = self._matched(
-            query_text, scope, conjunctive, exclude, ts_min, ts_max,
-            schema=RARE_TERMS_SCHEMA)
+            query_text, scope, conjunctive, exclude, ts_min, ts_max, schema=schema)
         if resp:
             return resp
         [(_, uniq, _)] = parts
-        import pandas as pd
-
         grouped, touched_all = self._fg_bg_grouped(uniq)
-        qlems = sorted({t[0] for t in terms})
-        kk, maxdc = int(k), int(max_doc_count)
-        touched = sorted(set(touched_all) - set(qlems))
-        skip_lems = sorted(set(qlems) | set(touched))
+        qlems = {t[0] for t in terms}
+        touched = sorted(set(touched_all) - qlems)
+        skip = to_arrow(sorted(qlems | set(touched)), pa.string())
+        top = functools.partial(_top_terms, functools.partial(
+            rank, n_fg=float(len(uniq)), n_docs=float(self.n_docs)), int(k))
 
-        _empty_rare = pa.schema(
-            [("lemma", pa.string()), ("fg", pa.int64()), ("bg", pa.int64())]
-        ).empty_table()
+        def block_top(batch: pa.Table) -> pa.Table:
+            keep = ~to_numpy(pc.is_in(batch.column("lemma"), value_set=skip))
+            cols = (to_numpy(batch.column(c))[keep] for c in _FG_BG_SCHEMA.names)
+            return to_table(_FG_BG_SCHEMA, top(*cols)[:3])
 
-        def rare_topk(batch: pa.Table) -> pa.Table:
-            keep = pc.and_(
-                pc.and_(
-                    pc.invert(
-                        pc.is_in(
-                            batch.column("lemma"),
-                            value_set=pa.array(skip_lems, pa.string()),
-                        )
-                    ),
-                    pc.greater(batch.column("fg"), 0),
-                ),
-                pc.less_equal(batch.column("bg"), maxdc),
-            )
-            b = batch.filter(keep)
-            if not b.num_rows:
-                return _empty_rare
-            lem = b.column("lemma").to_numpy(zero_copy_only=False)
-            bg = b.column("bg").to_numpy(zero_copy_only=False)
-            sel = np.lexsort((lem, bg))[:kk]
-            return pa.table(
-                {
-                    "lemma": pa.array(lem[sel], pa.string()),
-                    "fg": pa.array(
-                        b.column("fg").to_numpy(zero_copy_only=False)[sel],
-                        pa.int64(),
-                    ),
-                    "bg": pa.array(bg[sel], pa.int64()),
-                }
-            )
-
-        parts = grouped.map_batches(rare_topk, batch_format="pyarrow").to_pandas()
-        if parts.empty:
-            # an all-empty Ray Data result drops the schema entirely —
-            # reinstate the columns so the fold/sort below stays typed
-            parts = pd.DataFrame(columns=["lemma", "fg", "bg"])
-        rows = [
-            (lem, fg_v, bg_v)
-            for lem, fg_v, bg_v in self._touched_fg_bg(touched, uniq)
-            if fg_v > 0 and bg_v <= maxdc
-        ]
-        if rows:
-            parts = pd.concat(
-                [parts, pd.DataFrame(rows, columns=["lemma", "fg", "bg"])],
-                ignore_index=True,
-            )
-        parts = parts.sort_values(
-            ["bg", "lemma"], ascending=[True, True], kind="mergesort"
-        ).head(kk)
-        data = pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(1, len(parts) + 1, dtype=np.int32), pa.int32()
-                ),
-                "lemma": pa.array(parts["lemma"].tolist(), pa.string()),
-                "fg_docs": pa.array(
-                    parts["fg"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "bg_docs": pa.array(
-                    parts["bg"].to_numpy().astype(np.int64), pa.int64()
-                ),
-            }
-        )
-        return {"result": True, "count": int(len(uniq)), "data": data, "error": None}
+        rows = self._touched_fg_bg(touched, uniq)
+        cols = [[np.array([r[i] for r in rows], t)]
+                for i, t in enumerate((object, np.int64, np.int64))]
+        for b in grouped.map_batches(block_top, batch_format="pyarrow").iter_batches(
+                batch_size=None, batch_format="pyarrow"):
+            if b.num_rows:
+                for c, name in zip(cols, _FG_BG_SCHEMA.names):
+                    c.append(to_numpy(b.column(name)))
+        ranked = top(*(np.concatenate(c) for c in cols))
+        return _cols_resp(schema, [np.arange(1, len(ranked[0]) + 1), *ranked], len(uniq))
 
     def _alive(self, ids: np.ndarray) -> np.ndarray:
         """Bool mask over docids: which are docs of the served view
@@ -4008,60 +3764,33 @@ class SearchEngine(Aggregations):
         win_rank, win_scores, gi = win_rank[offset:], win_scores[offset:], gi[offset:]
         best_doc = ids[best_pos[gi]]
         et = self._enrich(best_doc, win_scores, terms, False)
-        tbl = pa.table(
-            {
-                "conv_id": et.column("conv_id"),
-                "n_turns": pa.array(counts[gi].astype(np.int64), pa.int64()),
-                "best_turn_idx": et.column("turn_idx"),
-                "score": et.column("score"),
-            }
-        )
-        return {"result": True, "count": int(count), "data": tbl, "error": None}
+        return _cols_resp(CONV_RESULT_SCHEMA, [et.column("conv_id"), counts[gi],
+                                               et.column("turn_idx"), et.column("score")], count)
 
     # ---------------- reference-parity scorer (G3/G4, D4, J4) ----------
 
     def _max_relevance(self) -> float:
         """Global max per-doc Σtf — the reference's cached denominator
         (``SearchServiceImpl.java:25,147-153``; ``IndexRepository.java:14-16``).
-        doc_len == Σtf per doc, so this is max(doc_len)."""
+        doc_len == Σtf per doc, so this is max(doc_len) over the served
+        view: per doc-store row group the footer's doc_len maximum
+        (exact for int columns written by arrow; no data read), or, where
+        the footer lacks it or a tombstoned range meets the group, the
+        max over the group's live docs decoded through the engine cache
+        (``_doc_rows``' payload), then the delta docs'."""
         if self._ref_max_relevance is None:
-            if self._has_deltas:
-                t = pq.read_table(
-                    layout.docs_dir(self.out_dir), columns=["docid", "doc_len"]
-                )
-                keep = self._tomb_keep_mask(t.column("docid").to_numpy())
-                dls = t.column("doc_len").to_numpy()[keep]
-                ddl = self._delta_docs["doc_len"]
-                m = max(
-                    int(dls.max()) if len(dls) else 0,
-                    int(ddl.max()) if len(ddl) else 0,
-                )
-            else:
-                # max(doc_len) from parquet ROW-GROUP STATISTICS — zero
-                # data read (exact for int columns written by arrow); a
-                # full doc_len column pull is corpus-sized at scale
-                d = layout.docs_dir(self.out_dir)
-
-                def _stats_max() -> int | None:
-                    mx = 0
-                    for f in sorted(os.listdir(d)):
-                        if not f.endswith(".parquet"):
-                            continue
-                        md = pq.ParquetFile(os.path.join(d, f)).metadata
-                        ci = md.schema.to_arrow_schema().get_field_index(
-                            "doc_len"
-                        )
-                        for rg in range(md.num_row_groups):
-                            st = md.row_group(rg).column(ci).statistics
-                            if st is None or not st.has_min_max:
-                                return None  # stats absent: full read
-                            mx = max(mx, int(st.max))
-                    return mx
-
-                m = _stats_max()
-                if m is None:
-                    t = pq.read_table(d, columns=["doc_len"])
-                    m = pc.max(t.column("doc_len")).as_py()
+            m = int(self._delta_docs["doc_len"].max(initial=0)) if self._has_deltas else 0
+            for lo, hi, (p, g) in zip(*self._groups("docs")):
+                pf = self._parquet(p)
+                st = pf.metadata.row_group(g).column(
+                    pf.schema_arrow.get_field_index("doc_len")).statistics
+                torn = self._has_deltas and self._tombed(lo, hi)
+                if st is not None and st.has_min_max and not torn:
+                    m = max(m, int(st.max))
+                    continue
+                grp = self._row_group("docs", p, g, _DOC_COLUMNS, _decode_doc_group)
+                dls = grp["doc_len"][self._tomb_keep_mask(grp["docid"])] if torn else grp["doc_len"]
+                m = max(m, int(dls.max(initial=0)))
             self._ref_max_relevance = float(m or 1)
         return self._ref_max_relevance
 
@@ -4139,22 +3868,13 @@ class SearchEngine(Aggregations):
         read).
         -> {'result', 'count' (matches before the cap), 'data':
         pa.Table(lemma, df), 'error'}"""
-        empty = empty_table(COMPLETE_SCHEMA)
         if k <= 0:
-            return {**self._resp(error="bad_k"), "data": empty}
+            return self._resp(error="bad_k", schema=COMPLETE_SCHEMA)
         toks = self._norm_text(prefix or "").split()
         if not toks or len(toks[0]) < self.PREFIX_MIN_LEN:
-            return {**self._resp(error="short_prefix"), "data": empty}
+            return self._resp(error="short_prefix", schema=COMPLETE_SCHEMA)
         hits = self.expand_prefix(prefix, max_expansion=1 << 30)
-        page = hits[:k]
-        tbl = pa.table(
-            {
-                "lemma": to_arrow([h[0] for h in page], pa.string()),
-                "df": to_arrow([h[1] for h in page], pa.int64()),
-            }
-        )
-        return {"result": True, "count": len(hits), "data": tbl,
-                "error": None}
+        return _rows_resp(COMPLETE_SCHEMA, hits[:k], len(hits))
 
     # ---------------- fuzzy term suggestions (did-you-mean) -----------
 
@@ -4177,14 +3897,7 @@ class SearchEngine(Aggregations):
         rows = ([r for d in self._vocab() for r in _suggest_scan(toks[0], d.items(), max_dist)]
                 if toks else [])
         rows.sort(key=lambda r: (r[2], -r[1], r[0]))
-        rows = rows[:k]
-        return pa.table(
-            {
-                "suggestion": to_arrow([r[0] for r in rows], pa.string()),
-                "df": to_arrow([r[1] for r in rows], pa.int64()),
-                "dist": to_arrow([r[2] for r in rows], pa.int32()),
-            }
-        )
+        return to_table(SUGGEST_SCHEMA, zip(*rows[:k]))
 
     def suggest_query(self, query_text: str, max_dist: int = 2) -> dict:
         """Whole-query did-you-mean (the Elasticsearch phrase-suggester
@@ -4208,10 +3921,9 @@ class SearchEngine(Aggregations):
             t for t in self._norm_text(query_text or "").split()
             if len(t) >= self._min_token_len and t not in self._stopset
         ]
-        empty = empty_table(SUGGEST_QUERY_SCHEMA)
         if not toks:
-            return {**self._resp(error="empty_query"), "data": empty,
-                    "corrected": "", "changed": False}
+            return self._resp(error="empty_query", schema=SUGGEST_QUERY_SCHEMA,
+                              corrected="", changed=False)
         rows = []
         for pos, tok in enumerate(toks):
             lem = self._lemmatize_token(tok)
@@ -4229,24 +3941,9 @@ class SearchEngine(Aggregations):
                 ))
             else:
                 rows.append((pos, tok, tok, 0, -1))
-        corrected = " ".join(r[2] for r in rows)
-        tbl = pa.table(
-            {
-                "pos": to_arrow([r[0] for r in rows], pa.int32()),
-                "token": to_arrow([r[1] for r in rows], pa.string()),
-                "suggestion": to_arrow([r[2] for r in rows], pa.string()),
-                "df": to_arrow([r[3] for r in rows], pa.int64()),
-                "dist": to_arrow([r[4] for r in rows], pa.int32()),
-            }
-        )
-        return {
-            "result": True,
-            "count": len(rows),
-            "corrected": corrected,
-            "changed": any(r[1] != r[2] for r in rows),
-            "data": tbl,
-            "error": None,
-        }
+        return _rows_resp(SUGGEST_QUERY_SCHEMA, rows, len(rows),
+                          corrected=" ".join(r[2] for r in rows),
+                          changed=any(r[1] != r[2] for r in rows))
 
     # ---------------- phrase queries (positions) -----------------------
 
@@ -5157,6 +4854,26 @@ CONV_RESULT_SCHEMA = pa.schema(
         ("score", pa.float64()),
     ]
 )
+
+ANALYZE_SCHEMA = pa.schema(
+    [
+        ("pos", pa.int32()),
+        ("token", pa.string()),
+        ("lemma", pa.string()),
+    ]
+)
+
+SUGGEST_SCHEMA = pa.schema(
+    [
+        ("suggestion", pa.string()),
+        ("df", pa.int64()),
+        ("dist", pa.int32()),
+    ]
+)
+
+# the (lemma, fg, bg) term rows of the matching-set term aggregations
+# (SearchEngine._fg_bg_grouped)
+_FG_BG_SCHEMA = pa.schema([("lemma", pa.string()), ("fg", pa.int64()), ("bg", pa.int64())])
 
 RESULT_SCHEMA = pa.schema(
     [

@@ -2,11 +2,14 @@
 
 In pyarrow 16, ``Array.to_numpy``, ``np.asarray`` on an Arrow array,
 ``pa.array``, ``pa.scalar``, compute calls given Python or numpy
-arguments and ``pq.read_table`` each make pyarrow import pandas (about
-0.3 s and 28 MiB in a fresh process). The query side converts through
-these instead: fixed-width columns as numpy views of their buffers,
-strings by slicing their UTF-8 buffer, and new arrays built with
-``pa.Array.from_buffers``."""
+arguments (``Table.take`` given numpy or Python indices among them),
+``Table.from_pylist``, ``Schema.empty_table``,
+``TableGroupBy.aggregate`` and ``pq.read_table`` each make pyarrow
+import pandas (about 0.3 s and 28 MiB in a fresh process). The query
+side converts through these instead: fixed-width columns as numpy views
+of their buffers, strings by slicing their UTF-8 buffer, new arrays
+built with ``pa.Array.from_buffers`` and the tables of a schema with
+``to_table``."""
 
 from __future__ import annotations
 
@@ -106,7 +109,10 @@ def read_table(path: str, columns=None) -> pa.Table:
         [pq.ParquetFile(f).read(columns=columns, use_threads=False) for f in files])
 
 
-def empty_table(schema: pa.Schema) -> pa.Table:
-    """A table of ``schema`` with no rows (``Schema.empty_table``
-    imports pandas)."""
-    return pa.table([pa.nulls(0, f.type) for f in schema], schema=schema)
+def to_table(schema: pa.Schema, cols=()) -> pa.Table:
+    """The table of ``schema`` whose columns are ``cols``, one per field
+    in field order: an Arrow array as it is, any other sequence through
+    ``to_arrow``. No columns make a table with no rows."""
+    cols = list(cols) or [()] * len(schema)
+    return pa.table([c if isinstance(c, (pa.Array, pa.ChunkedArray)) else to_arrow(c, f.type)
+                     for c, f in zip(cols, schema)], schema=schema)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import os
 
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from .state import layout
+from .state.columns import read_table
 from .state.manifest import PartitionTracker, load_json
 
 
@@ -25,12 +25,8 @@ def statistics(out_dir: str) -> dict:
     instead and keep this endpoint for the bounded dashboards."""
     m = load_json(layout.build_manifest_path(out_dir)) or {}
     stats = m.get("stats", {})
-    t = pq.read_table(
-        layout.docs_dir(out_dir), columns=["role"], read_dictionary=["role"]
-    )
-    per_role = (
-        t.group_by("role").aggregate([([], "count_all")]).to_pylist()
-    )
+    t = read_table(layout.docs_dir(out_dir), columns=["role"])
+    per_role = pc.value_counts(t.column("role")).to_pylist()
     gens = layout.list_generations(out_dir)
     tracker = PartitionTracker(
         os.path.join(layout.stage_a_dir(out_dir), "_manifests"), build_id="A"
@@ -44,7 +40,7 @@ def statistics(out_dir: str) -> dict:
             "avgdl": stats.get("avgdl"),
             "indexing": m.get("state") != "DONE",
         },
-        "per_scope": {r["role"]: r["count_all"] for r in per_role},
+        "per_scope": {r["values"]: r["counts"] for r in per_role},
         # incremental generations overlaying the base build (docs/avgdl
         # above are BASE stats; the query engine applies exact
         # adjustments at load — see search.SearchEngine._load_deltas)

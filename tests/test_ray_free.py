@@ -2,11 +2,13 @@
 the server answers from the posting index, statistics, a CLI read, the
 served read endpoints and a delta write all run in a process where
 ``ray`` was never imported. Only a Ray Data endpoint (``export``) loads
-Ray, on first use. The search path imports no pandas either: pyarrow
-imports it for its pandas-backed conversions (``to_numpy``,
-``pa.array``, ``pq.read_table``, ...), which the search path does not
-call. Checked in a fresh subprocess, the way ``tests/test_cli.py`` runs
-the CLI, because the test session itself holds a Ray session."""
+Ray, on first use. The read surfaces import no pandas either (every
+search mode, the aggregations and analysis surfaces that start no Ray
+Data job, statistics, a delta-overlaid engine and a shard federation):
+pyarrow imports it for its pandas-backed conversions (``to_numpy``,
+``pa.array``, ``pq.read_table``, ...), which they do not call. Checked
+in a fresh subprocess, the way ``tests/test_cli.py`` runs the CLI,
+because the test session itself holds a Ray session."""
 
 import json
 import os
@@ -16,6 +18,7 @@ import sys
 
 from search_engine_ray.pipelines import delta
 from search_engine_ray.pipelines import phrase_aux as aux_mod
+from test_federate import fed_env  # noqa: F401 — the shared shard fixture
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,6 +69,21 @@ assert eng.range_agg(hot, [(None, 20), (20, None)])["result"]
 top = eng.search(hot, limit=1)["data"].to_pylist()[0]
 assert eng.mget([(top["conv_id"], top["turn_idx"]), ("conv-none", 0)])["count"] == 1
 no_pandas("facets, range_agg, mget")
+c, t = top["conv_id"], top["turn_idx"]
+for step, call in (
+        ("metrics", lambda: eng.metrics(hot)),
+        ("matrix_stats", lambda: eng.matrix_stats(hot)),
+        ("extended_stats", lambda: eng.extended_stats(hot)),
+        ("top_hits", lambda: eng.top_hits(hot)),
+        ("explain", lambda: eng.explain(f"{hot} {s1}", c, t)),
+        ("analyze", lambda: eng.analyze(f"The {hot} running")),
+        ("termvectors", lambda: eng.termvectors(c, t)),
+        ("histogram_pipeline", lambda: eng.histogram_pipeline(hot)),
+        ("facets_composite", lambda: eng.facets_composite(hot, size=2)),
+        ("search_conversations", lambda: eng.search_conversations(hot)),
+        ("rank_eval", lambda: eng.rank_eval(hot))):
+    assert call()["count"] > 0, step
+    no_pandas(step)
 # the index carries a phrase aux: at least one phrase query reads a pair
 assert eng._aux_pairs
 for q in datagen.phrase_queries():
@@ -96,9 +114,10 @@ def call(path, method="GET"):
 
 assert call(f"/api/search?query={hot}&limit=3")["count"] > 0
 no_pandas("http /api/search")
-# below: endpoints that may still load pandas
 assert statistics(out)["total"]["docs"] > 0
 assert call("/api/statistics")["total"]["docs"] > 0
+no_pandas("statistics")
+# below: endpoints that may still load pandas
 assert call("/api/stopIndexing")["result"]
 assert call("/api/indexPage?conv=conv-00000000", method="POST")["result"]
 assert call("/api/statistics")["delta_generations"]
@@ -139,13 +158,16 @@ from search_engine_ray import datagen
 from search_engine_ray.search import SearchEngine
 
 hot, s1 = datagen.stem(0), datagen.stem(1)
+# reference mode drops lemmas above its df cutoff: a rare query lemma
+rare = datagen.reference_queries()[0]["query_text"]
 pandas_at = []
 eng = SearchEngine(sys.argv[1])
 assert eng._has_deltas
 for step, kw in (("open", None), ("bm25", {}), ("phrase", {"mode": "phrase"}),
-                 ("snippets", {"with_snippets": True})):
+                 ("snippets", {"with_snippets": True}), ("reference", {"mode": "reference"})):
     if kw is not None:
-        assert eng.search(f"{hot} {s1}", limit=3, **kw)["count"] > 0, step
+        text = rare if step == "reference" else f"{hot} {s1}"
+        assert eng.search(text, limit=3, **kw)["count"] > 0, step
     if "pandas" in sys.modules and not pandas_at:
         pandas_at.append(step)
 print(json.dumps({"pandas_at": pandas_at}))
@@ -156,12 +178,56 @@ def test_delta_engine_imports_no_pandas(tiny_index, tmp_path):
     """An engine over a live delta generation reads the generation's
     files and the tombstoned doc-store rows without pyarrow's pandas
     shim: no pandas after opening it, nor after bm25, phrase (positions
-    merged by the overlay) and snippet searches."""
+    merged by the overlay), snippet and reference-mode searches (the
+    last reads the live docs' max doc_len)."""
     out = str(tmp_path / "idx")
     shutil.copytree(tiny_index["out_dir"], out)
     assert delta.reindex_conversations(out, ["conv-00000000", "conv-00000003"])["result"]
     r = subprocess.run(
         [sys.executable, "-c", _DELTA_SCRIPT, out],
+        capture_output=True, text=True, cwd=_REPO, timeout=600,
+    )
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert json.loads(r.stdout.strip().splitlines()[-1])["pandas_at"] == []
+
+
+_FED_SCRIPT = r"""
+import json, sys
+
+from search_engine_ray import datagen
+from search_engine_ray.federate import FederatedEngine
+
+hot, s1 = datagen.stem(0), datagen.stem(1)
+pandas_at = []
+
+
+def no_pandas(step):
+    if "pandas" in sys.modules and not pandas_at:
+        pandas_at.append(step)
+
+
+fed = FederatedEngine(sys.argv[1:])
+no_pandas("open")
+top = fed.search(f"{hot} {s1}", limit=5)["data"].to_pylist()
+assert len(top) == 5
+no_pandas("search")
+assert fed.search(hot, exclude=s1, limit=5)["count"] > 0
+no_pandas("filtered search")
+keys = [(r["conv_id"], r["turn_idx"]) for r in top] + [("conv-none", 0)]
+assert fed.mget(keys)["count"] == 5
+no_pandas("mget")
+assert fed.suggest(hot[:-1] + "x").num_rows
+no_pandas("suggest")
+print(json.dumps({"pandas_at": pandas_at}))
+"""
+
+
+def test_federated_engine_imports_no_pandas(fed_env):  # noqa: F811
+    """A two-shard ``FederatedEngine`` merges its shards' search pages
+    (plain and filtered), mget rows and suggestions without pyarrow's
+    pandas shim."""
+    r = subprocess.run(
+        [sys.executable, "-c", _FED_SCRIPT, *fed_env["shard_outs"]],
         capture_output=True, text=True, cwd=_REPO, timeout=600,
     )
     assert r.returncode == 0, r.stderr[-3000:]
@@ -175,7 +241,7 @@ def test_columns_convert_like_arrow():
     import numpy as np
     import pyarrow as pa
 
-    from search_engine_ray.state.columns import empty_table, to_arrow, to_numpy
+    from search_engine_ray.state.columns import to_arrow, to_numpy, to_table
 
     ints = pa.chunked_array([pa.array([5, None, 7], pa.int32()), pa.array([9], pa.int32())])
     assert to_numpy(ints, fill=-1).tolist() == [5, -1, 7, 9]
@@ -198,4 +264,8 @@ def test_columns_convert_like_arrow():
                     ([None, 5], pa.timestamp("us")), ([None, 0.5], pa.float64())):
         assert to_arrow(vals, t).equals(pa.array(list(vals), t)), (vals, t)
     schema = pa.schema([("s", pa.string()), ("n", pa.int64())])
-    assert empty_table(schema).equals(schema.empty_table())
+    assert to_table(schema).equals(schema.empty_table())
+    assert to_table(schema, zip(*[("a", 1), ("b", None)])).equals(
+        pa.table({"s": ["a", "b"], "n": [1, None]}, schema=schema))
+    assert to_table(schema, [pa.array(["x"]), np.array([2])]).equals(
+        pa.table({"s": ["x"], "n": [2]}, schema=schema))
